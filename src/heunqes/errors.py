@@ -36,7 +36,7 @@ class NoPositiveRoot(HeunQESError):
 
 
 class NoRootInRange(HeunQESError):
-    """The frequency scan bracket contains no sign change; reports the interval."""
+    """c_{n+1}(omega) has no positive real root: the cell has no quantized frequency."""
 
 
 class WrongDegree(HeunQESError):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceFailure, InvalidGrid
 
@@ -86,16 +85,18 @@ class RadialOperatorSpec:
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Lowest eigenvalues zeta^2_k of one channel, strictly ascending.
+    """Consecutive eigenvalues zeta^2_k of one channel, strictly ascending.
 
-    drift, when set, is the largest relative eigenvalue change observed when
-    the grid that produced this spectrum was reached by doubling a coarser
-    one; it estimates the remaining discretization error.
+    eigenvalues[i] is zeta^2 at index k = first + i. drift, when set, is the
+    largest relative eigenvalue change observed when the grid that produced
+    this spectrum was reached by doubling a coarser one; it estimates the
+    remaining discretization error.
     """
 
     eigenvalues: tuple[float, ...]
     spec: RadialOperatorSpec
     drift: float | None = None
+    first: int = 0
 
 
 def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -118,17 +119,22 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def eigenvalues(spec: RadialOperatorSpec, count: int) -> OracleSpectrum:
-    """Lowest `count` eigenvalues of the channel by Sturm-sequence bisection.
+def eigenvalues(spec: RadialOperatorSpec, count: int, first: int = 0) -> OracleSpectrum:
+    """Eigenvalues of indices first..count-1 of the channel by Sturm-sequence bisection.
 
     Raises:
         ConvergenceFailure: the bisection backend failed or returned a
             non-ascending sequence.
     """
+    # scipy is imported here so the solver-only commands never load it.
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > spec.n_grid:
         raise ValueError(f"cannot request {count} eigenvalues from a {spec.n_grid}-point grid")
+    if not 0 <= first < count:
+        raise ValueError(f"first must lie in [0, {count}), got {first}")
     d, e = build_operator(spec)
     try:
         vals = eigh_tridiagonal(
@@ -136,7 +142,7 @@ def eigenvalues(spec: RadialOperatorSpec, count: int) -> OracleSpectrum:
             e,
             eigvals_only=True,
             select="i",
-            select_range=(0, count - 1),
+            select_range=(first, count - 1),
             tol=_EIG_ABS_TOL,
         )
     except LinAlgError as exc:
@@ -145,7 +151,7 @@ def eigenvalues(spec: RadialOperatorSpec, count: int) -> OracleSpectrum:
         raise ConvergenceFailure("eigensolver returned non-finite eigenvalues")
     if np.any(np.diff(vals) <= 0.0):
         raise ConvergenceFailure("eigenvalues not strictly ascending; bisection lost states")
-    return OracleSpectrum(tuple(float(v) for v in vals), spec)
+    return OracleSpectrum(tuple(float(v) for v in vals), spec, first=first)
 
 
 def oscillator_zeta_sq(m: float, omega: float, abs_l: int, k: int) -> float:
@@ -198,7 +204,8 @@ def verify_solution(
 
     The channel is diagonalized at grid_n and grid_n_refined (default 2x)
     interior points with a shared rho_max, and the eigenvalue at index
-    node_count is compared with the claimed zeta^2. PASS requires relative
+    node_count is compared with the claimed zeta^2; only indices node_count - 1
+    .. node_count + EXTRA_STATES are bisected. PASS requires relative
     deviation < PASS_TOL on the coarse grid and a strictly smaller deviation
     on the refined one.
 
@@ -214,6 +221,7 @@ def verify_solution(
     claim = solution.zeta_sq
     k = solution.node_count
     count = k + 1 + EXTRA_STATES
+    first = max(k - 1, 0)  # the ascending check still covers both neighbours of k
     if rho_max is None:
         rho_max = default_rho_max(
             prob.mass, omega, prob.eta, claim + TARGET_MARGIN * prob.mass * omega
@@ -229,16 +237,17 @@ def verify_solution(
     )
     if grid_n_refined is None:
         grid_n_refined = 2 * grid_n
-    coarse = eigenvalues(coarse_spec, count)
-    refined = eigenvalues(replace(coarse_spec, n_grid=grid_n_refined), count)
+    coarse = eigenvalues(coarse_spec, count, first)
+    refined = eigenvalues(replace(coarse_spec, n_grid=grid_n_refined), count, first)
     drift = max(
         abs(b - a) / max(abs(b), 1e-300)
         for a, b in zip(coarse.eigenvalues, refined.eigenvalues)
     )
     refined = replace(refined, drift=drift)
     scale = max(abs(claim), 1e-300)
-    deviation = abs(coarse.eigenvalues[k] - claim) / scale
-    deviation_refined = abs(refined.eigenvalues[k] - claim) / scale
+    zeta_oracle, zeta_oracle_refined = coarse.eigenvalues[k - first], refined.eigenvalues[k - first]
+    deviation = abs(zeta_oracle - claim) / scale
+    deviation_refined = abs(zeta_oracle_refined - claim) / scale
     ratio = deviation / deviation_refined if deviation_refined > 0.0 else math.inf
     return VerificationReport(
         passed=deviation < PASS_TOL and deviation_refined < deviation,
@@ -247,8 +256,8 @@ def verify_solution(
         ratio=ratio,
         node_index=k,
         zeta_claim=claim,
-        zeta_oracle=coarse.eigenvalues[k],
-        zeta_oracle_refined=refined.eigenvalues[k],
+        zeta_oracle=zeta_oracle,
+        zeta_oracle_refined=zeta_oracle_refined,
         grid_n=grid_n,
         grid_n_refined=grid_n_refined,
         rho_max=rho_max,

@@ -18,8 +18,9 @@ g = 2n and c_{n+1} = 0. The first fixes
 the second is satisfied only at discrete frequencies omega_{n,l}: the
 potentials cannot be chosen freely, the oscillator frequency itself is
 quantized. For n = 1 the condition c_2 = 0 is a cubic in omega solved in
-closed form; for general n the root set of c_{n+1}(omega) is located by a
-logarithmic sign scan plus bisection.
+closed form; for general n every root of c_{n+1}(omega) is an eigenvalue of
+one real companion matrix (solve_frequency), and every state's node count is
+read from the Jacobi matrix of the same recurrence (_node_count).
 
 Energies follow as
 
@@ -32,16 +33,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import NonPositiveFrequency, NoPositiveRoot, NoRootInRange, OverflowGuard, WrongDegree
+from .errors import NonPositiveFrequency, NoPositiveRoot, NoRootInRange, WrongDegree
 from .model import PhysicalParams, validate
 from .series import HeunParams
-from .wavefunction import count_positive_roots
 
-# Frequency scan: six decades each side of the characteristic scale, refined
-# by bisection to this relative tolerance in omega.
-SCAN_POINTS = 400
-SCAN_DECADES = 6.0
-BISECT_RTOL = 1e-12
+# Eigenvalues lambda kept as real positive roots: |Im| <= EIG_IMAG_RTOL*|lambda|, and
+# Re > EIG_ZERO_RTOL*max|lambda|, which drops the s -> 0 artifacts (omega ~ 1e40 and up).
+EIG_IMAG_RTOL = 1e-6
+EIG_ZERO_RTOL = 1e-8
+
+# The eigenvalues are good to about 1e-5; secant steps polish each until a step is below
+# STEP_RTOL, and it is kept only if c_{n+1} changes sign across omega * (1 -/+ ROOT_RTOL).
+SECANT_START_RTOL = 1e-7
+SECANT_STEPS = 8
+STEP_RTOL = 1e-13
+ROOT_RTOL = 1e-11
 
 # Two frequency roots closer than this (relative) are treated as one.
 ROOT_MERGE_RTOL = 1e-9
@@ -256,79 +262,93 @@ def _truncation_at(problem: ReducedProblem, omega: float) -> float:
     ]
 
 
-def _omega_char(problem: ReducedProblem) -> float:
-    """Characteristic frequency scale: both closed-form limits of the cubic
-    land at O(omega_char), so six decades around it bracket the physical roots."""
-    return max(
-        problem.coupling**2 / (2.0 * problem.mass * problem.theta),
-        (problem.eta**2 / problem.mass) ** (1.0 / 3.0),
-        1e-30,
-    )
+def _jacobi_offdiagonal(n: int, theta: int) -> np.ndarray:
+    """Off-diagonal of K0, symmetrized (see solve_frequency), without its minus sign."""
+    i = np.arange(1, n + 1, dtype=float)
+    return np.sqrt(8.0 * (n - i + 1) * i * (i - 1 + theta))
 
 
-def _bisect(problem: ReducedProblem, lo: float, hi: float, f_lo: float) -> tuple[float, float]:
-    """Shrink a sign-change bracket to BISECT_RTOL relative width."""
-    while (hi - lo) > BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        f_mid = _truncation_at(problem, mid)
-        if f_mid == 0.0:
-            return mid, mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return lo, hi
+def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
+    """Every positive real root of det T(s) = 0 as a frequency, ascending, to about 1e-5."""
+    size, theta = problem.n + 1, problem.theta
+    k0 = -np.diag(_jacobi_offdiagonal(problem.n, theta), 1)
+    k0 += k0.T
+    a3, a1 = 2.0 * problem.mass * problem.eta, 2.0 * problem.coupling
+    if a3 == 0.0:
+        s = np.linalg.eigvalsh(-k0 / a1)
+    else:
+        d_inv = 1.0 / (2.0 * np.arange(size) + theta)
+        k0 *= np.sqrt(np.outer(d_inv, d_inv)) / a3
+        sigma = max((abs(a1 / a3) / theta) ** 0.5, np.linalg.norm(k0, np.inf) ** (1.0 / 3.0))
+        companion = np.zeros((3 * size, 3 * size))
+        companion[: 2 * size, size:] = np.eye(2 * size)
+        companion[2 * size :, :size] = -k0 / sigma**3
+        companion[2 * size :, size : 2 * size] = np.diag(-a1 / a3 * d_inv / sigma**2)
+        s = sigma * np.linalg.eigvals(companion)
+    real = np.abs(s.imag) <= EIG_IMAG_RTOL * np.abs(s)
+    real &= s.real > EIG_ZERO_RTOL * np.max(np.abs(s))
+    return np.sort(1.0 / (problem.mass * s.real[real] ** 2))
 
 
-def _polish_secant(problem: ReducedProblem, x0: float, x1: float, steps: int = 3) -> float:
-    """Secant cleanup after bisection; keeps the iterate with the smallest residual."""
+def _polish(problem: ReducedProblem, omega: float, cap: float) -> float:
+    """Secant steps on c_{n+1} from an eigenvalue estimate, each at most cap long."""
+    x0, x1 = omega, omega * (1.0 + SECANT_START_RTOL)
     f0, f1 = _truncation_at(problem, x0), _truncation_at(problem, x1)
-    best_x, best_f = (x0, abs(f0)) if abs(f0) < abs(f1) else (x1, abs(f1))
-    for _ in range(steps):
+    for _ in range(SECANT_STEPS):
         if f1 == f0:
             break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (math.isfinite(x2) and x2 > 0.0):
+        step = max(-cap, min(cap, -f1 * (x1 - x0) / (f1 - f0)))
+        x0, f0 = x1, f1
+        x1 += step
+        if abs(step) <= STEP_RTOL * x1:
             break
-        f2 = _truncation_at(problem, x2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(f2) < best_f:
-            best_x, best_f = x2, abs(f2)
-    return best_x
+        f1 = _truncation_at(problem, x1)
+    return x1
 
 
 def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
-    """All quantized frequencies found in the scan bracket, ascending.
+    """All quantized frequencies of the cell, ascending, from one eigenproblem.
 
-    Scans c_{n+1}(omega) over SCAN_POINTS logarithmically spaced frequencies
-    in [10^-6, 10^+6] x omega_char, bisects every sign change to BISECT_RTOL
-    relative, then polishes with a few secant steps. Points where the series
-    overflows (deep in the omega -> 0 tail) are skipped; a missing sign
-    change in the bracket is reported, not proof of nonexistence.
+    With s = (m omega)^(-1/2), rows i = 0..n of the recurrence at g = 2n with
+    c_{n+1} = 0 read T(s) c = 0 for T(s) = K0 + 2 M lambda l s + 2 m eta s^3 D,
+    where D = diag(2i + theta) and K0 is tridiagonal with zero diagonal,
+    sub-diagonal -4(n-i+1) and super-diagonal -2(i+1)(i+theta). Facing entries
+    have a positive product, so a diagonal similarity makes K0 symmetric (off-diagonal
+    -sqrt(8(n-i+1) i (i-1+theta))); without it the linearization loses roots
+    from n ~ 24. D^(-1/2) on both sides and s = sigma*t turn T into a monic
+    cubic t^3 + A1 t + A0 with coefficients of norm at most one, whose real
+    companion matrix of size 3(n+1) carries every root; at eta = 0, T is linear
+    in s. Each candidate is polished by secant steps capped at half the gap to
+    its neighbours and kept only if c_{n+1} changes sign across it.
     """
-    w_char = _omega_char(problem)
-    lo, hi = 10.0**-SCAN_DECADES * w_char, 10.0**SCAN_DECADES * w_char
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), SCAN_POINTS))
-    values: list[float | None] = []
-    for w in grid:
-        try:
-            v = _truncation_at(problem, float(w))
-            values.append(v if math.isfinite(v) else None)
-        except (OverflowGuard, OverflowError):
-            values.append(None)
+    candidates = _candidate_frequencies(problem)
+    gaps = np.diff(candidates, prepend=0.0, append=math.inf)
     roots = []
-    for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
-        if fa is None or fb is None or not (fa * fb < 0.0):
-            continue
-        b_lo, b_hi = _bisect(problem, float(a), float(b), fa)
-        roots.append(_polish_secant(problem, b_lo, b_hi) if b_lo < b_hi else b_lo)
+    for w, cap in zip(candidates.tolist(), (0.5 * np.minimum(gaps[:-1], gaps[1:])).tolist()):
+        root = _polish(problem, w, cap)
+        below = _truncation_at(problem, root * (1.0 - ROOT_RTOL))
+        if below * _truncation_at(problem, root * (1.0 + ROOT_RTOL)) <= 0.0:
+            roots.append(root)
     roots = _merge_close(roots)
     if not roots:
         raise NoRootInRange(
-            f"no sign change of c_{problem.n + 1}(omega) over [{lo:.6g}, {hi:.6g}] "
-            f"({SCAN_POINTS} log-spaced points); roots outside this bracket are not excluded"
+            f"no sign change of c_{problem.n + 1}(omega) at any of the {len(candidates)} "
+            "positive real eigenvalue candidates: the cell has no quantized frequency"
         )
     return [_make_solution(problem, w) for w in roots]
+
+
+def _node_count(problem: ReducedProblem, heun: HeunParams) -> int:
+    """Radial node count of a state from the Jacobi matrix of its recurrence.
+
+    At the state's alpha, delta is an eigenvalue of the symmetric tridiagonal
+    J = -(K0 + alpha*D)/2 (see solve_frequency). By oscillation theory the
+    node count is the number of eigenvalues of J above the one delta matches.
+    """
+    off = 0.5 * _jacobi_offdiagonal(problem.n, problem.theta)
+    diagonal = -0.5 * heun.alpha * (2.0 * np.arange(problem.n + 1) + problem.theta)
+    mu = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return int(problem.n - np.argmin(np.abs(mu - heun.delta)))
 
 
 def _make_solution(
@@ -352,7 +372,7 @@ def _make_solution(
         energy=energy(problem, omega),
         zeta_sq=zeta_squared(problem, omega),
         coefficients=poly,
-        node_count=count_positive_roots(poly),
+        node_count=_node_count(problem, heun),
         residuals=residuals,
         problem=problem,
         heun=heun,

@@ -3,9 +3,10 @@
 A SpectralSolution fixes the polynomial H and the exponential envelope; this
 module turns that into the physical radial profile R(rho), normalizes it
 against the two-dimensional radial measure rho d(rho) (the z plane wave is
-delta-normalized and excluded), and counts radial nodes. Node counting works
-on the polynomial H itself, which is exact, with sampled sign changes kept as
-an independent cross-check in the tests.
+delta-normalized and excluded), and counts radial nodes as the positive real
+roots of the polynomial H. The solver takes each state's node count from the
+Jacobi matrix of its recurrence instead (quantize._node_count); this count
+and sampled sign changes stay as cross-checks.
 """
 
 from __future__ import annotations
@@ -124,52 +125,19 @@ def normalize(solution: SpectralSolution, rtol: float = NORM_RTOL) -> RadialWave
 
 
 def count_positive_roots(coeffs) -> int:
-    """Number of strictly positive real roots of a polynomial, sign changes only.
+    """Number of strictly positive real roots of sum_j coeffs[j] x^j.
 
-    Scans (0, bound] on a dense uniform grid, where bound is the Cauchy root
-    bound 1 + max_j |c_j / c_deg|, then sharpens every sign-change bracket by
-    bisection and merges refined roots that coincide. Even-multiplicity
-    (tangential) roots carry no sign change and are not counted; genuine
-    bound states never produce them.
+    The roots come from numpy.roots (companion-matrix eigenvalues); a root
+    counts as real when |Im| <= 1e-9 * max(1, |root|). Trailing zero
+    coefficients are ignored; a non-finite coefficient locates no root, so
+    such a polynomial counts 0.
     """
-    c = [float(x) for x in coeffs]
-    while len(c) > 1 and c[-1] == 0.0:
-        c.pop()
-    if len(c) == 1:
+    c = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(c)):
         return 0
-    bound = 1.0 + max(abs(x / c[-1]) for x in c[:-1])
-    xs = np.linspace(0.0, bound, max(2048, 128 * (len(c) - 1)) + 1)[1:]
-    vals = np.zeros_like(xs)
-    for coef in reversed(c):
-        vals = vals * xs + coef
-    roots: list[float] = []
-    prev_x, prev_v = None, None
-    for x, v in zip(xs, vals):
-        if v == 0.0:
-            continue  # exact grid hit: the flip (if any) survives zero removal
-        if prev_v is not None and prev_v * v < 0.0:
-            roots.append(_poly_bisect(c, prev_x, x, prev_v))
-        prev_x, prev_v = x, v
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= 1e-9 * bound:
-            continue
-        merged.append(r)
-    return len(merged)
-
-
-def _poly_bisect(c: list[float], lo: float, hi: float, f_lo: float) -> float:
-    evaluate = lambda x: math.fsum(coef * x**k for k, coef in enumerate(c))
-    while (hi - lo) > 1e-13 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        f_mid = evaluate(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    roots = np.roots(c[::-1])
+    real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))
+    return int(np.count_nonzero(real & (roots.real > 0.0)))
 
 
 def count_nodes(solution: SpectralSolution) -> int:

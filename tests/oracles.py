@@ -10,6 +10,8 @@ coarser hand-rounded figures quoted in documentation.
 
 import math
 
+import numpy as np
+
 # Reference system m = M = lambda = l = eta = 1, k = 0, n = 1.
 FROZEN_OMEGA = 1.747847765739618
 FROZEN_ENERGY = 5.204875665981442
@@ -86,15 +88,9 @@ def rel_err(value, reference):
 
 def sign_changes(values):
     """Strict sign flips in a sequence, zeros skipped."""
-    flips = 0
-    prev = 0.0
-    for v in values:
-        if v == 0.0:
-            continue
-        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
-            flips += 1
-        prev = v
-    return flips
+    v = np.asarray(values, dtype=float)
+    positive = v[v != 0.0] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def energy_formula(m, coupling_product, eta, kz, n, abs_l, omega):

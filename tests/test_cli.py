@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import oracles
+import heunqes
 from heunqes.cli import CONFIG_ENV_VAR, fmt12, load_config, main
 
 
@@ -344,15 +345,32 @@ class TestOutputFile:
         assert blob.decode() == direct
 
 
+def child_env():
+    """Environment for a child interpreter that imports this same heunqes."""
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    src = os.path.dirname(os.path.dirname(heunqes.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestModuleEntryPoint:
     def test_subprocess_invocation(self):
-        env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
         proc = subprocess.run(
             [sys.executable, "-m", "heunqes", "solve", "--format", "csv"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         fields = split_output(proc.stdout)[1][1].split(",")
         assert fields[2] == fmt12(oracles.FROZEN_OMEGA)
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, heunqes.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

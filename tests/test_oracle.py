@@ -1,6 +1,7 @@
 """Finite-difference verifier: operator assembly, spectra, pass/fail logic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(spec, 151)
 
+    def test_first_validation(self):
+        spec = reference_channel(n_grid=150)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError):
+                eigenvalues(spec, 3, bad)
+
+    def test_window_matches_lowest_eigenvalues(self):
+        spec = reference_channel()
+        full = eigenvalues(spec, 6).eigenvalues
+        window = eigenvalues(spec, 6, 3)
+        assert window.first == 3
+        assert window.eigenvalues == pytest.approx(full[3:], rel=1e-14)
+
     def test_strictly_ascending(self):
         spectrum = eigenvalues(reference_channel(), 6)
         assert len(spectrum.eigenvalues) == 6
@@ -194,6 +208,45 @@ class TestGridConvergence:
             devs.append(abs(lowest - sol.zeta_sq) / sol.zeta_sq)
         assert 3.0 < devs[0] / devs[1] < 5.0
         assert 3.0 < devs[1] / devs[2] < 5.0
+
+
+def states_to_degree_twelve():
+    """All states of n <= 12 for l in {1, 2, 3} and n <= 7 for l in {-1, -2, -3}."""
+    states = []
+    for l in (1, 2, 3, -1, -2, -3):
+        for n in range(1, 13 if l > 0 else 8):
+            problem = ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, l), n)
+            states += solve_cubic(problem) if n == 1 else solve_frequency(problem)
+    return states
+
+
+@pytest.fixture(scope="module")
+def high_index_reports():
+    return [(state, verify_solution(state)) for state in states_to_degree_twelve()]
+
+
+class TestHighIndexStates:
+    def test_every_state_passes(self, high_index_reports):
+        assert len(high_index_reports) == 183
+        failed = [(s.n, s.l, s.node_count) for s, report in high_index_reports if not report.passed]
+        assert failed == []
+
+    def test_window_matches_full_request(self, high_index_reports):
+        for state, report in high_index_reports:
+            k = state.node_count
+            spec = RadialOperatorSpec(
+                m=state.problem.mass,
+                omega=report.omega,
+                eta=state.problem.eta,
+                coulomb_strength=state.problem.coupling,
+                abs_l=state.problem.abs_l,
+                rho_max=report.rho_max,
+                n_grid=report.grid_n,
+            )
+            pairs = ((report.grid_n, report.zeta_oracle), (report.grid_n_refined, report.zeta_oracle_refined))
+            for grid, value in pairs:
+                full = eigenvalues(replace(spec, n_grid=grid), k + 1 + EXTRA_STATES).eigenvalues
+                assert value == pytest.approx(full[k], rel=1e-14)
 
 
 class TestVerifySolution:

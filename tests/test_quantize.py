@@ -1,6 +1,7 @@
 """Frequency quantization: parameter maps, cubic, general root-finder, energies."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from heunqes.quantize import (
     solve_frequency,
     zeta_squared,
 )
+from heunqes.wavefunction import evaluate_R, suggested_rho_max
 
 
 def problem(n=1, **overrides):
@@ -55,10 +57,10 @@ def independent_roots(m, coupling, eta, n, theta, lo, hi, points=4000):
         delta = coupling / (m * w) ** 0.5
         return oracles.heun_series(alpha, delta, theta, 2.0 * n, n + 1)[n + 1]
 
-    grid = np.geomspace(lo, hi, points)
+    grid = np.geomspace(lo, hi, points).tolist()
     values = [truncation(w) for w in grid]
     return [
-        oracles.bisect(truncation, float(a), float(b))
+        oracles.bisect(truncation, a, b)
         for a, b, fa, fb in zip(grid, grid[1:], values, values[1:])
         if fa * fb < 0.0
     ]
@@ -213,6 +215,40 @@ class TestSolveFrequency:
             m, x, eta = 10.0 ** rng.uniform(-1, 1, size=3)
             l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
             assert solve_cubic(problem(mass=m, quad=x, eta=eta, l=l))
+
+
+class TestCompleteness:
+    """The eigenproblem finds every root that a dense independent scan brackets."""
+
+    @pytest.mark.parametrize("n,l,eta", [(40, 1, 1.0), (50, 1, 1.0), (50, -1, 1.0), (50, 3, -1.0)])
+    def test_matches_dense_log_scan(self, n, l, eta):
+        sols = solve_frequency(problem(n=n, l=l, eta=eta))
+        reference = independent_roots(1.0, float(l), eta, n, 2 * abs(l) + 1, 1e-4, 1e4, points=20_000)
+        assert len(sols) == len(reference)
+        for sol, ref in zip(sols, reference):
+            assert sol.omega == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [20, 30, 40, 50])
+    def test_high_degree_emits_no_warning(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_frequency(problem(n=n))
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize("l", [1, -1, 2, -2, 3, -3])
+    def test_matches_sampled_sign_changes(self, l):
+        for n in range(1, 13):
+            p = problem(n=n, l=l)
+            for sol in solve_cubic(p) if n == 1 else solve_frequency(p):
+                rho = np.linspace(0.0, suggested_rho_max(sol), 100_001)[1:]
+                assert oracles.sign_changes(evaluate_R(sol, rho)) == sol.node_count, (n, sol.omega)
+
+    def test_negative_eta_reverses_order(self):
+        # ascending omega is not ascending node count: rank would give [0, 1]
+        sols = solve_frequency(problem(n=3, eta=-1.0))
+        assert [round(s.omega, 3) for s in sols] == [0.677, 1.328]
+        assert [s.node_count for s in sols] == [3, 2]
 
 
 class TestEnergy:
