@@ -24,15 +24,15 @@ from .errors import (
     WrongDegree,
     ZeroAngularMomentum,
 )
-from .model import FieldConfig, PhysicalParams, validate
+from .model import PhysicalParams, validate
 from .quantize import (
     ReducedProblem,
     SpectralSolution,
     solve_cubic,
     solve_frequency,
 )
-from .series import CoefficientSequence, HeunParams, generate_coefficients
-from .wavefunction import RadialWavefunction, count_nodes, normalize
+from .series import HeunParams
+from .wavefunction import RadialWavefunction, normalize
 
 __version__ = "0.1.0"
 
@@ -49,18 +49,14 @@ __all__ = [
     "VanishingCoupling",
     "WrongDegree",
     "ZeroAngularMomentum",
-    "FieldConfig",
     "PhysicalParams",
     "validate",
     "ReducedProblem",
     "SpectralSolution",
     "solve_cubic",
     "solve_frequency",
-    "CoefficientSequence",
     "HeunParams",
-    "generate_coefficients",
     "RadialWavefunction",
-    "count_nodes",
     "normalize",
     "__version__",
 ]

@@ -256,8 +256,7 @@ def _make_params(config: RunConfig, l: int | None = None) -> PhysicalParams:
 def _solve_states(params: PhysicalParams, n: int) -> list[SpectralSolution]:
     """All quantized states for one (n, l) cell, ascending in omega."""
     problem = ReducedProblem.from_params(params, n)
-    states = solve_cubic(problem) if n == 1 else solve_frequency(problem)
-    return sorted(states, key=lambda s: s.omega)
+    return solve_cubic(problem) if n == 1 else solve_frequency(problem)
 
 
 def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
@@ -310,8 +309,8 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
             per_cell = list(pool.map(_scan_cell, tasks))
     else:
         per_cell = [_scan_cell(task) for task in tasks]
+    # pool.map keeps task order and each cell is ascending, so rows need no sort
     rows = [row for cell in per_cell for row in cell]
-    rows.sort(key=lambda r: (r[0], r[1], r[3] if r[3] is not None else math.inf))
     pairs = _physics_pairs(config) + [("n_max", config.n_max), ("l_list", tuple(l_values))]
     lines = _header_lines(config, pairs)
     lines += _render(_SCAN_COLUMNS, rows, config.format or "csv")
@@ -397,6 +396,13 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
         return 3, lines
     return (1 if failed else 0), lines
 
+
+# Exit code main returns for each error it reports; the first matching group wins.
+_EXIT_CODES = (
+    ((ConfigError, NonPositiveMass, ZeroAngularMomentum, VanishingCoupling, ValueError), 2),
+    ((NoRootInRange, NoPositiveRoot), 3),
+    (HeunQESError, 1),
+)
 
 _HANDLERS = {
     "solve": cmd_solve,
@@ -484,15 +490,6 @@ def main(argv=None) -> int:
         code, lines = _HANDLERS[config.command](config)
         _emit(lines, config.output)
         return code
-    except ConfigError as exc:
+    except (ConfigError, ValueError, HeunQESError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonPositiveMass, ZeroAngularMomentum, VanishingCoupling, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoRootInRange, NoPositiveRoot) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except HeunQESError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -12,7 +12,8 @@ product of the moment vector with E produces an effective vector potential
 a constant azimuthal gauge-like term. Together with a linear confinement of
 strength eta and a harmonic trap of frequency omega (introduced downstream),
 this yields the radial problem whose quantized frequencies the rest of the
-package computes.
+package computes. The tensor and A_eff enter that problem only through the
+signed product M*lambda*l (PhysicalParams.coupling), so neither is built here.
 
 Units: hbar = c = 1 throughout; every quantity is already dimensionless in
 that system and no unit conversion layer exists.
@@ -21,12 +22,7 @@ that system and no unit conversion layer exists.
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .errors import NonPositiveMass, VanishingCoupling, ZeroAngularMomentum
-
-# Cylindrical axis ordering used for all 3x3 tensors in this module.
-AXES = ("rho", "phi", "z")
 
 
 @dataclass(frozen=True)
@@ -54,50 +50,6 @@ class PhysicalParams:
     def coupling(self) -> float:
         """Signed Coulomb-type strength M*lambda*l."""
         return self.quad * self.lam * self.l
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """Electromagnetic environment: E = (lam*rho/2) rho_hat and B identically 0.
-
-    The zero magnetic field is stored explicitly so that the vanishing of the
-    -M.B interaction term is a documented configuration fact rather than an
-    implicit assumption.
-    """
-
-    lam: float
-    b_axial: float = 0.0
-
-    def __post_init__(self):
-        if self.b_axial != 0.0:
-            raise ValueError("this model requires an identically zero magnetic field")
-
-    def electric_field(self, rho: float) -> float:
-        """Radial component E_rho at radius rho (the only nonzero component)."""
-        return 0.5 * self.lam * rho
-
-
-def make_quadrupole_tensor(quad: float) -> np.ndarray:
-    """Build the 3x3 magnetic quadrupole tensor in cylindrical axes.
-
-    Only the rho-z corner is populated: T[0, 2] = T[2, 0] = -quad. The tensor
-    is symmetric and traceless by construction (entries assigned, not
-    computed).
-    """
-    tensor = np.zeros((3, 3))
-    tensor[0, 2] = -quad
-    tensor[2, 0] = -quad
-    return tensor
-
-
-def effective_vector_potential(params: PhysicalParams) -> float:
-    """Azimuthal component of A_eff = M x E for the radial field E = (lam*rho/2).
-
-    The moment vector has M_z = -quad * d/drho; acting on E_rho = lam*rho/2
-    gives the phi component -quad*lam/2, independent of position. The rho and
-    z components vanish.
-    """
-    return -0.5 * params.quad * params.lam
 
 
 def validate(params: PhysicalParams, require_coulomb: bool = False) -> PhysicalParams:

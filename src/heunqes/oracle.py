@@ -154,11 +154,6 @@ def eigenvalues(spec: RadialOperatorSpec, count: int, first: int = 0) -> OracleS
     return OracleSpectrum(tuple(float(v) for v in vals), spec, first=first)
 
 
-def oscillator_zeta_sq(m: float, omega: float, abs_l: int, k: int) -> float:
-    """Closed-form zeta^2 = 2 m omega (2k + |l| + 1) of the pure oscillator channel."""
-    return 2.0 * m * omega * (2 * k + abs_l + 1)
-
-
 def default_rho_max(m: float, omega: float, eta: float, zeta_sq_target: float) -> float:
     """Box edge: BOX_PADDING times the outer classical turning point.
 

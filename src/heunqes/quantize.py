@@ -118,13 +118,10 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
-def heun_params_at(problem: ReducedProblem, omega: float) -> HeunParams:
-    """Map (problem, omega) to Heun parameters with g = 2n already imposed."""
-    _check_omega(omega)
-    m_omega = problem.mass * omega
-    alpha = 2.0 * problem.mass * problem.eta / m_omega**1.5
-    delta = problem.coupling / m_omega**0.5
-    return HeunParams(alpha, delta, problem.theta, 2.0 * problem.n)
+def _alpha_delta(problem: ReducedProblem, omega: float) -> tuple[float, float]:
+    """Heun (alpha, delta) at frequency omega; theta and g = 2n come from the problem."""
+    m_omega = problem.mass * _check_omega(omega)
+    return 2.0 * problem.mass * problem.eta / m_omega**1.5, problem.coupling / m_omega**0.5
 
 
 def energy(problem: ReducedProblem, omega: float) -> float:
@@ -254,12 +251,8 @@ def solve_cubic(problem: ReducedProblem) -> list["SpectralSolution"]:
 
 def _truncation_at(problem: ReducedProblem, omega: float) -> float:
     """c_{n+1}(omega), the quantity whose roots are the allowed frequencies."""
-    m_omega = problem.mass * omega
-    alpha = 2.0 * problem.mass * problem.eta / m_omega**1.5
-    delta = problem.coupling / m_omega**0.5
-    return series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 1)[
-        problem.n + 1
-    ]
+    alpha, delta = _alpha_delta(problem, omega)
+    return series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 1)[-1]
 
 
 def _jacobi_offdiagonal(n: int, theta: int) -> np.ndarray:
@@ -338,7 +331,7 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     return [_make_solution(problem, w) for w in roots]
 
 
-def _node_count(problem: ReducedProblem, heun: HeunParams) -> int:
+def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
     """Radial node count of a state from the Jacobi matrix of its recurrence.
 
     At the state's alpha, delta is an eigenvalue of the symmetric tridiagonal
@@ -346,17 +339,17 @@ def _node_count(problem: ReducedProblem, heun: HeunParams) -> int:
     node count is the number of eigenvalues of J above the one delta matches.
     """
     off = 0.5 * _jacobi_offdiagonal(problem.n, problem.theta)
-    diagonal = -0.5 * heun.alpha * (2.0 * np.arange(problem.n + 1) + problem.theta)
+    diagonal = -0.5 * alpha * (2.0 * np.arange(problem.n + 1) + problem.theta)
     mu = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    return int(problem.n - np.argmin(np.abs(mu - heun.delta)))
+    return int(problem.n - np.argmin(np.abs(mu - delta)))
 
 
 def _make_solution(
     problem: ReducedProblem, omega: float, cubic_residual: float | None = None
 ) -> SpectralSolution:
     """Assemble the full solution record at a solved frequency root."""
-    heun = heun_params_at(problem, omega)
-    raw = series._raw_coefficients(heun.alpha, heun.delta, heun.theta, heun.g, problem.n + 2)
+    alpha, delta = _alpha_delta(problem, omega)
+    raw = series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
     poly = tuple(raw[: problem.n + 1])
     scale = max(abs(c) for c in poly)
     residuals = {
@@ -372,8 +365,8 @@ def _make_solution(
         energy=energy(problem, omega),
         zeta_sq=zeta_squared(problem, omega),
         coefficients=poly,
-        node_count=_node_count(problem, heun),
+        node_count=_node_count(problem, alpha, delta),
         residuals=residuals,
         problem=problem,
-        heun=heun,
+        heun=HeunParams(alpha, delta, problem.theta),
     )

@@ -15,8 +15,10 @@ and the two-term recurrence
 The series collapses to a degree-n polynomial exactly when g = 2n and
 c_{n+1} = 0 simultaneously; that pair of conditions is the quasi-exact
 solvability mechanism that quantizes the oscillator frequency (see quantize).
-This module only manipulates the series; it knows nothing about physical
-parameters.
+_raw_coefficients is the one implementation of the recurrence: quantize calls
+it for c_{n+1}(omega) and for each state's polynomial, and every c_j the
+package reports comes from it. This module only manipulates the series; it
+knows nothing about physical parameters.
 """
 
 import math
@@ -38,45 +40,29 @@ MAX_DEGREE = 50
 
 @dataclass(frozen=True)
 class HeunParams:
-    """Dimensionless parameter tuple (alpha, delta, theta, g) of the equation.
+    """Dimensionless parameters (alpha, delta, theta) of a truncated state.
 
-    theta = 2|l| + 1 is an odd positive integer; g is the spectral parameter
-    that the truncation condition pins to 2n.
+    theta = 2|l| + 1 is an odd positive integer. The spectral parameter g is
+    not stored: for a degree-n state the truncation condition pins it to 2n.
     """
 
     alpha: float
     delta: float
     theta: int
-    g: float
 
     def __post_init__(self):
         if self.theta < 1 or self.theta % 2 == 0:
             raise ValueError(f"theta must be an odd positive integer, got {self.theta}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.delta) and math.isfinite(self.g)):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.delta)):
             raise ValueError("HeunParams entries must be finite")
 
 
-@dataclass(frozen=True)
-class CoefficientSequence:
-    """Series coefficients c_0..c_J generated from one HeunParams."""
-
-    coeffs: tuple[float, ...]
-    params: HeunParams
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def first_coefficient(p: HeunParams) -> float:
-    """Seed coefficient c_1 = alpha/2 + delta/theta."""
-    return p.alpha / 2.0 + p.delta / p.theta
-
-
 def _raw_coefficients(alpha: float, delta: float, theta: int, g: float, j_max: int) -> list[float]:
-    """Plain-float recurrence core shared by the public API and the root scan.
+    """Series coefficients [c_0, ..., c_{j_max}] for j_max >= 1, in plain floats.
 
-    Returns [c_0, ..., c_{j_max}]. Raises OverflowGuard the moment any
-    coefficient magnitude passes OVERFLOW_LIMIT.
+    Set g = 2n to probe truncation at degree n: c_{n+1} is then the
+    truncation residual. Raises OverflowGuard the moment any coefficient
+    magnitude passes OVERFLOW_LIMIT.
     """
     c = [1.0, alpha / 2.0 + delta / theta]
     for j in range(j_max - 1):
@@ -94,54 +80,26 @@ def _raw_coefficients(alpha: float, delta: float, theta: int, g: float, j_max: i
     return c
 
 
-def generate_coefficients(p: HeunParams, j_max: int) -> CoefficientSequence:
-    """Generate c_0 .. c_{j_max} from the recurrence.
-
-    Args:
-        p: equation parameters; p.g is used as-is (set g = 2n to probe
-            truncation at degree n).
-        j_max: largest index to generate, >= 1.
-
-    Raises:
-        OverflowGuard: a coefficient magnitude crossed OVERFLOW_LIMIT.
-    """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    return CoefficientSequence(tuple(_raw_coefficients(p.alpha, p.delta, p.theta, p.g, j_max)), p)
-
-
-def truncation_residual(p: HeunParams, n: int) -> float:
-    """c_{n+1} under g = 2n: zero exactly when the series truncates at degree n.
-
-    The caller must have set p.g = 2n already (both truncation conditions are
-    imposed together); this is checked because a mismatched g silently probes
-    the wrong polynomial degree.
-    """
-    if n < 1:
-        raise ValueError(f"polynomial degree n must be >= 1, got {n}")
-    if p.g != 2.0 * n:
-        raise ValueError(f"truncation at degree {n} requires g = {2 * n}, got g = {p.g}")
-    return _raw_coefficients(p.alpha, p.delta, p.theta, p.g, n + 1)[n + 1]
-
-
-def evaluate_H(seq: CoefficientSequence, xi):
-    """Evaluate H(xi) = sum_j c_j xi^j by Horner's rule.
+def evaluate_H(coeffs, xi):
+    """Evaluate H(xi) = sum_j coeffs[j] xi^j by Horner's rule.
 
     Accepts a scalar or an ndarray of evaluation points.
     """
     acc = np.zeros_like(np.asarray(xi, dtype=float)) if isinstance(xi, np.ndarray) else 0.0
-    for c in reversed(seq.coeffs):
+    for c in reversed(coeffs):
         acc = acc * xi + c
     return acc
 
 
-def radial_ansatz(seq: CoefficientSequence, p: HeunParams, abs_l: int, xi):
+def radial_ansatz(coeffs, alpha: float, abs_l: int, xi):
     """Unnormalized radial profile R(xi) = exp(-xi^2/2) exp(-alpha*xi/2) xi^|l| H(xi).
 
     The Gaussian factor comes from the harmonic term, the plain exponential
-    from the linear term, and xi^|l| enforces regularity at the origin.
+    from the linear term, and xi^|l| enforces regularity at the origin. Both
+    exponentials are taken as one, exp(-xi*(xi + alpha)/2), so a large
+    negative alpha cannot make them overflow to inf * 0 = nan.
     Accepts a scalar or an ndarray; xi must be >= 0 for the result to be the
     physical profile.
     """
     xi = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else float(xi)
-    return np.exp(-0.5 * xi * xi) * np.exp(-0.5 * p.alpha * xi) * xi**abs_l * evaluate_H(seq, xi)
+    return np.exp(-0.5 * xi * (xi + alpha)) * xi**abs_l * evaluate_H(coeffs, xi)

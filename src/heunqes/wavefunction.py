@@ -1,12 +1,13 @@
 """Bound-state radial wavefunctions assembled from solved frequency roots.
 
 A SpectralSolution fixes the polynomial H and the exponential envelope; this
-module turns that into the physical radial profile R(rho), normalizes it
+module turns that into the physical radial profile R(rho) and normalizes it
 against the two-dimensional radial measure rho d(rho) (the z plane wave is
-delta-normalized and excluded), and counts radial nodes as the positive real
-roots of the polynomial H. The solver takes each state's node count from the
-Jacobi matrix of its recurrence instead (quantize._node_count); this count
-and sampled sign changes stay as cross-checks.
+delta-normalized and excluded). The solver takes each state's node count
+from the Jacobi matrix of its recurrence (quantize._node_count).
+count_positive_roots, the positive real roots of H, stays as the independent
+count the tests cross-check it against, and as the node-count layer the
+benchmark traces by name.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import series
-from .errors import QuadratureFailure, WrongDegree
+from .errors import QuadratureFailure
 
 if TYPE_CHECKING:  # runtime import would be circular; quantize imports this module
     from .quantize import SpectralSolution
@@ -36,7 +37,6 @@ class RadialWavefunction:
 
     solution: SpectralSolution
     norm_constant: float
-    samples: tuple[tuple[float, float], ...] | None = None
 
     def evaluate(self, rho):
         """Normalized amplitude N*R at rho (scalar or array)."""
@@ -49,21 +49,6 @@ class RadialWavefunction:
         return list(zip(rho.tolist(), np.asarray(amp).tolist()))
 
 
-def ground_state_polynomial(solution: SpectralSolution) -> tuple[float, float]:
-    """Coefficients (1, c1) of the degree-one polynomial H for an n = 1 state.
-
-    c1 = m*eta/(m*omega)^(3/2) + M*lambda*l/(theta*(m*omega)^(1/2)), which is
-    alpha/2 + delta/theta written out in physical parameters; agreement with
-    series.first_coefficient at the solved root is a tested invariant.
-    """
-    if solution.n != 1:
-        raise WrongDegree(f"ground-state polynomial requires n = 1, got n = {solution.n}")
-    prob = solution.problem
-    m_omega = prob.mass * solution.omega
-    c1 = prob.mass * prob.eta / m_omega**1.5 + prob.coupling / (prob.theta * m_omega**0.5)
-    return 1.0, c1
-
-
 def evaluate_R(solution: SpectralSolution, rho):
     """Unnormalized radial amplitude at rho >= 0 (scalar or array).
 
@@ -71,8 +56,9 @@ def evaluate_R(solution: SpectralSolution, rho):
     evaluates the full ansatz envelope times the polynomial H.
     """
     xi_scale = math.sqrt(solution.problem.mass * solution.omega)
-    seq = series.CoefficientSequence(solution.coefficients, solution.heun)
-    return series.radial_ansatz(seq, solution.heun, solution.problem.abs_l, xi_scale * rho)
+    return series.radial_ansatz(
+        solution.coefficients, solution.heun.alpha, solution.problem.abs_l, xi_scale * rho
+    )
 
 
 def suggested_rho_max(solution: SpectralSolution) -> float:
@@ -81,18 +67,25 @@ def suggested_rho_max(solution: SpectralSolution) -> float:
     The integrand of the norm peaks near xi_peak = sqrt(|l| + n); the Gaussian
     exp(-xi^2) has suppressed that peak by 1e-16 at
     xi = sqrt(xi_peak^2 + 16 ln 10), and a further factor 1.5 pads the
-    polynomial prefactors.
+    polynomial prefactors. For alpha < 0 the envelope exp(-xi*(xi + alpha))
+    is the same Gaussian centred at xi = -alpha/2, so the cut moves out by
+    that much.
     """
     xi_cut = math.sqrt(solution.problem.abs_l + solution.n + 16.0 * math.log(10.0))
+    xi_cut += max(0.0, -0.5 * solution.heun.alpha)
     return 1.5 * xi_cut / math.sqrt(solution.problem.mass * solution.omega)
 
 
 def _simpson_norm_sq(solution: SpectralSolution, rho_max: float, intervals: int) -> float:
-    """Composite-Simpson value of the squared norm integral on [0, rho_max]."""
+    """Composite-Simpson value of the squared norm integral on [0, rho_max].
+
+    Overflow yields a non-finite value, which normalize reports as QuadratureFailure.
+    """
     rho = np.linspace(0.0, rho_max, intervals + 1)
-    f = np.asarray(evaluate_R(solution, rho)) ** 2 * rho
     h = rho_max / intervals
-    return float(h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(evaluate_R(solution, rho)) ** 2 * rho
+        return float(h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
 
 
 def normalize(solution: SpectralSolution, rtol: float = NORM_RTOL) -> RadialWavefunction:
@@ -138,8 +131,3 @@ def count_positive_roots(coeffs) -> int:
     roots = np.roots(c[::-1])
     real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots))
     return int(np.count_nonzero(real & (roots.real > 0.0)))
-
-
-def count_nodes(solution: SpectralSolution) -> int:
-    """Radial node count: positive real roots of the polynomial H."""
-    return count_positive_roots(solution.coefficients)

@@ -18,12 +18,10 @@ from heunqes.oracle import (
     RadialOperatorSpec,
     default_rho_max,
     eigenvalues,
-    oscillator_zeta_sq,
     verify_solution,
 )
 from heunqes.quantize import ReducedProblem, solve_cubic, solve_frequency
-from heunqes.series import HeunParams, evaluate_H, generate_coefficients, truncation_residual
-from heunqes.wavefunction import ground_state_polynomial
+from heunqes.series import _raw_coefficients, evaluate_H
 
 
 @pytest.fixture(autouse=True)
@@ -141,7 +139,7 @@ def test_criterion_4_negative_control(reference_states):
 
 def test_criterion_5_oscillator_regression():
     failures = []
-    rho_max = default_rho_max(1.0, 1.0, 0.0, oscillator_zeta_sq(1.0, 1.0, 1, 2) + 10.0)
+    rho_max = default_rho_max(1.0, 1.0, 0.0, oracles.oscillator_level(1.0, 1.0, 1, 2) + 10.0)
     channel = RadialOperatorSpec(
         m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
     )
@@ -149,20 +147,19 @@ def test_criterion_5_oscillator_regression():
     for k, expected in enumerate((4.0, 8.0, 12.0)):
         if _rel(got[k], expected) > 1e-3:
             failures.append(f"oscillator zeta^2[{k}] = {got[k]:.6f}, want {expected}")
-    params = HeunParams(alpha=0.0, delta=0.0, theta=3, g=4.0)
-    seq = generate_coefficients(params, 4)
-    if seq.coeffs != (1.0, 0.0, -0.5, 0.0, 0.0):
-        failures.append(f"series coefficients {seq.coeffs} != (1, 0, -1/2, 0, 0)")
-    if truncation_residual(params, 2) != 0.0:
+    coeffs = _raw_coefficients(0.0, 0.0, 3, 4.0, 4)  # alpha = delta = 0, theta = 3, g = 2n = 4
+    if coeffs != [1.0, 0.0, -0.5, 0.0, 0.0]:
+        failures.append(f"series coefficients {coeffs} != (1, 0, -1/2, 0, 0)")
+    if coeffs[3] != 0.0:
         failures.append("truncation residual at degree 2 not exactly zero")
-    if abs(evaluate_H(seq, math.sqrt(2.0))) > 1e-15:
+    if abs(evaluate_H(coeffs, math.sqrt(2.0))) > 1e-15:
         failures.append("H(sqrt(2)) != 0 for H = 1 - xi^2/2")
     _report(5, failures, "oracle ladder {4, 8, 12} and exact series truncation")
 
 
 def test_criterion_6_reference_numbers():
     (state,) = _solve_states(1.0, 1.0, 1.0, 1.0, 1, 1)
-    _, c1 = ground_state_polynomial(state)
+    c1 = state.coefficients[1]
     failures = []
     tight = [
         ("omega", state.omega, oracles.FROZEN_OMEGA),

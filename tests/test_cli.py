@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 import heunqes
-from heunqes.cli import CONFIG_ENV_VAR, fmt12, load_config, main
+from heunqes import cli, errors
+from heunqes.cli import CONFIG_ENV_VAR, ConfigError, fmt12, load_config, main
 
 
 @pytest.fixture(autouse=True)
@@ -312,6 +313,33 @@ class TestConfigFiles:
         path.write_text("l-list = 1, -2 ,3\ngrid = 2000,4000\nsamples = 64\nkz = 2.0\n")
         values = load_config(str(path))
         assert values == {"l_list": (1, -2, 3), "grid": (2000, 4000), "samples": 64, "kz": 2.0}
+
+
+class TestExitCodes:
+    """Every error class main reports maps to the documented exit code."""
+
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (ConfigError, 2),
+            (errors.NonPositiveMass, 2),
+            (errors.ZeroAngularMomentum, 2),
+            (errors.VanishingCoupling, 2),
+            (ValueError, 2),
+            (errors.NoRootInRange, 3),
+            (errors.NoPositiveRoot, 3),
+            (errors.QuadratureFailure, 1),
+            (errors.OverflowGuard, 1),
+            (errors.HeunQESError, 1),
+        ],
+    )
+    def test_error_class_sets_exit_code(self, capsys, monkeypatch, error, expected):
+        def fail(config):
+            raise error("injected")
+
+        monkeypatch.setitem(cli._HANDLERS, "solve", fail)
+        code, out, err = run_cli(capsys, "solve")
+        assert (code, out, err) == (expected, "", "error: injected\n")
 
 
 class TestHeaderRoundTrip:

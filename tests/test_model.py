@@ -1,71 +1,17 @@
-"""Physical configuration: quadrupole tensor, effective potential, validation."""
+"""Physical configuration: parameters, coupling product, validation."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from heunqes.errors import NonPositiveMass, VanishingCoupling, ZeroAngularMomentum
-from heunqes.model import (
-    AXES,
-    FieldConfig,
-    PhysicalParams,
-    effective_vector_potential,
-    make_quadrupole_tensor,
-    validate,
-)
-
-moments = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+from heunqes.model import PhysicalParams, validate
 
 
 def params(**overrides):
     base = dict(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=1)
     base.update(overrides)
     return PhysicalParams(**base)
-
-
-class TestQuadrupoleTensor:
-    def test_axes_ordering(self):
-        assert AXES == ("rho", "phi", "z")
-
-    def test_unit_moment(self):
-        t = make_quadrupole_tensor(1.0)
-        assert t[0, 2] == -1.0 and t[2, 0] == -1.0
-        assert np.count_nonzero(t) == 2
-        assert np.trace(t) == 0.0
-
-    def test_zero_moment(self):
-        assert np.all(make_quadrupole_tensor(0.0) == 0.0)
-
-    def test_general_magnitude_and_symmetry(self):
-        t = make_quadrupole_tensor(2.5)
-        assert t[0, 2] == -2.5
-        assert np.max(np.abs(t - t.T)) == 0.0
-
-    @given(moments)
-    def test_symmetric_traceless_exactly(self, moment):
-        t = make_quadrupole_tensor(moment)
-        assert np.max(np.abs(t - t.T)) == 0.0
-        assert abs(np.trace(t)) == 0.0
-
-
-class TestEffectiveVectorPotential:
-    def test_reference_product(self):
-        assert effective_vector_potential(params(quad=2.0, lam=3.0)) == -3.0
-
-    def test_zero_moment(self):
-        assert effective_vector_potential(params(quad=0.0, lam=5.0)) == 0.0
-
-    def test_negative_gradient_flips_sign(self):
-        assert effective_vector_potential(params(quad=1.0, lam=-4.0)) == 2.0
-
-    @given(moments.filter(lambda m: m >= 0.0), st.floats(min_value=0.0, max_value=10.0))
-    def test_linear_in_moment(self, moment, scale):
-        base = effective_vector_potential(params(quad=1.0, lam=3.0))
-        scaled = effective_vector_potential(params(quad=scale, lam=3.0))
-        assert scaled == pytest.approx(scale * base, rel=1e-15, abs=1e-300)
 
 
 class TestValidate:
@@ -125,18 +71,3 @@ class TestPhysicalParams:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             params().mass = 2.0
-
-
-class TestFieldConfig:
-    def test_field_is_linear_in_radius(self):
-        field = FieldConfig(lam=4.0)
-        assert field.electric_field(0.0) == 0.0
-        assert field.electric_field(1.0) == 2.0
-        assert field.electric_field(2.0) == 2.0 * field.electric_field(1.0)
-
-    def test_magnetic_field_must_vanish(self):
-        with pytest.raises(ValueError):
-            FieldConfig(lam=1.0, b_axial=0.5)
-
-    def test_zero_field_is_explicit(self):
-        assert FieldConfig(lam=1.0).b_axial == 0.0

@@ -17,7 +17,6 @@ from heunqes.oracle import (
     build_operator,
     default_rho_max,
     eigenvalues,
-    oscillator_zeta_sq,
     verify_solution,
 )
 from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
@@ -39,12 +38,12 @@ def oscillator_solution():
         l=1,
         omega=1.0,
         energy=2.0,
-        zeta_sq=oscillator_zeta_sq(1.0, 1.0, 1, 0),
+        zeta_sq=oracles.oscillator_level(1.0, 1.0, 1, 0),
         coefficients=(1.0,),
         node_count=0,
         residuals={},
         problem=problem,
-        heun=HeunParams(0.0, 0.0, 3, 0.0),
+        heun=HeunParams(0.0, 0.0, 3),
     )
 
 
@@ -155,23 +154,25 @@ class TestEigenvalues:
     def test_oscillator_ladder(self):
         # eta = coulomb = 0 collapses the channel to the radial oscillator,
         # whose zeta^2 ladder is known in closed form
-        rho_max = default_rho_max(1.0, 1.0, 0.0, oscillator_zeta_sq(1.0, 1.0, 1, 2) + 10.0)
+        rho_max = default_rho_max(1.0, 1.0, 0.0, oracles.oscillator_level(1.0, 1.0, 1, 2) + 10.0)
         spec = RadialOperatorSpec(
             m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
         )
         got = eigenvalues(spec, 3).eigenvalues
         for k, value in enumerate(got):
-            assert value == pytest.approx(oscillator_zeta_sq(1.0, 1.0, 1, k), rel=1e-3)
+            assert value == pytest.approx(oracles.oscillator_level(1.0, 1.0, 1, k), rel=1e-3)
 
     def test_oscillator_ladder_scaled(self):
         m, omega, abs_l = 0.5, 3.0, 2
-        rho_max = default_rho_max(m, omega, 0.0, oscillator_zeta_sq(m, omega, abs_l, 2) + 10.0 * m * omega)
+        rho_max = default_rho_max(
+            m, omega, 0.0, oracles.oscillator_level(m, omega, abs_l, 2) + 10.0 * m * omega
+        )
         spec = RadialOperatorSpec(
             m=m, omega=omega, eta=0.0, coulomb_strength=0.0, abs_l=abs_l, rho_max=rho_max, n_grid=4000
         )
         got = eigenvalues(spec, 3).eigenvalues
         for k, value in enumerate(got):
-            assert value == pytest.approx(oscillator_zeta_sq(m, omega, abs_l, k), rel=1e-3)
+            assert value == pytest.approx(oracles.oscillator_level(m, omega, abs_l, k), rel=1e-3)
 
     def test_reference_state_sits_at_ground_index(self):
         sol = reference_solution()

@@ -21,13 +21,14 @@ from heunqes.model import PhysicalParams
 from heunqes.quantize import (
     ReducedProblem,
     SpectralSolution,
+    _alpha_delta,
     cubic_coefficients,
     energy,
-    heun_params_at,
     solve_cubic,
     solve_frequency,
     zeta_squared,
 )
+from heunqes.series import _raw_coefficients
 from heunqes.wavefunction import evaluate_R, suggested_rho_max
 
 
@@ -94,29 +95,34 @@ class TestReducedProblem:
 
 
 class TestHeunParamsAt:
+    """The omega -> (alpha, delta) map shared by the root solver and the states."""
+
     def test_alpha_reference(self):
-        assert heun_params_at(problem(), 1.0).alpha == 2.0
+        assert _alpha_delta(problem(), 1.0)[0] == 2.0
 
     def test_alpha_vanishes_without_linear_term(self):
         p = problem(eta=0.0, quad=oracles.SQRT6)
         for omega in (0.3, 1.0, 4.7):
-            assert heun_params_at(p, omega).alpha == 0.0
+            assert _alpha_delta(p, omega)[0] == 0.0
 
     def test_delta_reference(self):
-        assert heun_params_at(problem(), 4.0).delta == 0.5
+        assert _alpha_delta(problem(), 4.0)[1] == 0.5
 
     def test_truncation_condition_imposed(self):
-        hp = heun_params_at(problem(n=3), 2.0)
-        assert hp.g == 6.0 and hp.theta == 3
+        # the state's polynomial is the recurrence at g = 2n = 6, cut at degree 3
+        sol = solve_frequency(problem(n=3))[0]
+        hp = sol.heun
+        assert hp.theta == 3
+        assert sol.coefficients == tuple(_raw_coefficients(hp.alpha, hp.delta, 3, 6.0, 3))
 
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(NonPositiveFrequency):
-            heun_params_at(problem(), 0.0)
+            _alpha_delta(problem(), 0.0)
 
     def test_frozen_reference_values(self):
-        hp = heun_params_at(problem(), oracles.FROZEN_OMEGA)
-        assert hp.alpha == pytest.approx(oracles.FROZEN_ALPHA, rel=1e-12)
-        assert hp.delta == pytest.approx(oracles.FROZEN_DELTA, rel=1e-12)
+        alpha, delta = _alpha_delta(problem(), oracles.FROZEN_OMEGA)
+        assert alpha == pytest.approx(oracles.FROZEN_ALPHA, rel=1e-12)
+        assert delta == pytest.approx(oracles.FROZEN_DELTA, rel=1e-12)
 
 
 class TestCubicCoefficients:
@@ -308,8 +314,8 @@ class TestPolynomializedResidual:
     @pytest.mark.parametrize("omega", [0.37, 1.0, 2.3, 7.9])
     def test_series_cubic_identity(self, omega):
         p = problem(mass=1.7, quad=2.2, lam=0.9, eta=-1.3, l=-2)
-        hp = heun_params_at(p, omega)
-        c2 = oracles.heun_series(hp.alpha, hp.delta, hp.theta, hp.g, 2)[2]
+        alpha, delta = _alpha_delta(p, omega)
+        c2 = oracles.heun_series(alpha, delta, p.theta, 2.0 * p.n, 2)[2]
         a2, a1, a0 = cubic_coefficients(p)
         m_omega = p.mass * omega
         lhs = c2 * m_omega**3
@@ -320,7 +326,7 @@ class TestPolynomializedResidual:
         for sol in solve_cubic(problem(quad=10.0, l=-1)):
             p, hp = sol.problem, sol.heun
             m_omega = p.mass * sol.omega
-            coeffs = oracles.heun_series(hp.alpha, hp.delta, hp.theta, hp.g, p.n + 1)
+            coeffs = oracles.heun_series(hp.alpha, hp.delta, hp.theta, 2.0 * p.n, p.n + 1)
             scaled = [abs(c) * m_omega ** (1.5 * j) for j, c in enumerate(coeffs)]
             assert scaled[p.n + 1] < 1e-10 * max(scaled[: p.n + 1])
 

@@ -12,13 +12,10 @@ from heunqes.errors import OverflowGuard
 from heunqes.series import (
     MAX_DEGREE,
     OVERFLOW_LIMIT,
-    CoefficientSequence,
     HeunParams,
+    _raw_coefficients,
     evaluate_H,
-    first_coefficient,
-    generate_coefficients,
     radial_ansatz,
-    truncation_residual,
 )
 
 finite_alpha = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -30,61 +27,53 @@ finite_g = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 class TestHeunParams:
     def test_theta_must_be_odd(self):
         with pytest.raises(ValueError):
-            HeunParams(0.0, 0.0, 2, 0.0)
+            HeunParams(0.0, 0.0, 2)
 
     def test_theta_must_be_positive(self):
         with pytest.raises(ValueError):
-            HeunParams(0.0, 0.0, -1, 0.0)
+            HeunParams(0.0, 0.0, -1)
 
     def test_fields_must_be_finite(self):
         with pytest.raises(ValueError):
-            HeunParams(math.nan, 0.0, 3, 0.0)
+            HeunParams(math.nan, 0.0, 3)
 
     def test_valid_construction(self):
-        p = HeunParams(1.0, -2.0, 5, 4.0)
-        assert (p.alpha, p.delta, p.theta, p.g) == (1.0, -2.0, 5, 4.0)
+        p = HeunParams(1.0, -2.0, 5)
+        assert (p.alpha, p.delta, p.theta) == (1.0, -2.0, 5)
 
 
 class TestFirstCoefficient:
     def test_mixed_couplings(self):
-        assert first_coefficient(HeunParams(2.0, 3.0, 3, 0.0)) == 2.0
+        assert _raw_coefficients(2.0, 3.0, 3, 0.0, 1)[1] == 2.0
 
     def test_both_couplings_off(self):
-        assert first_coefficient(HeunParams(0.0, 0.0, 3, 0.0)) == 0.0
+        assert _raw_coefficients(0.0, 0.0, 3, 0.0, 1)[1] == 0.0
 
     def test_negative_delta(self):
-        assert first_coefficient(HeunParams(1.0, -1.0, 1, 0.0)) == -0.5
+        assert _raw_coefficients(1.0, -1.0, 1, 0.0, 1)[1] == -0.5
 
 
 class TestGenerateCoefficients:
     def test_truncating_even_case(self):
-        seq = generate_coefficients(HeunParams(0.0, 0.0, 3, 4.0), 4)
-        assert seq.coeffs == (1.0, 0.0, -0.5, 0.0, 0.0)
+        assert _raw_coefficients(0.0, 0.0, 3, 4.0, 4) == [1.0, 0.0, -0.5, 0.0, 0.0]
 
     def test_non_truncating_odd_degree(self):
-        seq = generate_coefficients(HeunParams(0.0, 0.0, 3, 2.0), 4)
-        assert seq.coeffs[2] == -0.25
-        assert seq.coeffs[4] == -1.0 / 48.0
+        c = _raw_coefficients(0.0, 0.0, 3, 2.0, 4)
+        assert c[2] == -0.25
+        assert c[4] == -1.0 / 48.0
 
     def test_constant_solution(self):
-        seq = generate_coefficients(HeunParams(0.0, 0.0, 3, 0.0), 6)
-        assert seq.coeffs == (1.0,) + (0.0,) * 6
+        assert _raw_coefficients(0.0, 0.0, 3, 0.0, 6) == [1.0] + [0.0] * 6
 
     def test_normalization_is_one(self):
-        seq = generate_coefficients(HeunParams(0.7, -0.3, 5, 6.0), 8)
-        assert seq.coeffs[0] == 1.0
-
-    def test_j_max_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            generate_coefficients(HeunParams(0.0, 0.0, 3, 0.0), 0)
+        assert _raw_coefficients(0.7, -0.3, 5, 6.0, 8)[0] == 1.0
 
     def test_length_matches_j_max(self):
-        seq = generate_coefficients(HeunParams(0.3, 0.2, 3, 1.0), 7)
-        assert len(seq) == 8
+        assert len(_raw_coefficients(0.3, 0.2, 3, 1.0, 7)) == 8
 
     def test_overflow_guard_trips(self):
         with pytest.raises(OverflowGuard):
-            generate_coefficients(HeunParams(1e150, 0.0, 1, 2.0), 4)
+            _raw_coefficients(1e150, 0.0, 1, 2.0, 4)
 
     def test_overflow_threshold_documented_value(self):
         assert OVERFLOW_LIMIT == 1e250
@@ -92,83 +81,61 @@ class TestGenerateCoefficients:
 
     @given(finite_alpha, finite_delta, odd_theta, finite_g)
     def test_matches_independent_recurrence(self, alpha, delta, theta, g):
-        seq = generate_coefficients(HeunParams(alpha, delta, theta, g), 12)
+        coeffs = _raw_coefficients(alpha, delta, theta, g, 12)
         reference = oracles.heun_series(alpha, delta, theta, g, 12)
-        for ours, theirs in zip(seq.coeffs, reference):
+        for ours, theirs in zip(coeffs, reference):
             assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-280)
 
     @given(odd_theta, finite_g)
     def test_parity_odd_coefficients_vanish(self, theta, g):
-        seq = generate_coefficients(HeunParams(0.0, 0.0, theta, g), 11)
-        assert all(c == 0.0 for c in seq.coeffs[1::2])
-
-    @given(finite_alpha, finite_delta, odd_theta)
-    def test_first_coefficient_consistency_bit_for_bit(self, alpha, delta, theta):
-        p = HeunParams(alpha, delta, theta, 2.0)
-        assert generate_coefficients(p, 1).coeffs[1] == first_coefficient(p)
+        assert all(c == 0.0 for c in _raw_coefficients(0.0, 0.0, theta, g, 11)[1::2])
 
 
 class TestTruncationResidual:
+    """c_{n+1} at g = 2n, which vanishes exactly when H has degree n."""
+
     def test_even_truncation_residual_zero(self):
-        assert truncation_residual(HeunParams(0.0, 0.0, 3, 4.0), 2) == 0.0
+        assert _raw_coefficients(0.0, 0.0, 3, 4.0, 3)[3] == 0.0
 
     def test_odd_degree_does_not_truncate(self):
-        assert truncation_residual(HeunParams(0.0, 0.0, 3, 2.0), 1) == -0.25
-
-    def test_requires_matching_g(self):
-        with pytest.raises(ValueError):
-            truncation_residual(HeunParams(0.0, 0.0, 3, 3.0), 1)
-
-    def test_requires_degree_at_least_one(self):
-        with pytest.raises(ValueError):
-            truncation_residual(HeunParams(0.0, 0.0, 3, 0.0), 0)
+        assert _raw_coefficients(0.0, 0.0, 3, 2.0, 2)[2] == -0.25
 
 
 class TestEvaluateH:
     def test_value_at_origin_is_c0(self):
-        seq = CoefficientSequence((1.0, 0.0, -0.5), HeunParams(0.0, 0.0, 3, 4.0))
-        assert evaluate_H(seq, 0.0) == 1.0
+        assert evaluate_H((1.0, 0.0, -0.5), 0.0) == 1.0
 
     def test_root_of_truncated_polynomial(self):
-        seq = CoefficientSequence((1.0, 0.0, -0.5), HeunParams(0.0, 0.0, 3, 4.0))
-        assert evaluate_H(seq, math.sqrt(2.0)) == pytest.approx(0.0, abs=5e-16)
+        assert evaluate_H((1.0, 0.0, -0.5), math.sqrt(2.0)) == pytest.approx(0.0, abs=5e-16)
 
     def test_linear_polynomial(self):
-        seq = CoefficientSequence((1.0, 2.0), HeunParams(4.0, 0.0, 1, 2.0))
-        assert evaluate_H(seq, 3.0) == 7.0
+        assert evaluate_H((1.0, 2.0), 3.0) == 7.0
 
     def test_vectorized_matches_scalar(self):
-        seq = generate_coefficients(HeunParams(0.4, -0.8, 3, 6.0), 8)
+        coeffs = _raw_coefficients(0.4, -0.8, 3, 6.0, 8)
         xi = np.linspace(0.0, 2.5, 11)
-        vector = evaluate_H(seq, xi)
+        vector = evaluate_H(coeffs, xi)
         assert vector.shape == xi.shape
         for x, v in zip(xi, vector):
-            assert v == evaluate_H(seq, float(x))
+            assert v == evaluate_H(coeffs, float(x))
 
 
 class TestRadialAnsatz:
     def test_centrifugal_zero_at_origin(self):
-        p = HeunParams(1.0, 1.0, 3, 2.0)
-        seq = CoefficientSequence((1.0, 0.5), p)
-        assert radial_ansatz(seq, p, 1, 0.0) == 0.0
+        assert radial_ansatz((1.0, 0.5), 1.0, 1, 0.0) == 0.0
 
     def test_s_wave_origin_value_is_c0(self):
-        p = HeunParams(1.0, 1.0, 1, 2.0)
-        seq = CoefficientSequence((1.0, 0.5), p)
-        assert radial_ansatz(seq, p, 0, 0.0) == 1.0
+        assert radial_ansatz((1.0, 0.5), 1.0, 0, 0.0) == 1.0
 
     def test_pure_gaussian_envelope(self):
-        p = HeunParams(0.0, 0.0, 3, 0.0)
-        seq = CoefficientSequence((1.0,), p)
-        assert radial_ansatz(seq, p, 1, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert radial_ansatz((1.0,), 0.0, 1, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_vectorized_matches_scalar(self):
-        p = HeunParams(0.9, -0.2, 3, 2.0)
-        seq = generate_coefficients(p, 3)
+        coeffs = _raw_coefficients(0.9, -0.2, 3, 2.0, 3)
         xi = np.linspace(0.0, 4.0, 9)
-        vector = radial_ansatz(seq, p, 2, xi)
+        vector = radial_ansatz(coeffs, 0.9, 2, xi)
         for x, v in zip(xi, vector):
-            assert v == radial_ansatz(seq, p, 2, float(x))
+            assert v == radial_ansatz(coeffs, 0.9, 2, float(x))
 
 
 class TestDefiningEquation:
@@ -182,8 +149,7 @@ class TestDefiningEquation:
 
     @staticmethod
     def _residual_and_tail(alpha, delta, theta, g, xi, j_max=60):
-        seq = generate_coefficients(HeunParams(alpha, delta, theta, g), j_max)
-        c = np.array(seq.coeffs)
+        c = np.array(_raw_coefficients(alpha, delta, theta, g, j_max))
         j = np.arange(len(c))
         h0 = float((c * xi**j).sum())
         h1 = float((j[1:] * c[1:] * xi ** (j[1:] - 1)).sum())

@@ -1,6 +1,7 @@
 """Radial wavefunctions: assembly, normalization, node counting."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,16 +9,13 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from heunqes.errors import QuadratureFailure, WrongDegree
+from heunqes.errors import QuadratureFailure
 from heunqes.model import PhysicalParams
 from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
-from heunqes.series import HeunParams, first_coefficient
+from heunqes.series import HeunParams
 from heunqes.wavefunction import (
-    RadialWavefunction,
-    count_nodes,
     count_positive_roots,
     evaluate_R,
-    ground_state_polynomial,
     normalize,
     suggested_rho_max,
 )
@@ -37,7 +35,7 @@ def synthetic_solution(coeffs, *, l=1, n=None, omega=1.0, mass=1.0, alpha=0.0, d
     problem = ReducedProblem(
         physical=physical, n=degree, abs_l=abs(l), theta=2 * abs(l) + 1, coupling=delta * (mass * omega) ** 0.5
     )
-    heun = HeunParams(alpha, delta, problem.theta, 2.0 * degree)
+    heun = HeunParams(alpha, delta, problem.theta)
     return SpectralSolution(
         n=degree,
         l=l,
@@ -66,31 +64,23 @@ def reference_states():
 
 
 class TestGroundStatePolynomial:
+    """The n = 1 polynomial H = 1 + c1 xi carried by the solved state."""
+
     def test_reference_coefficient(self):
-        c0, c1 = ground_state_polynomial(reference_solution())
+        c0, c1 = reference_solution().coefficients
         assert c0 == 1.0
         assert c1 == pytest.approx(oracles.FROZEN_C1, rel=1e-12)
 
     def test_agrees_with_series_route(self):
+        # c1 = m eta/(m omega)^(3/2) + M lambda l/(theta (m omega)^(1/2)) in physical parameters
         sol = reference_solution(mass=1.8, quad=2.0, lam=-1.1, eta=0.6, l=-3)
-        _, c1 = ground_state_polynomial(sol)
-        assert c1 == pytest.approx(first_coefficient(sol.heun), rel=1e-15)
+        m_omega = 1.8 * sol.omega
+        expected = 1.8 * 0.6 / m_omega**1.5 + (2.0 * -1.1 * -3) / (7 * m_omega**0.5)
+        assert sol.coefficients[1] == pytest.approx(expected, rel=1e-15)
 
     def test_pure_coulomb_coefficient(self):
         sol = reference_solution(eta=0.0, quad=oracles.SQRT6)
-        _, c1 = ground_state_polynomial(sol)
-        assert c1 == pytest.approx(oracles.FROZEN_SQRT6_OVER_3, rel=1e-10)
-
-    def test_decoupled_limit_is_zero(self):
-        sol = synthetic_solution((1.0, 0.0), alpha=0.0, delta=0.0)
-        assert ground_state_polynomial(sol) == (1.0, 0.0)
-
-    def test_wrong_degree_rejected(self):
-        (sol,) = solve_frequency(
-            ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, 1), 2)
-        )
-        with pytest.raises(WrongDegree):
-            ground_state_polynomial(sol)
+        assert sol.coefficients[1] == pytest.approx(oracles.FROZEN_SQRT6_OVER_3, rel=1e-10)
 
 
 class TestEvaluateR:
@@ -188,17 +178,17 @@ class TestCountPositiveRoots:
 
 class TestCountNodes:
     def test_reference_ground_state(self):
-        assert count_nodes(reference_solution()) == 0
+        assert count_positive_roots(reference_solution().coefficients) == 0
 
     def test_degree_three_branches(self, reference_states):
         degree_three = [s for s in reference_states if s.n == 3 and s.l == 1]
-        assert [count_nodes(s) for s in degree_three] == [0, 1]
+        assert [count_positive_roots(s.coefficients) for s in degree_three] == [0, 1]
 
     def test_matches_dense_sampling(self, reference_states):
         for sol in reference_states:
             rho = np.linspace(0.0, suggested_rho_max(sol), 10_001)[1:]
             changes = oracles.sign_changes(evaluate_R(sol, rho))
-            assert changes == sol.node_count == count_nodes(sol)
+            assert changes == sol.node_count == count_positive_roots(sol.coefficients)
 
 
 class TestContinuity:
@@ -216,6 +206,38 @@ class TestSuggestedRhoMax:
         rho = np.linspace(1e-3, suggested_rho_max(sol), 2000)
         values = np.abs(evaluate_R(sol, rho))
         assert values[-1] < 1e-12 * values.max()
+
+
+class TestNegativeAlpha:
+    """eta < 0 shifts the envelope exp(-xi (xi + alpha)) out to xi = -alpha/2."""
+
+    @staticmethod
+    def lowest_roots(mass, coupling, eta, l, n):
+        params = PhysicalParams(mass=mass, quad=coupling, lam=1.0, eta=eta, kz=0.0, l=l)
+        return solve_frequency(ReducedProblem.from_params(params, n))
+
+    def test_unit_norm_beyond_the_box(self):
+        sol = self.lowest_roots(0.25, 6.12, -0.148, 1, 14)[0]
+        assert sol.heun.alpha < -30.0
+        wf = normalize(sol)
+        peak = -0.5 * sol.heun.alpha / math.sqrt(sol.problem.mass * sol.omega)
+        rho_max = suggested_rho_max(sol)
+        integral, _ = quad(
+            lambda r: wf.evaluate(r) ** 2 * r, 0.0, 4.0 * rho_max, points=[peak], limit=500
+        )
+        assert integral == pytest.approx(1.0, abs=1e-8)
+        assert peak < rho_max
+
+    def test_overflow_is_a_quadrature_failure(self):
+        sols = self.lowest_roots(
+            0.11837586346593508, 7.791128550344119, -0.1521807528798439, 2, 14
+        )
+        for sol in sols[:2]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(QuadratureFailure):
+                    normalize(sol)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestRadialWavefunction:
