@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidGrid
+from .wavefunction import suggested_rho_max
 
 if TYPE_CHECKING:
     from .quantize import SpectralSolution
@@ -218,8 +219,9 @@ def verify_solution(
     count = k + 1 + EXTRA_STATES
     first = max(k - 1, 0)  # the ascending check still covers both neighbours of k
     if rho_max is None:
-        rho_max = default_rho_max(
-            prob.mass, omega, prob.eta, claim + TARGET_MARGIN * prob.mass * omega
+        rho_max = max(
+            default_rho_max(prob.mass, omega, prob.eta, claim + TARGET_MARGIN * prob.mass * omega),
+            suggested_rho_max(solution),
         )
     coarse_spec = RadialOperatorSpec(
         m=prob.mass,

@@ -19,8 +19,9 @@ the second is satisfied only at discrete frequencies omega_{n,l}: the
 potentials cannot be chosen freely, the oscillator frequency itself is
 quantized. For n = 1 the condition c_2 = 0 is a cubic in omega solved in
 closed form; for general n every root of c_{n+1}(omega) is an eigenvalue of
-one real companion matrix (solve_frequency), and every state's node count is
-read from the Jacobi matrix of the same recurrence (_node_count).
+one real companion matrix in u = 1/(m*omega) of size (n+1) + floor((n+1)/2)
+(solve_frequency), and every state's node count is read from the Jacobi
+matrix of the same recurrence (_node_count).
 
 Energies follow as
 
@@ -37,10 +38,12 @@ from .errors import NonPositiveFrequency, NoPositiveRoot, NoRootInRange, WrongDe
 from .model import PhysicalParams, validate
 from .series import HeunParams
 
-# Eigenvalues lambda kept as real positive roots: |Im| <= EIG_IMAG_RTOL*|lambda|, and
-# Re > EIG_ZERO_RTOL*max|lambda|, which drops the s -> 0 artifacts (omega ~ 1e40 and up).
-EIG_IMAG_RTOL = 1e-6
-EIG_ZERO_RTOL = 1e-8
+# Eigenvalues u = s^2 kept as real positive roots: |Im| <= EIG_IMAG_RTOL*|u|, and
+# Re > EIG_ZERO_RTOL*max|u|, which drops the u -> 0 artifacts (omega ~ 1e40 and up).
+# Both are the bounds on s = (m omega)^(-1/2) restated for u: twice the relative
+# imaginary part, the square of the zero threshold.
+EIG_IMAG_RTOL = 2e-6
+EIG_ZERO_RTOL = 1e-16
 
 # The eigenvalues are good to about 1e-5; secant steps polish each until a step is below
 # STEP_RTOL, and it is kept only if c_{n+1} changes sign across omega * (1 -/+ ROOT_RTOL).
@@ -269,18 +272,25 @@ def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
     a3, a1 = 2.0 * problem.mass * problem.eta, 2.0 * problem.coupling
     if a3 == 0.0:
         s = np.linalg.eigvalsh(-k0 / a1)
+        u = s[s > 0.0] ** 2
     else:
         d_inv = 1.0 / (2.0 * np.arange(size) + theta)
         k0 *= np.sqrt(np.outer(d_inv, d_inv)) / a3
-        sigma = max((abs(a1 / a3) / theta) ** 0.5, np.linalg.norm(k0, np.inf) ** (1.0 / 3.0))
-        companion = np.zeros((3 * size, 3 * size))
-        companion[: 2 * size, size:] = np.eye(2 * size)
-        companion[2 * size :, :size] = -k0 / sigma**3
-        companion[2 * size :, size : 2 * size] = np.diag(-a1 / a3 * d_inv / sigma**2)
-        s = sigma * np.linalg.eigvals(companion)
-    real = np.abs(s.imag) <= EIG_IMAG_RTOL * np.abs(s)
-    real &= s.real > EIG_ZERO_RTOL * np.max(np.abs(s))
-    return np.sort(1.0 / (problem.mass * s.real[real] ** 2))
+        c = a1 / a3
+        sigma = max((abs(c) / theta) ** 0.5, np.linalg.norm(k0, np.inf) ** (1.0 / 3.0))
+        # blocks (x, z', y) of solve_frequency in t = u/sigma^2, with z' and y scaled by sigma
+        b = k0[0::2, 1::2] / sigma**3
+        n_e, n_o = b.shape
+        companion = np.zeros((n_e + 2 * n_o, n_e + 2 * n_o))
+        companion[:n_e, :n_e] = np.diag(-c / sigma**2 * d_inv[0::2])
+        companion[:n_e, n_e : n_e + n_o] = -b
+        companion[n_e : n_e + n_o, n_e + n_o :] = np.eye(n_o)
+        companion[n_e + n_o :, :n_e] = -b.T
+        companion[n_e + n_o :, n_e + n_o :] = np.diag(-c / sigma**2 * d_inv[1::2])
+        u = sigma**2 * np.linalg.eigvals(companion)
+    real = np.abs(u.imag) <= EIG_IMAG_RTOL * np.abs(u)
+    real &= u.real > EIG_ZERO_RTOL * np.max(np.abs(u))
+    return np.sort(1.0 / (problem.mass * u.real[real]))
 
 
 def _polish(problem: ReducedProblem, omega: float, cap: float) -> float:
@@ -308,11 +318,20 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     sub-diagonal -4(n-i+1) and super-diagonal -2(i+1)(i+theta). Facing entries
     have a positive product, so a diagonal similarity makes K0 symmetric (off-diagonal
     -sqrt(8(n-i+1) i (i-1+theta))); without it the linearization loses roots
-    from n ~ 24. D^(-1/2) on both sides and s = sigma*t turn T into a monic
-    cubic t^3 + A1 t + A0 with coefficients of norm at most one, whose real
-    companion matrix of size 3(n+1) carries every root; at eta = 0, T is linear
-    in s. Each candidate is polished by secant steps capped at half the gap to
-    its neighbours and kept only if c_{n+1} changes sign across it.
+    from n ~ 24. D^(-1/2) on both sides turns T into s^3 + c D^(-1) s + K with
+    c = M lambda l/(m eta). K couples even indices x only to odd ones z, through
+    B = K[even, odd], so P = diag((-1)^i) gives P T(s) P = -T(-s): the roots
+    come in pairs +-s and only u = s^2 = 1/(m omega) matters. With z' = z/s and
+    y = u z' the cubic becomes the standard eigenproblem
+
+        u x = -c D_e^(-1) x - B z',   u z' = y,   u y = -B^T x - c D_o^(-1) y
+
+    of size (n+1) + floor((n+1)/2), balanced by u = sigma^2 t, whose real
+    positive eigenvalues carry every root. That is about an eighth of the
+    LAPACK work of the linearization in s of size 3(n+1), which computes each
+    root twice; at eta = 0, T is linear in s. Each candidate is polished by
+    secant steps capped at half the gap to its neighbours and kept only if
+    c_{n+1} changes sign across it.
     """
     candidates = _candidate_frequencies(problem)
     gaps = np.diff(candidates, prepend=0.0, append=math.inf)

@@ -97,9 +97,13 @@ def radial_ansatz(coeffs, alpha: float, abs_l: int, xi):
     The Gaussian factor comes from the harmonic term, the plain exponential
     from the linear term, and xi^|l| enforces regularity at the origin. Both
     exponentials are taken as one, exp(-xi*(xi + alpha)/2), so a large
-    negative alpha cannot make them overflow to inf * 0 = nan.
+    negative alpha cannot make them overflow to inf * 0 = nan. For alpha < 0
+    that is a Gaussian centred at xi = -alpha/2, written exp(-(xi + alpha/2)^2/2):
+    the dropped constant exp(alpha^2/8) passes the double range once
+    alpha < -75, and it cancels in any normalized profile.
     Accepts a scalar or an ndarray; xi must be >= 0 for the result to be the
     physical profile.
     """
     xi = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else float(xi)
-    return np.exp(-0.5 * xi * (xi + alpha)) * xi**abs_l * evaluate_H(coeffs, xi)
+    exponent = -0.5 * (xi + 0.5 * alpha) ** 2 if alpha < 0.0 else -0.5 * xi * (xi + alpha)
+    return np.exp(exponent) * xi**abs_l * evaluate_H(coeffs, xi)

@@ -1,8 +1,9 @@
 """Independent reference routes and frozen regression constants.
 
 Every helper here recomputes quantities through deliberately separate paths
-(hand-rolled recurrence, generic bisection, closed forms) so the tests never
-compare the package against itself. The FROZEN_* constants were produced by
+(hand-rolled recurrence, generic bisection, closed forms, the full 3(n+1)
+companion of the frequency condition) so the tests never compare the package
+against itself. The FROZEN_* constants were produced by
 these same routines in a standalone session before the package was written
 and are pinned verbatim as regression anchors; DISPLAY_* values are the
 coarser hand-rounded figures quoted in documentation.
@@ -113,3 +114,65 @@ def reference_cubic_root():
     root = bisect(lambda w: cubic_value(w, a2, a1, a0), 1.0, 3.0)
     assert math.isclose(root, FROZEN_OMEGA, rel_tol=1e-14)
     return root
+
+
+def companion_candidates(m, coupling, eta, n, theta):
+    """Frequencies from the real positive s of the full 3(n+1) companion of T(s).
+
+    T(s) = K0 + 2 M lambda l s + 2 m eta s^3 D with s = (m omega)^(-1/2): the
+    cubic in s is made monic by D^(-1/2) on both sides, balanced by s = sigma*t
+    and linearized on (c, t c, t^2 c). The companion carries every real root
+    together with its mirror -s; only real positive s survive. Needs eta != 0.
+    """
+    size = n + 1
+    i = np.arange(1, size, dtype=float)
+    off = np.sqrt(8.0 * (n - i + 1) * i * (i - 1 + theta))  # K0 symmetrized
+    a3, a1 = 2.0 * m * eta, 2.0 * coupling
+    d_inv = 1.0 / (2.0 * np.arange(size) + theta)
+    k0 = -(np.diag(off, 1) + np.diag(off, -1)) * np.sqrt(np.outer(d_inv, d_inv)) / a3
+    sigma = max((abs(a1 / a3) / theta) ** 0.5, np.linalg.norm(k0, np.inf) ** (1.0 / 3.0))
+    companion = np.zeros((3 * size, 3 * size))
+    companion[: 2 * size, size:] = np.eye(2 * size)
+    companion[2 * size :, :size] = -k0 / sigma**3
+    companion[2 * size :, size : 2 * size] = np.diag(-a1 / a3 * d_inv / sigma**2)
+    s = sigma * np.linalg.eigvals(companion)
+    real = (np.abs(s.imag) <= 1e-6 * np.abs(s)) & (s.real > 1e-8 * np.max(np.abs(s)))
+    return np.sort(1.0 / (m * s.real[real] ** 2))
+
+
+def reference_spectrum(m, coupling, eta, n, theta):
+    """Quantized (omega, node count) pairs through the 3(n+1) companion, independently.
+
+    Each companion candidate is bracketed by widening omega*(1 -/+ r) from
+    r = 1e-10 until c_{n+1} (hand-rolled recurrence) changes sign, with r capped
+    at half the gap to the neighbours, and then bisected to machine width; a
+    candidate with no sign change is dropped. The node count is the rank from
+    the top of the Jacobi eigenvalue -(K0 + alpha D)/2 nearest delta, taken from
+    the unsymmetrized tridiagonal of the recurrence by a general eigensolver.
+    """
+
+    def truncation(w):
+        alpha = 2.0 * m * eta / (m * w) ** 1.5
+        delta = coupling / (m * w) ** 0.5
+        return heun_series(alpha, delta, theta, 2.0 * n, n + 1)[n + 1]
+
+    candidates = companion_candidates(m, coupling, eta, n, theta)
+    gaps = np.diff(candidates, prepend=0.0, append=math.inf)
+    caps = 0.5 * np.minimum(gaps[:-1], gaps[1:]) / candidates
+    i = np.arange(n + 1, dtype=float)
+    k0 = np.diag(-2.0 * (i[:-1] + 1) * (i[:-1] + theta), 1) + np.diag(-4.0 * (n - i[1:] + 1), -1)
+    d = 2.0 * i + theta
+    states = []
+    for w, cap in zip(candidates.tolist(), caps.tolist()):
+        r = 1e-10
+        while r < cap and truncation(w * (1 - r)) * truncation(w * (1 + r)) > 0.0:
+            r *= 10.0
+        r = min(r, cap)
+        if truncation(w * (1 - r)) * truncation(w * (1 + r)) > 0.0:
+            continue
+        root = bisect(truncation, w * (1 - r), w * (1 + r))
+        alpha = 2.0 * m * eta / (m * root) ** 1.5
+        delta = coupling / (m * root) ** 0.5
+        mu = np.sort(np.linalg.eigvals(-(k0 + alpha * np.diag(d)) / 2.0).real)[::-1]
+        states.append((root, int(np.argmin(np.abs(mu - delta)))))
+    return states

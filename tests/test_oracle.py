@@ -21,6 +21,7 @@ from heunqes.oracle import (
 )
 from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
 from heunqes.series import HeunParams
+from heunqes.wavefunction import suggested_rho_max
 
 
 def reference_solution():
@@ -195,6 +196,26 @@ class TestDefaultRhoMax:
 
     def test_floor_keeps_root_positive(self):
         assert default_rho_max(1.0, 1.0, 1.0, -100.0) > 0.0
+
+
+class TestDefaultBox:
+    """The default box also covers the state's own envelope (wavefunction.suggested_rho_max)."""
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_negative_l_ground_state_passes(self, n):
+        # default_rho_max alone gives rho_max ~ 4.8, where these fail at the box-error floor
+        problem = ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, -1), n)
+        (ground,) = [s for s in solve_frequency(problem) if s.node_count == 0]
+        report = verify_solution(ground)
+        assert report.passed
+        assert report.rho_max == suggested_rho_max(ground)
+
+    def test_negative_zeta_sq_states_pass(self):
+        # default_rho_max floors its target at m*omega: rho_max = 0.197 for the lowest root
+        params = PhysicalParams(mass=0.453, quad=8.76, lam=1.0, eta=0.16, kz=0.0, l=-3)
+        states = solve_frequency(ReducedProblem.from_params(params, 9))
+        assert sum(s.zeta_sq < 0.0 for s in states) == 7
+        assert [(s.omega, s.node_count) for s in states if not verify_solution(s).passed] == []
 
 
 class TestGridConvergence:

@@ -241,6 +241,25 @@ class TestCompleteness:
             assert solve_frequency(problem(n=n))
 
 
+class TestAgainstFullCompanion:
+    """The u = s^2 companion keeps every root of the full 3(n+1) companion of T(s)."""
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(1603)
+        for _ in range(60):
+            n = int(rng.integers(2, 51))
+            m, coupling = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-2, 2)
+            eta = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+            l = int(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+            sols = solve_frequency(problem(n=n, mass=m, quad=coupling, eta=eta, l=l))
+            reference = oracles.reference_spectrum(m, coupling * l, eta, n, 2 * abs(l) + 1)
+            cell = (n, m, coupling, eta, l)
+            assert len(sols) == len(reference), cell
+            for sol, (omega, nodes) in zip(sols, reference):
+                assert sol.omega == pytest.approx(omega, rel=1e-9), cell
+                assert sol.node_count == nodes, cell
+
+
 class TestNodeCount:
     @pytest.mark.parametrize("l", [1, -1, 2, -2, 3, -3])
     def test_matches_sampled_sign_changes(self, l):

@@ -228,16 +228,28 @@ class TestNegativeAlpha:
         assert integral == pytest.approx(1.0, abs=1e-8)
         assert peak < rho_max
 
-    def test_overflow_is_a_quadrature_failure(self):
+    def test_large_negative_alpha_has_unit_norm(self):
+        # exp(-xi (xi + alpha)/2) peaks at exp(alpha^2/8), past the double range for alpha < -75
         sols = self.lowest_roots(
             0.11837586346593508, 7.791128550344119, -0.1521807528798439, 2, 14
         )
+        assert sols[0].heun.alpha < -80.0 and sols[1].heun.alpha < -50.0
         for sol in sols[:2]:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(QuadratureFailure):
-                    normalize(sol)
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            wf = normalize(sol)
+            peak = -0.5 * sol.heun.alpha / math.sqrt(sol.problem.mass * sol.omega)
+            integral, _ = quad(
+                lambda r: wf.evaluate(r) ** 2 * r, 0.0, 4.0 * suggested_rho_max(sol), points=[peak], limit=500
+            )
+            assert integral == pytest.approx(1.0, abs=1e-8)
+
+    def test_overflow_is_a_quadrature_failure(self):
+        sol = self.lowest_roots(0.11837586346593508, 7.791128550344119, -0.1521807528798439, 2, 14)[0]
+        huge = replace(sol, coefficients=tuple(1e300 * c for c in sol.coefficients))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QuadratureFailure):
+                normalize(huge)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestRadialWavefunction:
