@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -305,6 +304,9 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
     ]
     jobs = config.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the pool module costs every other command about 13 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_cell = list(pool.map(_scan_cell, tasks))
     else:

@@ -33,13 +33,13 @@ if TYPE_CHECKING:
 
 DEFAULT_GRID_N = 4000
 PASS_TOL = 1e-3  # relative, acknowledges O(h^2) discretization error
-# Box sizing: 1.5x the outer classical turning point of the largest requested
-# eigenvalue; the target gets a +10*m*omega margin so the spare states above
-# the comparison index are also resolved, and a floor of m*omega so the
-# turning-point equation always has a positive root.
+# Box sizing: 1.5x the outer classical turning point of the claimed eigenvalue,
+# floored at m*omega so the turning-point equation always has a positive root.
+# Only index k is resolved, but the target keeps its +10*m*omega margin: it puts
+# the box edge well past the state's own turning point, in the tail where the
+# box error is negligible, and every recorded deviation was measured on it.
 BOX_PADDING = 1.5
 TARGET_MARGIN = 10.0
-EXTRA_STATES = 2  # eigenvalues requested above the comparison index
 # Absolute bisection tolerance for the tridiagonal eigensolver. The LAPACK
 # default scales with the matrix norm (~1/h^2), which at large N is far looser
 # than the 1e-10 relative contract; a fixed tiny value keeps every eigenvalue
@@ -88,15 +88,11 @@ class RadialOperatorSpec:
 class OracleSpectrum:
     """Consecutive eigenvalues zeta^2_k of one channel, strictly ascending.
 
-    eigenvalues[i] is zeta^2 at index k = first + i. drift, when set, is the
-    largest relative eigenvalue change observed when the grid that produced
-    this spectrum was reached by doubling a coarser one; it estimates the
-    remaining discretization error.
+    eigenvalues[i] is zeta^2 at index k = first + i.
     """
 
     eigenvalues: tuple[float, ...]
     spec: RadialOperatorSpec
-    drift: float | None = None
     first: int = 0
 
 
@@ -120,8 +116,15 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def eigenvalues(spec: RadialOperatorSpec, count: int, first: int = 0) -> OracleSpectrum:
+def eigenvalues(
+    spec: RadialOperatorSpec, count: int, first: int = 0, *, within: tuple[float, float] | None = None
+) -> OracleSpectrum:
     """Eigenvalues of indices first..count-1 of the channel by Sturm-sequence bisection.
+
+    With within = (lo, hi) only (lo, hi] is bisected, and its values are used
+    when Sturm counts certify that it holds exactly these indices. Otherwise,
+    as without a window, the indices are bisected from the Gershgorin bounds,
+    so the result is the same indices either way.
 
     Raises:
         ConvergenceFailure: the bisection backend failed or returned a
@@ -137,22 +140,46 @@ def eigenvalues(spec: RadialOperatorSpec, count: int, first: int = 0) -> OracleS
     if not 0 <= first < count:
         raise ValueError(f"first must lie in [0, {count}), got {first}")
     d, e = build_operator(spec)
-    try:
-        vals = eigh_tridiagonal(
-            d,
-            e,
-            eigvals_only=True,
-            select="i",
-            select_range=(first, count - 1),
-            tol=_EIG_ABS_TOL,
-        )
-    except LinAlgError as exc:
-        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+    vals = None if within is None else _certified_window(d, e, count, first, *within)
+    if vals is None:
+        try:
+            vals = eigh_tridiagonal(
+                d,
+                e,
+                eigvals_only=True,
+                select="i",
+                select_range=(first, count - 1),
+                tol=_EIG_ABS_TOL,
+            )
+        except LinAlgError as exc:
+            raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(vals)):
         raise ConvergenceFailure("eigensolver returned non-finite eigenvalues")
     if np.any(np.diff(vals) <= 0.0):
         raise ConvergenceFailure("eigenvalues not strictly ascending; bisection lost states")
     return OracleSpectrum(tuple(float(v) for v in vals), spec, first=first)
+
+
+def _certified_window(
+    d: np.ndarray, e: np.ndarray, count: int, first: int, lo: float, hi: float
+) -> np.ndarray | None:
+    """Eigenvalues in (lo, hi] if they are exactly indices first..count-1, else None.
+
+    Two dstebz calls over a value range (range = 1): a Sturm count of
+    (floor, lo], with floor below the Gershgorin bound and a tolerance so wide
+    that nothing is bisected, then the bisection of (lo, hi] to _EIG_ABS_TOL.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    floor = min(float(d.min() - 2.0 * np.abs(e).max()), lo)
+    floor -= 1.0 + abs(floor)
+    if not -math.inf < floor < lo < hi < math.inf:
+        return None
+    below, _, _, _, info_below = dstebz(d, e, 1, floor, lo, 0, 0, 1e300, b"E")
+    found, vals, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, _EIG_ABS_TOL, b"E")
+    if info_below != 0 or info != 0 or below != first or found != count - first:
+        return None
+    return vals[:found]
 
 
 def default_rho_max(m: float, omega: float, eta: float, zeta_sq_target: float) -> float:
@@ -199,11 +226,13 @@ def verify_solution(
     """Check one solved state against the finite-difference spectrum.
 
     The channel is diagonalized at grid_n and grid_n_refined (default 2x)
-    interior points with a shared rho_max, and the eigenvalue at index
-    node_count is compared with the claimed zeta^2; only indices node_count - 1
-    .. node_count + EXTRA_STATES are bisected. PASS requires relative
-    deviation < PASS_TOL on the coarse grid and a strictly smaller deviation
-    on the refined one.
+    interior points with a shared rho_max, and on each grid only the
+    eigenvalue at index node_count is compared with the claimed zeta^2. It is
+    bisected inside claim * (1 -/+ PASS_TOL), the values that can pass, and
+    found from the Gershgorin bounds instead when that window does not hold
+    exactly this index; either way zeta_oracle is eigenvalue node_count.
+    PASS requires relative deviation < PASS_TOL on the coarse grid and a
+    strictly smaller deviation on the refined one.
 
     perturb_omega multiplies the channel frequency while the claim keeps the
     solved state's zeta^2; values other than 1.0 turn this into a negative
@@ -216,8 +245,6 @@ def verify_solution(
     omega = solution.omega * perturb_omega
     claim = solution.zeta_sq
     k = solution.node_count
-    count = k + 1 + EXTRA_STATES
-    first = max(k - 1, 0)  # the ascending check still covers both neighbours of k
     if rho_max is None:
         rho_max = max(
             default_rho_max(prob.mass, omega, prob.eta, claim + TARGET_MARGIN * prob.mass * omega),
@@ -234,15 +261,11 @@ def verify_solution(
     )
     if grid_n_refined is None:
         grid_n_refined = 2 * grid_n
-    coarse = eigenvalues(coarse_spec, count, first)
-    refined = eigenvalues(replace(coarse_spec, n_grid=grid_n_refined), count, first)
-    drift = max(
-        abs(b - a) / max(abs(b), 1e-300)
-        for a, b in zip(coarse.eigenvalues, refined.eigenvalues)
-    )
-    refined = replace(refined, drift=drift)
     scale = max(abs(claim), 1e-300)
-    zeta_oracle, zeta_oracle_refined = coarse.eigenvalues[k - first], refined.eigenvalues[k - first]
+    window = (claim - PASS_TOL * scale, claim + PASS_TOL * scale)
+    (zeta_oracle,) = eigenvalues(coarse_spec, k + 1, k, within=window).eigenvalues
+    refined_spec = replace(coarse_spec, n_grid=grid_n_refined)
+    (zeta_oracle_refined,) = eigenvalues(refined_spec, k + 1, k, within=window).eigenvalues
     deviation = abs(zeta_oracle - claim) / scale
     deviation_refined = abs(zeta_oracle_refined - claim) / scale
     ratio = deviation / deviation_refined if deviation_refined > 0.0 else math.inf

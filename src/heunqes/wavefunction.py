@@ -67,12 +67,17 @@ def suggested_rho_max(solution: SpectralSolution) -> float:
     The integrand of the norm peaks near xi_peak = sqrt(|l| + n); the Gaussian
     exp(-xi^2) has suppressed that peak by 1e-16 at
     xi = sqrt(xi_peak^2 + 16 ln 10), and a further factor 1.5 pads the
-    polynomial prefactors. For alpha < 0 the envelope exp(-xi*(xi + alpha))
-    is the same Gaussian centred at xi = -alpha/2, so the cut moves out by
-    that much.
+    polynomial prefactors. The envelope is exp(-xi*(xi + alpha)), so the cut
+    moves with alpha: for alpha < 0 it is the same Gaussian centred at
+    xi = -alpha/2, and the cut moves out by that much; for alpha > 0 it dies
+    sooner, where xi*(xi + alpha) reaches the Gaussian's xi_cut^2.
     """
     xi_cut = math.sqrt(solution.problem.abs_l + solution.n + 16.0 * math.log(10.0))
-    xi_cut += max(0.0, -0.5 * solution.heun.alpha)
+    half_alpha = 0.5 * solution.heun.alpha
+    if half_alpha < 0.0:
+        xi_cut -= half_alpha
+    else:
+        xi_cut = math.sqrt(xi_cut**2 + half_alpha**2) - half_alpha
     return 1.5 * xi_cut / math.sqrt(solution.problem.mass * solution.omega)
 
 

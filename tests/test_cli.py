@@ -394,11 +394,16 @@ class TestModuleEntryPoint:
         assert fields[2] == fmt12(oracles.FROZEN_OMEGA)
 
     def test_cli_import_leaves_scipy_unloaded(self):
+        # neither the oracle's scipy nor scan's process pool loads before it is used
+        code = (
+            "import sys, heunqes.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, heunqes.cli; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env=child_env(),
         )
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"

@@ -1,17 +1,17 @@
 """Finite-difference verifier: operator assembly, spectra, pass/fail logic."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
+from heunqes import oracle
 from heunqes.errors import InvalidGrid
 from heunqes.model import PhysicalParams
 from heunqes.oracle import (
     BOX_PADDING,
-    EXTRA_STATES,
+    PASS_TOL,
     OracleSpectrum,
     RadialOperatorSpec,
     build_operator,
@@ -150,7 +150,6 @@ class TestEigenvalues:
         spectrum = eigenvalues(reference_channel(), 6)
         assert len(spectrum.eigenvalues) == 6
         assert all(b > a for a, b in zip(spectrum.eigenvalues, spectrum.eigenvalues[1:]))
-        assert spectrum.drift is None
 
     def test_oscillator_ladder(self):
         # eta = coulomb = 0 collapses the channel to the radial oscillator,
@@ -217,6 +216,16 @@ class TestDefaultBox:
         assert sum(s.zeta_sq < 0.0 for s in states) == 7
         assert [(s.omega, s.node_count) for s in states if not verify_solution(s).passed] == []
 
+    def test_large_positive_alpha_states_pass(self):
+        # a box that ignores alpha > 0 spans several times these states (rho_max 59 for the
+        # lowest root, alpha = 32), and the 4000-point grid misses PASS_TOL on two of them
+        params = PhysicalParams(
+            mass=0.1073655501737475, quad=8.254676500349738, lam=1.0, eta=0.8656445537726762, kz=0.0, l=-1
+        )
+        states = solve_frequency(ReducedProblem.from_params(params, 12))
+        assert len(states) == 9 and states[0].heun.alpha > 30.0
+        assert [(s.omega, s.node_count) for s in states if not verify_solution(s).passed] == []
+
 
 class TestGridConvergence:
     def test_second_order_richardson(self):
@@ -255,20 +264,94 @@ class TestHighIndexStates:
 
     def test_window_matches_full_request(self, high_index_reports):
         for state, report in high_index_reports:
-            k = state.node_count
-            spec = RadialOperatorSpec(
-                m=state.problem.mass,
-                omega=report.omega,
-                eta=state.problem.eta,
-                coulomb_strength=state.problem.coupling,
-                abs_l=state.problem.abs_l,
-                rho_max=report.rho_max,
-                n_grid=report.grid_n,
-            )
-            pairs = ((report.grid_n, report.zeta_oracle), (report.grid_n_refined, report.zeta_oracle_refined))
-            for grid, value in pairs:
-                full = eigenvalues(replace(spec, n_grid=grid), k + 1 + EXTRA_STATES).eigenvalues
-                assert value == pytest.approx(full[k], rel=1e-14)
+            assert_oracle_values_are_index_k(state, report)
+
+
+def report_channel(state, report, n_grid):
+    """The channel verify_solution diagonalized for state on an n_grid-point grid."""
+    return RadialOperatorSpec(
+        m=state.problem.mass,
+        omega=report.omega,
+        eta=state.problem.eta,
+        coulomb_strength=state.problem.coupling,
+        abs_l=state.problem.abs_l,
+        rho_max=report.rho_max,
+        n_grid=n_grid,
+    )
+
+
+def assert_oracle_values_are_index_k(state, report):
+    """Both reported oracle values equal eigenvalue node_count of a full request."""
+    k = state.node_count
+    pairs = ((report.grid_n, report.zeta_oracle), (report.grid_n_refined, report.zeta_oracle_refined))
+    for grid, value in pairs:
+        full = eigenvalues(report_channel(state, report, grid), k + 1).eigenvalues
+        assert value == pytest.approx(full[k], rel=1e-14), (state.n, state.l, state.omega, grid)
+
+
+class TestWindow:
+    """eigenvalues(..., within=(lo, hi)) returns the requested indices whatever the window holds."""
+
+    K = 3
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        return eigenvalues(reference_channel(), self.K + 4).eigenvalues
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            lambda z, k: (z[k + 1] * (1 - PASS_TOL), z[k + 1] * (1 + PASS_TOL)),  # holds k + 1 only
+            lambda z, k: ((z[k - 1] + z[k]) / 2, (z[k + 1] + z[k + 2]) / 2),  # holds k and k + 1
+            lambda z, k: (z[k] + 0.25 * (z[k + 1] - z[k]), z[k] + 0.75 * (z[k + 1] - z[k])),  # empty
+            lambda z, k: (z[k], z[k]),  # degenerate
+            lambda z, k: (z[k + 1], z[k - 1]),  # reversed
+            lambda z, k: (-math.inf, z[k]),  # holds 0..k
+            lambda z, k: (math.nan, z[k]),
+        ],
+        ids=["next-index", "two-indices", "empty", "degenerate", "reversed", "unbounded", "nan"],
+    )
+    def test_window_without_index_k_falls_back(self, full, window):
+        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=window(full, self.K))
+        assert spectrum.first == self.K
+        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+
+    def test_window_holding_the_indices_is_used(self, full):
+        k = self.K
+        lo, hi = (full[k - 1] + full[k]) / 2, (full[k + 2] + full[k + 3]) / 2
+        spec = reference_channel()
+        assert oracle._certified_window(*build_operator(spec), k + 3, k, lo, hi) is not None
+        spectrum = eigenvalues(spec, k + 3, k, within=(lo, hi))
+        assert spectrum.eigenvalues == pytest.approx(full[k : k + 3], rel=1e-14)
+
+    def test_negative_control_reports_index_k(self):
+        # at 1.05 omega no eigenvalue lies within PASS_TOL of the claim
+        params = PhysicalParams(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=1)
+        state = [s for s in solve_frequency(ReducedProblem.from_params(params, 8)) if s.node_count == 3][0]
+        report = verify_solution(state, perturb_omega=1.05)
+        assert not report.passed
+        assert_oracle_values_are_index_k(state, report)
+
+    def test_seeded_parity_sweep(self):
+        """Random cells: both oracle values are index k, also for zeta^2 < 0 and alpha < 0.
+
+        The lowest root of each cell is also checked as a 1.05 omega negative control.
+        """
+        rng = np.random.default_rng(2606)
+        reports = []
+        for _ in range(30):
+            m, quad, abs_eta = 10.0 ** rng.uniform(-1, 1, size=3)
+            eta = float(rng.choice([-1.0, 1.0])) * abs_eta
+            l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            n = int(rng.integers(1, 13))
+            problem = ReducedProblem.from_params(PhysicalParams(m, quad, 1.0, eta, 0.0, l), n)
+            states = solve_cubic(problem) if n == 1 else solve_frequency(problem)
+            reports += [(state, verify_solution(state)) for state in states]
+            reports.append((states[0], verify_solution(states[0], perturb_omega=1.05)))
+        assert any(s.zeta_sq < 0.0 for s, _ in reports)
+        assert any(s.heun.alpha < 0.0 for s, _ in reports)
+        for state, report in reports:
+            assert_oracle_values_are_index_k(state, report)
 
 
 class TestVerifySolution:
@@ -318,6 +401,6 @@ class TestVerifySolution:
 
     def test_spectrum_dataclass_round_trip(self):
         spec = reference_channel(n_grid=200)
-        spectrum = eigenvalues(spec, EXTRA_STATES + 1)
+        spectrum = eigenvalues(spec, 3)
         assert isinstance(spectrum, OracleSpectrum)
         assert spectrum.spec is spec
