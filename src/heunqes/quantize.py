@@ -20,8 +20,10 @@ potentials cannot be chosen freely, the oscillator frequency itself is
 quantized. For n = 1 the condition c_2 = 0 is a cubic in omega solved in
 closed form; for general n every root of c_{n+1}(omega) is an eigenvalue of
 one real companion matrix in u = 1/(m*omega) of size (n+1) + floor((n+1)/2)
-(solve_frequency), and every state's node count is read from the Jacobi
-matrix of the same recurrence (_node_count).
+(solve_frequency). Each cell is solved as one batch: one array recurrence
+tests every eigenvalue for a sign change of c_{n+1}, one gives every state's
+coefficients, and one Sturm count over the Jacobi matrix of the same
+recurrence gives every state's node count (_node_counts).
 
 Energies follow as
 
@@ -45,11 +47,14 @@ from .series import HeunParams
 EIG_IMAG_RTOL = 2e-6
 EIG_ZERO_RTOL = 1e-16
 
-# The eigenvalues are close already: against their polished roots the relative error was
+# A root is kept only if c_{n+1} changes sign across omega * (1 -/+ ROOT_RTOL). The
+# eigenvalues are close already: against their polished roots the relative error was
 # 1.2e-15 at the median and 6.5e-14 at most over 1332 candidates (the 98 n >= 2 cells of
-# the perfbench spectrum workload, seed 11). Secant steps polish each until a step
-# is below STEP_RTOL, and it is kept only if c_{n+1} changes sign across
-# omega * (1 -/+ ROOT_RTOL).
+# the perfbench spectrum workload, seed 11), so most pass that test as they stand. That
+# figure holds on the spectrum range only: secant steps, each until a step is below
+# STEP_RTOL, are the fallback for a candidate that fails, and over a sweep of 1500 random
+# cells (21,742 states, m 1e-3..1e3, |M lambda| 1e-2..1e2) 41 candidates in 27 cells
+# needed them, all with small m and large M lambda.
 SECANT_START_RTOL = 1e-7
 SECANT_STEPS = 8
 STEP_RTOL = 1e-13
@@ -251,14 +256,28 @@ def solve_cubic(problem: ReducedProblem) -> list["SpectralSolution"]:
             "cubic has no positive root; requires eta = 0 and M*lambda*l = 0, "
             "which construction of the problem excludes"
         )
-    cubic_res = lambda w: abs(((w + a2) * w + a1) * w + a0)
-    return [_make_solution(problem, w, cubic_residual=cubic_res(w)) for w in roots]
+    cubic_residuals = [abs(((w + a2) * w + a1) * w + a0) for w in roots]
+    return _make_solutions(problem, roots, cubic_residuals)
 
 
-def _truncation_at(problem: ReducedProblem, omega: float) -> float:
-    """c_{n+1}(omega), the quantity whose roots are the allowed frequencies."""
-    alpha, delta = _alpha_delta(problem, omega)
-    return series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 1)[-1]
+def _heun_arrays(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, delta) at each frequency, packed from the scalar map so each is bit-identical to it."""
+    pairs = [_alpha_delta(problem, float(w)) for w in omegas]
+    alpha, delta = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return alpha, delta
+
+
+def _truncation_at(problem: ReducedProblem, omegas: np.ndarray) -> np.ndarray:
+    """c_{n+1} at each frequency of omegas: its roots are the allowed frequencies."""
+    alpha, delta = _heun_arrays(problem, omegas)
+    return series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 1)[:, -1]
+
+
+def _brackets_root(problem: ReducedProblem, omegas: np.ndarray) -> np.ndarray:
+    """Whether c_{n+1} changes sign across each omega * (1 -/+ ROOT_RTOL), from one recurrence."""
+    probes = np.concatenate([omegas * (1.0 - ROOT_RTOL), omegas * (1.0 + ROOT_RTOL)])
+    below, above = np.split(_truncation_at(problem, probes), 2)
+    return below * above <= 0.0
 
 
 def _jacobi_offdiagonal(n: int, theta: int) -> np.ndarray:
@@ -299,7 +318,7 @@ def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
 def _polish(problem: ReducedProblem, omega: float, cap: float) -> float:
     """Secant steps on c_{n+1} from an eigenvalue estimate, each at most cap long."""
     x0, x1 = omega, omega * (1.0 + SECANT_START_RTOL)
-    f0, f1 = _truncation_at(problem, x0), _truncation_at(problem, x1)
+    f0, f1 = _truncation_at(problem, np.array([x0, x1])).tolist()
     for _ in range(SECANT_STEPS):
         if f1 == f0:
             break
@@ -308,7 +327,7 @@ def _polish(problem: ReducedProblem, omega: float, cap: float) -> float:
         x1 += step
         if abs(step) <= STEP_RTOL * x1:
             break
-        f1 = _truncation_at(problem, x1)
+        f1 = _truncation_at(problem, np.array([x1])).item()
     return x1
 
 
@@ -332,25 +351,29 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     of size (n+1) + floor((n+1)/2), balanced by u = sigma^2 t, whose real
     positive eigenvalues carry every root. That is about an eighth of the
     LAPACK work of the linearization in s of size 3(n+1), which computes each
-    root twice; at eta = 0, T is linear in s. Each candidate is polished by
-    secant steps capped at half the gap to its neighbours and kept only if
-    c_{n+1} changes sign across it.
+    root twice; at eta = 0, T is linear in s. One array recurrence tests every
+    candidate for a sign change of c_{n+1} across it, and a candidate that
+    passes is a root as it stands. One that fails is polished by secant steps
+    capped at half the gap to its neighbours and kept only if it passes then.
     """
     candidates = _candidate_frequencies(problem)
     gaps = np.diff(candidates, prepend=0.0, append=math.inf)
+    caps = 0.5 * np.minimum(gaps[:-1], gaps[1:])
+    passed = _brackets_root(problem, candidates)
     roots = []
-    for w, cap in zip(candidates.tolist(), (0.5 * np.minimum(gaps[:-1], gaps[1:])).tolist()):
-        root = _polish(problem, w, cap)
-        below = _truncation_at(problem, root * (1.0 - ROOT_RTOL))
-        if below * _truncation_at(problem, root * (1.0 + ROOT_RTOL)) <= 0.0:
-            roots.append(root)
+    for w, cap, brackets in zip(candidates.tolist(), caps.tolist(), passed.tolist()):
+        if not brackets:
+            w = _polish(problem, w, cap)
+            brackets = _brackets_root(problem, np.array([w])).item()
+        if brackets:
+            roots.append(w)
     roots = _merge_close(roots)
     if not roots:
         raise NoRootInRange(
             f"no sign change of c_{problem.n + 1}(omega) at any of the {len(candidates)} "
             "positive real eigenvalue candidates: the cell has no quantized frequency"
         )
-    return [_make_solution(problem, w) for w in roots]
+    return _make_solutions(problem, roots)
 
 
 def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
@@ -359,6 +382,7 @@ def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
     At the state's alpha, delta is an eigenvalue of the symmetric tridiagonal
     J = -(K0 + alpha*D)/2 (see solve_frequency). By oscillation theory the
     node count is the number of eigenvalues of J above the one delta matches.
+    This dense count is the fallback of _node_counts.
     """
     off = 0.5 * _jacobi_offdiagonal(problem.n, problem.theta)
     diagonal = -0.5 * alpha * (2.0 * np.arange(problem.n + 1) + problem.theta)
@@ -366,29 +390,58 @@ def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
     return int(problem.n - np.argmin(np.abs(mu - delta)))
 
 
-def _make_solution(
-    problem: ReducedProblem, omega: float, cubic_residual: float | None = None
-) -> SpectralSolution:
-    """Assemble the full solution record at a solved frequency root."""
-    alpha, delta = _alpha_delta(problem, omega)
+def _node_counts(problem: ReducedProblem, alpha: np.ndarray, delta: np.ndarray) -> list[int]:
+    """Node counts of the states (alpha, delta) of one cell, from certified Sturm counts.
+
+    The LDL^T pivots of J - x (J as in _node_count) count the eigenvalues of J
+    below x, with no eigenvalue computed; one recursion runs for every state
+    at x = delta - h and delta + h at once, where h is 1e-8 of a bound on
+    |J|. When the counts differ by exactly one, one eigenvalue lies within h
+    of delta: it is the one delta matches, and the eigenvalues above it number
+    (n+1) - count(delta + h). Any other state takes the dense _node_count.
+    """
+    off_sq = np.append(0.0, (0.5 * _jacobi_offdiagonal(problem.n, problem.theta)) ** 2)
+    diagonal = -0.5 * np.outer(alpha, 2.0 * np.arange(problem.n + 1) + problem.theta)
+    h = 1e-8 * (np.abs(diagonal).max(axis=1) + 2.0 * np.sqrt(off_sq.max()))
+    x = np.stack([delta - h, delta + h])
+    below, pivot, tiny = np.zeros(x.shape, dtype=int), np.ones_like(x), np.finfo(float).tiny
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(problem.n + 1):
+            pivot = diagonal[:, i] - x - off_sq[i] / pivot
+            pivot[pivot == 0.0] = tiny  # a zero pivot would divide by zero next step
+            below += pivot < 0.0
+    return [
+        problem.n + 1 - hi if hi - lo == 1 else _node_count(problem, alpha[k], delta[k])
+        for k, (lo, hi) in enumerate(zip(*below.tolist()))
+    ]
+
+
+def _make_solutions(
+    problem: ReducedProblem, roots: list[float], cubic_residuals: list[float] | None = None
+) -> list[SpectralSolution]:
+    """Assemble the solution records of a cell's frequency roots, ascending."""
+    alpha, delta = _heun_arrays(problem, roots)
     raw = series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
-    poly = tuple(raw[: problem.n + 1])
-    scale = max(abs(c) for c in poly)
-    residuals = {
-        "truncation": abs(raw[problem.n + 1]) / scale,
-        "truncation_next": abs(raw[problem.n + 2]) / scale,
-    }
-    if cubic_residual is not None:
-        residuals["cubic"] = cubic_residual
-    return SpectralSolution(
-        n=problem.n,
-        l=problem.physical.l,
-        omega=omega,
-        energy=energy(problem, omega),
-        zeta_sq=zeta_squared(problem, omega),
-        coefficients=poly,
-        node_count=_node_count(problem, alpha, delta),
-        residuals=residuals,
-        problem=problem,
-        heun=HeunParams(alpha, delta, problem.theta),
-    )
+    scale = np.abs(raw[:, : problem.n + 1]).max(axis=1, keepdims=True)
+    tails = (np.abs(raw[:, problem.n + 1 :]) / scale).tolist()
+    nodes = _node_counts(problem, alpha, delta)
+    solutions = []
+    for k, omega in enumerate(roots):
+        residuals = {"truncation": tails[k][0], "truncation_next": tails[k][1]}
+        if cubic_residuals is not None:
+            residuals["cubic"] = cubic_residuals[k]
+        solutions.append(
+            SpectralSolution(
+                n=problem.n,
+                l=problem.physical.l,
+                omega=omega,
+                energy=energy(problem, omega),
+                zeta_sq=zeta_squared(problem, omega),
+                coefficients=tuple(raw[k, : problem.n + 1].tolist()),
+                node_count=nodes[k],
+                residuals=residuals,
+                problem=problem,
+                heun=HeunParams(alpha[k].item(), delta[k].item(), problem.theta),
+            )
+        )
+    return solutions

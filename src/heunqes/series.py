@@ -17,8 +17,11 @@ c_{n+1} = 0 simultaneously; that pair of conditions is the quasi-exact
 solvability mechanism that quantizes the oscillator frequency (see quantize).
 _raw_coefficients is the one implementation of the recurrence: quantize calls
 it for c_{n+1}(omega) and for each state's polynomial, and every c_j the
-package reports comes from it. This module only manipulates the series; it
-knows nothing about physical parameters.
+package reports comes from it. Given equal-shape arrays of alpha and delta it
+runs the recurrence for all of them at once, each element bit-identical to a
+scalar call, which is how quantize treats all frequencies of a cell at once.
+This module only manipulates the series; it knows nothing about physical
+parameters.
 """
 
 import math
@@ -57,27 +60,38 @@ class HeunParams:
             raise ValueError("HeunParams entries must be finite")
 
 
-def _raw_coefficients(alpha: float, delta: float, theta: int, g: float, j_max: int) -> list[float]:
-    """Series coefficients [c_0, ..., c_{j_max}] for j_max >= 1, in plain floats.
+def _raw_coefficients(alpha, delta, theta: int, g: float, j_max: int):
+    """Series coefficients [c_0, ..., c_{j_max}] for j_max >= 1.
 
+    Floats give a list of plain floats. Equal-shape arrays alpha and delta
+    give an array with one more axis, of length j_max + 1, whose every
+    element is bit-identical to the scalar call at that (alpha, delta).
     Set g = 2n to probe truncation at degree n: c_{n+1} is then the
     truncation residual. Raises OverflowGuard the moment any coefficient
-    magnitude passes OVERFLOW_LIMIT.
+    magnitude passes OVERFLOW_LIMIT, in any element.
     """
-    c = [1.0, alpha / 2.0 + delta / theta]
-    for j in range(j_max - 1):
-        c_next = (
-            (2.0 * alpha * (j + 1) + theta * alpha + 2.0 * delta) * c[j + 1]
-            / (2.0 * (j + 2) * (j + 1 + theta))
-            - (g - 2.0 * j) * c[j] / ((j + 2) * (j + 1 + theta))
-        )
-        if abs(c_next) > OVERFLOW_LIMIT:
-            raise OverflowGuard(
-                f"|c_{j + 2}| = {abs(c_next):.3e} exceeds {OVERFLOW_LIMIT:.0e} "
-                f"(alpha={alpha:.6g}, delta={delta:.6g}, theta={theta}, g={g:.6g})"
+    batch = np.ndim(alpha) > 0
+    alpha, delta = np.asarray(alpha, dtype=float), np.asarray(delta, dtype=float)
+    two_alpha, theta_alpha, two_delta = 2.0 * alpha, theta * alpha, 2.0 * delta
+    c = [np.ones_like(alpha), alpha / 2.0 + delta / theta]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(j_max - 1):
+            c_next = (
+                (two_alpha * (j + 1) + theta_alpha + two_delta) * c[j + 1]
+                / (2.0 * (j + 2) * (j + 1 + theta))
+                - (g - 2.0 * j) * c[j] / ((j + 2) * (j + 1 + theta))
             )
-        c.append(c_next)
-    return c
+            big = np.abs(c_next) > OVERFLOW_LIMIT
+            if big.any():
+                at = np.argmax(big)  # the first offending element
+                c_big, a, d = (np.ravel(x)[at] for x in (c_next, alpha, delta))
+                raise OverflowGuard(
+                    f"|c_{j + 2}| = {abs(c_big):.3e} exceeds {OVERFLOW_LIMIT:.0e} "
+                    f"(alpha={a:.6g}, delta={d:.6g}, theta={theta}, g={g:.6g})"
+                )
+            c.append(c_next)
+    out = np.stack(c, axis=-1)
+    return out if batch else out.tolist()
 
 
 def evaluate_H(coeffs, xi):

@@ -4,7 +4,7 @@ A SpectralSolution fixes the polynomial H and the exponential envelope; this
 module turns that into the physical radial profile R(rho) and normalizes it
 against the two-dimensional radial measure rho d(rho) (the z plane wave is
 delta-normalized and excluded). The solver takes each state's node count
-from the Jacobi matrix of its recurrence (quantize._node_count).
+from Sturm counts on the Jacobi matrix of its recurrence (quantize._node_counts).
 count_positive_roots, the positive real roots of H, stays as the independent
 count the tests cross-check it against, and as the node-count layer the
 benchmark traces by name.

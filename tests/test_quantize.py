@@ -22,6 +22,9 @@ from heunqes.quantize import (
     ReducedProblem,
     SpectralSolution,
     _alpha_delta,
+    _node_count,
+    _node_counts,
+    _polish,
     cubic_coefficients,
     energy,
     solve_cubic,
@@ -211,9 +214,24 @@ class TestSolveFrequency:
             assert sol.omega == pytest.approx(ref, rel=1e-10)
 
     def test_no_root_reports_scan_interval(self, monkeypatch):
-        monkeypatch.setattr("heunqes.quantize._truncation_at", lambda problem, w: 1.0)
+        monkeypatch.setattr("heunqes.quantize._truncation_at", lambda problem, w: np.ones_like(w))
         with pytest.raises(NoRootInRange, match="sign change"):
             solve_frequency(problem())
+
+    def test_polish_fallback_matches_reference(self, monkeypatch):
+        # small m, large M lambda: two eigenvalue candidates miss the sign test as they stand
+        m, quad, eta, l, n = 0.0072299880932191205, 46.22974400571821, 0.22263579792399868, 4, 10
+        polished = []
+        monkeypatch.setattr(
+            "heunqes.quantize._polish", lambda *args: polished.append(args[1]) or _polish(*args)
+        )
+        sols = solve_frequency(problem(n=n, mass=m, quad=quad, eta=eta, l=l))
+        assert len(polished) == 2
+        reference = oracles.reference_spectrum(m, quad * l, eta, n, 2 * l + 1)
+        assert len(sols) == len(reference)
+        for sol, (omega, nodes) in zip(sols, reference):
+            assert sol.omega == pytest.approx(omega, rel=1e-9)
+            assert sol.node_count == nodes
 
     def test_existence_for_nonzero_eta(self):
         rng = np.random.default_rng(5)
@@ -268,6 +286,25 @@ class TestNodeCount:
             for sol in solve_cubic(p) if n == 1 else solve_frequency(p):
                 rho = np.linspace(0.0, suggested_rho_max(sol), 100_001)[1:]
                 assert oracles.sign_changes(evaluate_R(sol, rho)) == sol.node_count, (n, sol.omega)
+
+    @pytest.mark.parametrize("n,l,alpha", [(6, 1, 0.8), (12, -2, -3.1), (30, 3, 7.5)])
+    def test_uncertified_counts_fall_back_to_dense(self, n, l, alpha, monkeypatch):
+        # delta a quarter and three quarters of the way between neighbouring eigenvalues of J:
+        # no eigenvalue lies within h of it, so the Sturm counts cannot certify the state
+        p = problem(n=n, l=l)
+        i = np.arange(1, n + 1)
+        off = np.sqrt(2.0 * (n - i + 1) * i * (i - 1 + p.theta))
+        diagonal = -0.5 * alpha * (2.0 * np.arange(n + 1) + p.theta)
+        mu = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+        delta = np.concatenate([mu[:-1] + 0.25 * np.diff(mu), mu[:-1] + 0.75 * np.diff(mu), mu])
+        dense = []
+        monkeypatch.setattr(
+            "heunqes.quantize._node_count", lambda *args: dense.append(args) or _node_count(*args)
+        )
+        counts = _node_counts(p, np.full(delta.shape, alpha), delta)
+        assert len(dense) == 2 * n
+        assert counts == [_node_count(p, alpha, d) for d in delta.tolist()]
+        assert counts[2 * n :] == list(range(n, -1, -1))
 
     def test_negative_eta_reverses_order(self):
         # ascending omega is not ascending node count: rank would give [0, 1]

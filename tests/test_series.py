@@ -1,6 +1,7 @@
 """Frobenius engine: recurrence, truncation, evaluation, and the ODE check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,39 @@ class TestGenerateCoefficients:
     @given(odd_theta, finite_g)
     def test_parity_odd_coefficients_vanish(self, theta, g):
         assert all(c == 0.0 for c in _raw_coefficients(0.0, 0.0, theta, g, 11)[1::2])
+
+
+class TestArrayRecurrence:
+    """Equal-shape arrays alpha, delta run the same recurrence for every element at once."""
+
+    def test_elementwise_bit_identical(self):
+        rng = np.random.default_rng(2017)
+        alpha = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-3.0, math.log10(80.0), 400)
+        delta = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-3.0, 2.0, 400)
+        for theta, n in [(1, 2), (3, 11), (7, 30), (11, 50)]:
+            batch = _raw_coefficients(alpha, delta, theta, 2.0 * n, n + 2)
+            assert batch.shape == (400, n + 3)
+            for a, d, row in zip(alpha.tolist(), delta.tolist(), batch.tolist()):
+                assert row == _raw_coefficients(a, d, theta, 2.0 * n, n + 2)
+                assert row == oracles.heun_series(a, d, theta, 2.0 * n, n + 2)
+
+    def test_floats_give_plain_floats(self):
+        assert all(type(c) is float for c in _raw_coefficients(0.4, -0.8, 3, 6.0, 8))
+
+    def test_one_element_past_the_limit_trips_the_guard(self):
+        alpha, delta = np.array([0.3, 1e150, -0.7]), np.array([0.1, 0.0, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuard, match=r"\|c_2\|.*alpha=1e\+150, delta=0\b"):
+                _raw_coefficients(alpha, delta, 1, 2.0, 4)
+
+    def test_inf_beside_nan_trips_the_guard(self):
+        # c_2 jumps straight to inf in one element while another is nan: np.max would see nan
+        alpha, delta = np.array([math.nan, 1e300, 0.5]), np.zeros(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuard, match=r"\|c_2\| = inf.*alpha=1e\+300"):
+                _raw_coefficients(alpha, delta, 1, 2.0, 4)
 
 
 class TestTruncationResidual:
