@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
     shared.add_argument("--output", help="write output to this file instead of stdout")
     shared.add_argument("--format", choices=("csv", "table"), help="data stream format")
-    shared.add_argument("--jobs", type=int, help="worker processes (default: CPU count)")
+    shared.add_argument(
+        "--jobs", type=int, help="worker processes for scan (default: CPU count); other commands run serially"
+    )
 
     parser = argparse.ArgumentParser(
         prog="heunqes",

@@ -289,8 +289,34 @@ def assert_oracle_values_are_index_k(state, report):
         assert value == pytest.approx(full[k], rel=1e-14), (state.n, state.l, state.omega, grid)
 
 
+def spy_certified_window(monkeypatch):
+    """Record (grid points, window width, certified) for every window eigenvalues tries."""
+    calls = []
+    certify = oracle._certified_window
+
+    def spy(d, e, count, first, lo, hi):
+        vals = certify(d, e, count, first, lo, hi)
+        calls.append((d.size, hi - lo, vals is not None))
+        return vals
+
+    monkeypatch.setattr(oracle, "_certified_window", spy)
+    return calls
+
+
+# Windows that do not hold exactly index k of the spectrum z, by test id.
+WINDOWS_WITHOUT_K = {
+    "next-index": lambda z, k: (z[k + 1] * (1 - PASS_TOL), z[k + 1] * (1 + PASS_TOL)),
+    "two-indices": lambda z, k: ((z[k - 1] + z[k]) / 2, (z[k + 1] + z[k + 2]) / 2),
+    "empty": lambda z, k: (z[k] + 0.25 * (z[k + 1] - z[k]), z[k] + 0.75 * (z[k + 1] - z[k])),
+    "degenerate": lambda z, k: (z[k], z[k]),
+    "reversed": lambda z, k: (z[k + 1], z[k - 1]),
+    "unbounded": lambda z, k: (-math.inf, z[k]),  # holds 0..k
+    "nan": lambda z, k: (math.nan, z[k]),
+}
+
+
 class TestWindow:
-    """eigenvalues(..., within=(lo, hi)) returns the requested indices whatever the window holds."""
+    """eigenvalues(..., within=...) returns the requested indices whatever the windows hold."""
 
     K = 3
 
@@ -298,23 +324,30 @@ class TestWindow:
     def full(self):
         return eigenvalues(reference_channel(), self.K + 4).eigenvalues
 
-    @pytest.mark.parametrize(
-        "window",
-        [
-            lambda z, k: (z[k + 1] * (1 - PASS_TOL), z[k + 1] * (1 + PASS_TOL)),  # holds k + 1 only
-            lambda z, k: ((z[k - 1] + z[k]) / 2, (z[k + 1] + z[k + 2]) / 2),  # holds k and k + 1
-            lambda z, k: (z[k] + 0.25 * (z[k + 1] - z[k]), z[k] + 0.75 * (z[k + 1] - z[k])),  # empty
-            lambda z, k: (z[k], z[k]),  # degenerate
-            lambda z, k: (z[k + 1], z[k - 1]),  # reversed
-            lambda z, k: (-math.inf, z[k]),  # holds 0..k
-            lambda z, k: (math.nan, z[k]),
-        ],
-        ids=["next-index", "two-indices", "empty", "degenerate", "reversed", "unbounded", "nan"],
-    )
+    def pass_window(self, full):
+        return (full[self.K] * (1 - PASS_TOL), full[self.K] * (1 + PASS_TOL))
+
+    @pytest.mark.parametrize("window", WINDOWS_WITHOUT_K.values(), ids=WINDOWS_WITHOUT_K.keys())
     def test_window_without_index_k_falls_back(self, full, window):
         spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=window(full, self.K))
         assert spectrum.first == self.K
         assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+
+    @pytest.mark.parametrize("then_pass_window", [True, False], ids=["then-pass-window", "alone"])
+    @pytest.mark.parametrize("window", WINDOWS_WITHOUT_K.values(), ids=WINDOWS_WITHOUT_K.keys())
+    def test_windows_tried_in_order(self, full, monkeypatch, window, then_pass_window):
+        windows = [window(full, self.K)] + ([self.pass_window(full)] if then_pass_window else [])
+        calls = spy_certified_window(monkeypatch)
+        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=windows)
+        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+        assert [certified for *_, certified in calls] == [False, True][: len(windows)]
+
+    def test_first_certified_window_ends_the_search(self, full, monkeypatch):
+        calls = spy_certified_window(monkeypatch)
+        windows = [self.pass_window(full), WINDOWS_WITHOUT_K["next-index"](full, self.K)]
+        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=windows)
+        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+        assert [certified for *_, certified in calls] == [True]
 
     def test_window_holding_the_indices_is_used(self, full):
         k = self.K
@@ -351,6 +384,49 @@ class TestWindow:
         assert any(s.zeta_sq < 0.0 for s, _ in reports)
         assert any(s.heun.alpha < 0.0 for s, _ in reports)
         for state, report in reports:
+            assert_oracle_values_are_index_k(state, report)
+
+
+def verify_workload_cells():
+    """The 36 cells of n <= 12, l in {1, -1, 2} at m = M = lambda = eta = 1: 132 states."""
+    cells = []
+    for n in range(1, 13):
+        for l in (1, -1, 2):
+            problem = ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, l), n)
+            cells.append(solve_cubic(problem) if n == 1 else solve_frequency(problem))
+    return cells
+
+
+class TestRefinedHint:
+    """The refined eigenvalue is bisected inside the window the coarse one predicts."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        return verify_workload_cells()
+
+    def test_every_hint_is_certified(self, cells, monkeypatch):
+        # one certified window per grid: the pass window, then a far narrower hint
+        calls = spy_certified_window(monkeypatch)
+        states = [state for cell in cells for state in cell]
+        assert len(states) == 132
+        for state in states:
+            calls.clear()
+            report = verify_solution(state)
+            assert report.passed
+            pass_width = 2.0 * PASS_TOL * abs(state.zeta_sq)
+            (coarse, refined) = calls
+            assert coarse == (report.grid_n, pytest.approx(pass_width), True)
+            assert refined[0] == report.grid_n_refined and refined[2], (state.n, state.l, state.omega)
+            assert refined[1] < 1e-2 * pass_width
+
+    def test_negative_control_falls_back_to_index_k(self, cells, monkeypatch):
+        # at 1.05 omega neither the hint nor the pass window holds eigenvalue k
+        calls = spy_certified_window(monkeypatch)
+        for state in [cell[0] for cell in cells]:
+            calls.clear()
+            report = verify_solution(state, perturb_omega=1.05)
+            assert not report.passed
+            assert [certified for *_, certified in calls] == [False, False, False]
             assert_oracle_values_are_index_k(state, report)
 
 
