@@ -20,7 +20,6 @@ the 1/rho^2 singularity either.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -46,7 +45,7 @@ TARGET_MARGIN = 10.0
 # than the 1e-10 relative contract; a fixed tiny value keeps every eigenvalue
 # refined to machine-level width.
 _EIG_ABS_TOL = 1e-14
-# The refined eigenvalue is first bisected inside a window predicted from the
+# The refined eigenvalue is bisected inside a window predicted from the
 # coarse one by h^2 convergence. Its half-width is HINT_WIDTH times the coarse
 # deviation |z_coarse - claim| (the prediction missed by at most 1.9% of it over
 # the 132 states of n <= 12, l in {1, -1, 2}, and 2.4% over 543 random-sweep
@@ -125,23 +124,15 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-Window = tuple[float, float]
-
-
 def eigenvalues(
-    spec: RadialOperatorSpec,
-    count: int,
-    first: int = 0,
-    *,
-    within: Window | Sequence[Window] | None = None,
+    spec: RadialOperatorSpec, count: int, first: int = 0, *, within: tuple[float, float] | None = None
 ) -> OracleSpectrum:
     """Eigenvalues of indices first..count-1 of the channel by Sturm-sequence bisection.
 
-    within is one window (lo, hi) or a sequence of them, tried in order. Only
-    (lo, hi] is bisected, and its values are used when Sturm counts certify
-    that it holds exactly these indices; otherwise the next window is tried.
-    When no window is certified, as without a window, the indices are bisected
-    from the Gershgorin bounds, so the result is the same indices either way.
+    With within = (lo, hi) only (lo, hi] is bisected, and its values are used
+    when Sturm counts certify that it holds exactly these indices. Otherwise,
+    as without a window, the indices are bisected from the Gershgorin bounds,
+    so the result is the same indices either way.
     A narrow window costs fewer bisection sweeps: each halves the interval
     down to _EIG_ABS_TOL. The values themselves are exact only to the
     rounding of the operator, about half an ulp of 2/h^2 (see
@@ -161,12 +152,7 @@ def eigenvalues(
     if not 0 <= first < count:
         raise ValueError(f"first must lie in [0, {count}), got {first}")
     d, e = build_operator(spec)
-    vals = None
-    if within is not None:
-        for lo, hi in (within,) if np.ndim(within) == 1 else within:
-            vals = _certified_window(d, e, count, first, lo, hi)
-            if vals is not None:
-                break
+    vals = None if within is None else _certified_window(d, e, count, first, *within)
     if vals is None:
         try:
             vals = eigh_tridiagonal(
@@ -208,7 +194,7 @@ def _certified_window(
     return vals[:found]
 
 
-def _refined_hint(claim: float, coarse: float, step: float, step_refined: float) -> Window:
+def _refined_hint(claim: float, coarse: float, step: float, step_refined: float) -> tuple[float, float]:
     """Window where h^2 convergence puts the refined eigenvalue, given the coarse one.
 
     The deviation from the claim shrinks by (step_refined / step)^2, 1/4 for a
@@ -267,14 +253,14 @@ def verify_solution(
     interior points with a shared rho_max, and on each grid only the
     eigenvalue at index node_count is compared with the claimed zeta^2. On
     the coarse grid it is bisected inside claim * (1 -/+ PASS_TOL), the values
-    that can pass. On the refined grid it is bisected first inside the much
+    that can pass. On the refined grid it is bisected inside the much
     narrower window that h^2 convergence predicts from the coarse value
-    (_refined_hint), then inside the pass window. A window is used only when
-    Sturm counts certify that it holds exactly this index, and the index is
-    bisected from the Gershgorin bounds when none does, as for a failing state
-    or a perturbed frequency; either way both oracle values are eigenvalue
-    node_count. PASS requires relative deviation < PASS_TOL on the coarse grid
-    and a strictly smaller deviation on the refined one.
+    (_refined_hint). A window is used only when Sturm counts certify that it
+    holds exactly this index, and the index is bisected from the Gershgorin
+    bounds when it does not, as for a failing state or a perturbed frequency;
+    either way both oracle values are eigenvalue node_count. PASS requires
+    relative deviation < PASS_TOL on the coarse grid and a strictly smaller
+    deviation on the refined one.
 
     Every diagonal entry carries 2/h^2 (1.8e6 at 8000 points in a box of
     8.5), so the oracle values carry absolute rounding noise of about half an
@@ -315,7 +301,7 @@ def verify_solution(
     (zeta_oracle,) = eigenvalues(coarse_spec, k + 1, k, within=window).eigenvalues
     refined_spec = replace(coarse_spec, n_grid=grid_n_refined)
     hint = _refined_hint(claim, zeta_oracle, coarse_spec.step, refined_spec.step)
-    (zeta_oracle_refined,) = eigenvalues(refined_spec, k + 1, k, within=(hint, window)).eigenvalues
+    (zeta_oracle_refined,) = eigenvalues(refined_spec, k + 1, k, within=hint).eigenvalues
     deviation = abs(zeta_oracle - claim) / scale
     deviation_refined = abs(zeta_oracle_refined - claim) / scale
     ratio = deviation / deviation_refined if deviation_refined > 0.0 else math.inf

@@ -303,20 +303,8 @@ def spy_certified_window(monkeypatch):
     return calls
 
 
-# Windows that do not hold exactly index k of the spectrum z, by test id.
-WINDOWS_WITHOUT_K = {
-    "next-index": lambda z, k: (z[k + 1] * (1 - PASS_TOL), z[k + 1] * (1 + PASS_TOL)),
-    "two-indices": lambda z, k: ((z[k - 1] + z[k]) / 2, (z[k + 1] + z[k + 2]) / 2),
-    "empty": lambda z, k: (z[k] + 0.25 * (z[k + 1] - z[k]), z[k] + 0.75 * (z[k + 1] - z[k])),
-    "degenerate": lambda z, k: (z[k], z[k]),
-    "reversed": lambda z, k: (z[k + 1], z[k - 1]),
-    "unbounded": lambda z, k: (-math.inf, z[k]),  # holds 0..k
-    "nan": lambda z, k: (math.nan, z[k]),
-}
-
-
 class TestWindow:
-    """eigenvalues(..., within=...) returns the requested indices whatever the windows hold."""
+    """eigenvalues(..., within=(lo, hi)) returns the requested indices whatever the window holds."""
 
     K = 3
 
@@ -324,30 +312,23 @@ class TestWindow:
     def full(self):
         return eigenvalues(reference_channel(), self.K + 4).eigenvalues
 
-    def pass_window(self, full):
-        return (full[self.K] * (1 - PASS_TOL), full[self.K] * (1 + PASS_TOL))
-
-    @pytest.mark.parametrize("window", WINDOWS_WITHOUT_K.values(), ids=WINDOWS_WITHOUT_K.keys())
+    @pytest.mark.parametrize(
+        "window",
+        [
+            lambda z, k: (z[k + 1] * (1 - PASS_TOL), z[k + 1] * (1 + PASS_TOL)),  # holds k + 1 only
+            lambda z, k: ((z[k - 1] + z[k]) / 2, (z[k + 1] + z[k + 2]) / 2),  # holds k and k + 1
+            lambda z, k: (z[k] + 0.25 * (z[k + 1] - z[k]), z[k] + 0.75 * (z[k + 1] - z[k])),  # empty
+            lambda z, k: (z[k], z[k]),  # degenerate
+            lambda z, k: (z[k + 1], z[k - 1]),  # reversed
+            lambda z, k: (-math.inf, z[k]),  # holds 0..k
+            lambda z, k: (math.nan, z[k]),
+        ],
+        ids=["next-index", "two-indices", "empty", "degenerate", "reversed", "unbounded", "nan"],
+    )
     def test_window_without_index_k_falls_back(self, full, window):
         spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=window(full, self.K))
         assert spectrum.first == self.K
         assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
-
-    @pytest.mark.parametrize("then_pass_window", [True, False], ids=["then-pass-window", "alone"])
-    @pytest.mark.parametrize("window", WINDOWS_WITHOUT_K.values(), ids=WINDOWS_WITHOUT_K.keys())
-    def test_windows_tried_in_order(self, full, monkeypatch, window, then_pass_window):
-        windows = [window(full, self.K)] + ([self.pass_window(full)] if then_pass_window else [])
-        calls = spy_certified_window(monkeypatch)
-        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=windows)
-        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
-        assert [certified for *_, certified in calls] == [False, True][: len(windows)]
-
-    def test_first_certified_window_ends_the_search(self, full, monkeypatch):
-        calls = spy_certified_window(monkeypatch)
-        windows = [self.pass_window(full), WINDOWS_WITHOUT_K["next-index"](full, self.K)]
-        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=windows)
-        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
-        assert [certified for *_, certified in calls] == [True]
 
     def test_window_holding_the_indices_is_used(self, full):
         k = self.K
@@ -420,13 +401,13 @@ class TestRefinedHint:
             assert refined[1] < 1e-2 * pass_width
 
     def test_negative_control_falls_back_to_index_k(self, cells, monkeypatch):
-        # at 1.05 omega neither the hint nor the pass window holds eigenvalue k
+        # at 1.05 omega neither the pass window nor the hint holds eigenvalue k
         calls = spy_certified_window(monkeypatch)
         for state in [cell[0] for cell in cells]:
             calls.clear()
             report = verify_solution(state, perturb_omega=1.05)
             assert not report.passed
-            assert [certified for *_, certified in calls] == [False, False, False]
+            assert [certified for *_, certified in calls] == [False, False]
             assert_oracle_values_are_index_k(state, report)
 
 
