@@ -20,10 +20,10 @@ potentials cannot be chosen freely, the oscillator frequency itself is
 quantized. For n = 1 the condition c_2 = 0 is a cubic in omega solved in
 closed form; for general n every root of c_{n+1}(omega) is an eigenvalue of
 one real companion matrix in u = 1/(m*omega) of size (n+1) + floor((n+1)/2)
-(solve_frequency). Each cell is solved as one batch: one array recurrence
-tests every eigenvalue for a sign change of c_{n+1}, one gives every state's
-coefficients, and one Sturm count over the Jacobi matrix of the same
-recurrence gives every state's node count (_node_counts).
+(solve_frequency). Each cell takes one array recurrence at every eigenvalue
+candidate and just below and above it (_cell_rows): c_{n+1} below and above
+tests the root, the sign changes of c_0..c_{n+1} there are Sturm counts that
+give the node count (_node_counts), and the row at it gives the coefficients.
 
 Energies follow as
 
@@ -257,27 +257,25 @@ def solve_cubic(problem: ReducedProblem) -> list["SpectralSolution"]:
             "which construction of the problem excludes"
         )
     cubic_residuals = [abs(((w + a2) * w + a1) * w + a0) for w in roots]
-    return _make_solutions(problem, roots, cubic_residuals)
+    return _make_solutions(problem, roots, _cell_rows(problem, roots), cubic_residuals)
 
 
-def _heun_arrays(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, delta) at each frequency, packed from the scalar map so each is bit-identical to it."""
-    pairs = [_alpha_delta(problem, float(w)) for w in omegas]
-    alpha, delta = np.array(pairs, dtype=float).reshape(-1, 2).T
-    return alpha, delta
+def _cell_rows(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c_0..c_{n+2} at omega * (1 - ROOT_RTOL), omega * (1 + ROOT_RTOL) and omega, in one recurrence.
+
+    Returns the rows, shape (3, len(omegas), n + 3), and (alpha, delta) at each omega; both are
+    packed from the scalar _alpha_delta, so each row is bit-identical to a scalar recurrence.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    probes = np.concatenate([omegas * (1.0 - ROOT_RTOL), omegas * (1.0 + ROOT_RTOL), omegas])
+    alpha, delta = np.array([_alpha_delta(problem, w) for w in probes.tolist()]).reshape(-1, 2).T
+    raw = series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
+    return raw.reshape(3, len(omegas), problem.n + 3), alpha.reshape(3, -1)[2], delta.reshape(3, -1)[2]
 
 
-def _truncation_at(problem: ReducedProblem, omegas: np.ndarray) -> np.ndarray:
-    """c_{n+1} at each frequency of omegas: its roots are the allowed frequencies."""
-    alpha, delta = _heun_arrays(problem, omegas)
-    return series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 1)[:, -1]
-
-
-def _brackets_root(problem: ReducedProblem, omegas: np.ndarray) -> np.ndarray:
-    """Whether c_{n+1} changes sign across each omega * (1 -/+ ROOT_RTOL), from one recurrence."""
-    probes = np.concatenate([omegas * (1.0 - ROOT_RTOL), omegas * (1.0 + ROOT_RTOL)])
-    below, above = np.split(_truncation_at(problem, probes), 2)
-    return below * above <= 0.0
+def _brackets_root(problem: ReducedProblem, rows: np.ndarray) -> np.ndarray:
+    """Whether c_{n+1} changes sign across each omega * (1 -/+ ROOT_RTOL), from its _cell_rows."""
+    return rows[0, :, problem.n + 1] * rows[1, :, problem.n + 1] <= 0.0
 
 
 def _jacobi_offdiagonal(n: int, theta: int) -> np.ndarray:
@@ -317,8 +315,9 @@ def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
 
 def _polish(problem: ReducedProblem, omega: float, cap: float) -> float:
     """Secant steps on c_{n+1} from an eigenvalue estimate, each at most cap long."""
+    truncation = lambda ws: _cell_rows(problem, ws)[0][2, :, problem.n + 1].tolist()
     x0, x1 = omega, omega * (1.0 + SECANT_START_RTOL)
-    f0, f1 = _truncation_at(problem, np.array([x0, x1])).tolist()
+    f0, f1 = truncation([x0, x1])
     for _ in range(SECANT_STEPS):
         if f1 == f0:
             break
@@ -327,7 +326,7 @@ def _polish(problem: ReducedProblem, omega: float, cap: float) -> float:
         x1 += step
         if abs(step) <= STEP_RTOL * x1:
             break
-        f1 = _truncation_at(problem, np.array([x1])).item()
+        (f1,) = truncation([x1])
     return x1
 
 
@@ -351,29 +350,33 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     of size (n+1) + floor((n+1)/2), balanced by u = sigma^2 t, whose real
     positive eigenvalues carry every root. That is about an eighth of the
     LAPACK work of the linearization in s of size 3(n+1), which computes each
-    root twice; at eta = 0, T is linear in s. One array recurrence tests every
-    candidate for a sign change of c_{n+1} across it, and a candidate that
-    passes is a root as it stands. One that fails is polished by secant steps
-    capped at half the gap to its neighbours and kept only if it passes then.
+    root twice; at eta = 0, T is linear in s. One _cell_rows recurrence tests
+    every candidate for a sign change of c_{n+1} across it, and a candidate that
+    passes is a root as it stands, its state read off the same rows. One that
+    fails is polished by secant steps capped at half the gap to its neighbours
+    and kept only if it passes then; such a cell's roots take _cell_rows again.
     """
     candidates = _candidate_frequencies(problem)
     gaps = np.diff(candidates, prepend=0.0, append=math.inf)
     caps = 0.5 * np.minimum(gaps[:-1], gaps[1:])
-    passed = _brackets_root(problem, candidates)
-    roots = []
+    rows, alpha, delta = _cell_rows(problem, candidates)
+    passed = _brackets_root(problem, rows)
+    kept = []
     for w, cap, brackets in zip(candidates.tolist(), caps.tolist(), passed.tolist()):
         if not brackets:
             w = _polish(problem, w, cap)
-            brackets = _brackets_root(problem, np.array([w])).item()
+            brackets = _brackets_root(problem, _cell_rows(problem, [w])[0]).item()
         if brackets:
-            roots.append(w)
-    roots = _merge_close(roots)
+            kept.append(w)
+    roots = _merge_close(kept)
     if not roots:
         raise NoRootInRange(
             f"no sign change of c_{problem.n + 1}(omega) at any of the {len(candidates)} "
             "positive real eigenvalue candidates: the cell has no quantized frequency"
         )
-    return _make_solutions(problem, roots)
+    if roots != candidates[passed].tolist():  # a root was polished or merged
+        return _make_solutions(problem, roots, _cell_rows(problem, roots))
+    return _make_solutions(problem, roots, (rows[:, passed], alpha[passed], delta[passed]))
 
 
 def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
@@ -382,7 +385,7 @@ def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
     At the state's alpha, delta is an eigenvalue of the symmetric tridiagonal
     J = -(K0 + alpha*D)/2 (see solve_frequency). By oscillation theory the
     node count is the number of eigenvalues of J above the one delta matches.
-    This dense count is the fallback of _node_counts.
+    This dense count is the fallback of _node_counts for uncertified states.
     """
     off = 0.5 * _jacobi_offdiagonal(problem.n, problem.theta)
     diagonal = -0.5 * alpha * (2.0 * np.arange(problem.n + 1) + problem.theta)
@@ -390,41 +393,34 @@ def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
     return int(problem.n - np.argmin(np.abs(mu - delta)))
 
 
-def _node_counts(problem: ReducedProblem, alpha: np.ndarray, delta: np.ndarray) -> list[int]:
-    """Node counts of the states (alpha, delta) of one cell, from certified Sturm counts.
+def _node_counts(problem: ReducedProblem, cell: tuple) -> list[int]:
+    """Node counts of the states of one cell, from Sturm counts in their _cell_rows (cell).
 
-    The LDL^T pivots of J - x (J as in _node_count) count the eigenvalues of J
-    below x, with no eigenvalue computed; one recursion runs for every state
-    at x = delta - h and delta + h at once, where h is 1e-8 of a bound on
-    |J|. When the counts differ by exactly one, one eigenvalue lies within h
-    of delta: it is the one delta matches, and the eigenvalues above it number
-    (n+1) - count(delta + h). Any other state takes the dense _node_count.
+    At g = 2n, c_j is a positive multiple of the j-th leading principal minor of
+    delta - J (J as in _node_count), so the sign changes of c_0..c_{n+1} count the
+    eigenvalues of J above delta. When those of the rows at omega * (1 -/+ ROOT_RTOL)
+    differ by exactly one and no c_j is zero, the smaller is the number above the
+    eigenvalue delta matches. Any other state takes the dense _node_count.
     """
-    off_sq = np.append(0.0, (0.5 * _jacobi_offdiagonal(problem.n, problem.theta)) ** 2)
-    diagonal = -0.5 * np.outer(alpha, 2.0 * np.arange(problem.n + 1) + problem.theta)
-    h = 1e-8 * (np.abs(diagonal).max(axis=1) + 2.0 * np.sqrt(off_sq.max()))
-    x = np.stack([delta - h, delta + h])
-    below, pivot, tiny = np.zeros(x.shape, dtype=int), np.ones_like(x), np.finfo(float).tiny
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(problem.n + 1):
-            pivot = diagonal[:, i] - x - off_sq[i] / pivot
-            pivot[pivot == 0.0] = tiny  # a zero pivot would divide by zero next step
-            below += pivot < 0.0
-    return [
-        problem.n + 1 - hi if hi - lo == 1 else _node_count(problem, alpha[k], delta[k])
-        for k, (lo, hi) in enumerate(zip(*below.tolist()))
-    ]
+    rows, alpha, delta = cell
+    signs = np.sign(rows[:2, :, : problem.n + 2])
+    below, above = (signs[..., 1:] != signs[..., :-1]).sum(axis=-1)
+    certified = (np.abs(below - above) == 1) & (signs != 0).all(axis=(0, 2))
+    nodes = np.minimum(below, above).tolist()
+    for k in np.flatnonzero(~certified).tolist():
+        nodes[k] = _node_count(problem, alpha[k], delta[k])
+    return nodes
 
 
 def _make_solutions(
-    problem: ReducedProblem, roots: list[float], cubic_residuals: list[float] | None = None
+    problem: ReducedProblem, roots: list[float], cell: tuple, cubic_residuals: list[float] | None = None
 ) -> list[SpectralSolution]:
-    """Assemble the solution records of a cell's frequency roots, ascending."""
-    alpha, delta = _heun_arrays(problem, roots)
-    raw = series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
+    """Assemble the solution records of a cell's frequency roots, ascending, from their _cell_rows."""
+    rows, alpha, delta = cell
+    raw = rows[2]
     scale = np.abs(raw[:, : problem.n + 1]).max(axis=1, keepdims=True)
     tails = (np.abs(raw[:, problem.n + 1 :]) / scale).tolist()
-    nodes = _node_counts(problem, alpha, delta)
+    nodes = _node_counts(problem, cell)
     solutions = []
     for k, omega in enumerate(roots):
         residuals = {"truncation": tails[k][0], "truncation_next": tails[k][1]}

@@ -16,10 +16,11 @@ The series collapses to a degree-n polynomial exactly when g = 2n and
 c_{n+1} = 0 simultaneously; that pair of conditions is the quasi-exact
 solvability mechanism that quantizes the oscillator frequency (see quantize).
 _raw_coefficients is the one implementation of the recurrence: quantize calls
-it for c_{n+1}(omega) and for each state's polynomial, and every c_j the
-package reports comes from it. Given equal-shape arrays of alpha and delta it
-runs the recurrence for all of them at once, each element bit-identical to a
-scalar call, which is how quantize treats all frequencies of a cell at once.
+it once per cell for c_{n+1}(omega), each state's polynomial and its node
+count, and every c_j the package reports comes from it. Given equal-shape
+arrays of alpha and delta it runs the recurrence for all of them at once,
+each element bit-identical to a scalar call, which is how quantize treats
+all frequencies of a cell at once.
 This module only manipulates the series; it knows nothing about physical
 parameters.
 """
@@ -67,8 +68,8 @@ def _raw_coefficients(alpha, delta, theta: int, g: float, j_max: int):
     give an array with one more axis, of length j_max + 1, whose every
     element is bit-identical to the scalar call at that (alpha, delta).
     Set g = 2n to probe truncation at degree n: c_{n+1} is then the
-    truncation residual. Raises OverflowGuard the moment any coefficient
-    magnitude passes OVERFLOW_LIMIT, in any element.
+    truncation residual. Raises OverflowGuard if any c_j (j >= 2) of any element
+    passes OVERFLOW_LIMIT, naming the first such j and its first such element.
     """
     batch = np.ndim(alpha) > 0
     alpha, delta = np.asarray(alpha, dtype=float), np.asarray(delta, dtype=float)
@@ -76,21 +77,22 @@ def _raw_coefficients(alpha, delta, theta: int, g: float, j_max: int):
     c = [np.ones_like(alpha), alpha / 2.0 + delta / theta]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(j_max - 1):
-            c_next = (
+            c.append(
                 (two_alpha * (j + 1) + theta_alpha + two_delta) * c[j + 1]
                 / (2.0 * (j + 2) * (j + 1 + theta))
                 - (g - 2.0 * j) * c[j] / ((j + 2) * (j + 1 + theta))
             )
-            big = np.abs(c_next) > OVERFLOW_LIMIT
-            if big.any():
-                at = np.argmax(big)  # the first offending element
-                c_big, a, d = (np.ravel(x)[at] for x in (c_next, alpha, delta))
-                raise OverflowGuard(
-                    f"|c_{j + 2}| = {abs(c_big):.3e} exceeds {OVERFLOW_LIMIT:.0e} "
-                    f"(alpha={a:.6g}, delta={d:.6g}, theta={theta}, g={g:.6g})"
-                )
-            c.append(c_next)
     out = np.stack(c, axis=-1)
+    rows = out.reshape(-1, j_max + 1)
+    big = np.abs(rows[:, 2:]) > OVERFLOW_LIMIT
+    if big.any():
+        j = np.argmax(big.any(axis=0)) + 2
+        at = np.argmax(big[:, j - 2])
+        a, d = (np.ravel(x)[at] for x in (alpha, delta))
+        raise OverflowGuard(
+            f"|c_{j}| = {abs(rows[at, j]):.3e} exceeds {OVERFLOW_LIMIT:.0e} "
+            f"(alpha={a:.6g}, delta={d:.6g}, theta={theta}, g={g:.6g})"
+        )
     return out if batch else out.tolist()
 
 

@@ -22,6 +22,7 @@ from heunqes.quantize import (
     ReducedProblem,
     SpectralSolution,
     _alpha_delta,
+    _cell_rows,
     _node_count,
     _node_counts,
     _polish,
@@ -214,7 +215,12 @@ class TestSolveFrequency:
             assert sol.omega == pytest.approx(ref, rel=1e-10)
 
     def test_no_root_reports_scan_interval(self, monkeypatch):
-        monkeypatch.setattr("heunqes.quantize._truncation_at", lambda problem, w: np.ones_like(w))
+        def no_sign_change(p, omegas):
+            rows, alpha, delta = _cell_rows(p, omegas)
+            rows[:2, :, p.n + 1] = 1.0  # c_{n+1} below and above every candidate
+            return rows, alpha, delta
+
+        monkeypatch.setattr("heunqes.quantize._cell_rows", no_sign_change)
         with pytest.raises(NoRootInRange, match="sign change"):
             solve_frequency(problem())
 
@@ -289,22 +295,46 @@ class TestNodeCount:
 
     @pytest.mark.parametrize("n,l,alpha", [(6, 1, 0.8), (12, -2, -3.1), (30, 3, 7.5)])
     def test_uncertified_counts_fall_back_to_dense(self, n, l, alpha, monkeypatch):
-        # delta a quarter and three quarters of the way between neighbouring eigenvalues of J:
-        # no eigenvalue lies within h of it, so the Sturm counts cannot certify the state
+        # probe rows at delta -/+ 1e-8 of a bound on |J|, delta a quarter and three quarters of
+        # the way between neighbouring eigenvalues of J: no eigenvalue lies between the probes,
+        # so their Sturm counts agree and cannot certify the state
         p = problem(n=n, l=l)
         i = np.arange(1, n + 1)
         off = np.sqrt(2.0 * (n - i + 1) * i * (i - 1 + p.theta))
         diagonal = -0.5 * alpha * (2.0 * np.arange(n + 1) + p.theta)
         mu = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
         delta = np.concatenate([mu[:-1] + 0.25 * np.diff(mu), mu[:-1] + 0.75 * np.diff(mu), mu])
+        h = 1e-8 * (np.abs(diagonal).max() + 2.0 * off.max())
+        probes = np.concatenate([delta - h, delta + h])
+        rows = _raw_coefficients(np.full(probes.shape, alpha), probes, p.theta, 2.0 * n, n + 2)
         dense = []
         monkeypatch.setattr(
             "heunqes.quantize._node_count", lambda *args: dense.append(args) or _node_count(*args)
         )
-        counts = _node_counts(p, np.full(delta.shape, alpha), delta)
+        counts = _node_counts(p, (rows.reshape(2, len(delta), -1), np.full(delta.shape, alpha), delta))
         assert len(dense) == 2 * n
         assert counts == [_node_count(p, alpha, d) for d in delta.tolist()]
         assert counts[2 * n :] == list(range(n, -1, -1))
+
+    def test_probe_counts_match_dense_on_a_seeded_sweep(self, monkeypatch):
+        # every state's count comes from its probe rows: the dense fallback never fires
+        dense = []
+        monkeypatch.setattr(
+            "heunqes.quantize._node_count", lambda *args: dense.append(args) or _node_count(*args)
+        )
+        rng = np.random.default_rng(1603_0309)
+        states = []
+        for _ in range(200):
+            n = int(rng.integers(1, 51))
+            m, coupling = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-2, 2)
+            eta = float(rng.choice([-1.0, 0.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+            l = int(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+            p = problem(n=n, mass=m, quad=coupling, eta=eta, l=l)
+            states += solve_cubic(p) if n == 1 else solve_frequency(p)
+        assert not dense
+        assert len(states) > 1000
+        for sol in states:
+            assert sol.node_count == _node_count(sol.problem, sol.heun.alpha, sol.heun.delta), sol
 
     def test_negative_eta_reverses_order(self):
         # ascending omega is not ascending node count: rank would give [0, 1]

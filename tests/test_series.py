@@ -116,6 +116,14 @@ class TestArrayRecurrence:
             with pytest.raises(OverflowGuard, match=r"\|c_2\|.*alpha=1e\+150, delta=0\b"):
                 _raw_coefficients(alpha, delta, 1, 2.0, 4)
 
+    def test_guard_names_the_first_step_past_the_limit(self):
+        # 1e100 first passes the limit at c_3 and 1e60 only at c_5, though it comes first
+        alpha, delta = np.array([1e60, 0.3, 1e100, -0.7]), np.array([0.5, 0.1, -0.25, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuard, match=r"\|c_3\| = .*alpha=1e\+100, delta=-0\.25\b"):
+                _raw_coefficients(alpha, delta, 1, 2.0, 6)
+
     def test_inf_beside_nan_trips_the_guard(self):
         # c_2 jumps straight to inf in one element while another is nan: np.max would see nan
         alpha, delta = np.array([math.nan, 1e300, 0.5]), np.zeros(3)
