@@ -7,7 +7,8 @@ self-adjoint form with u(rho) = sqrt(rho) * R(rho),
         = zeta^2 u,
 
 discretized by central second differences on a uniform grid with Dirichlet
-ends, and diagonalized by Sturm-sequence bisection. A quantized frequency is
+ends, and diagonalized by Sturm-sequence bisection: LAPACK's dstebz, the one
+routine the oracle takes from scipy (see _dstebz). A quantized frequency is
 genuine exactly when the analytic zeta^2 shows up in this spectrum at the
 index equal to the state's radial node count (Sturm oscillation ordering),
 with the residual deviation shrinking like h^2 under grid doubling.
@@ -19,13 +20,18 @@ the 1/rho^2 singularity either.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidGrid
+from .errors import ConvergenceFailure, InvalidGrid, OverflowGuard
 from .wavefunction import suggested_rho_max
 
 if TYPE_CHECKING:
@@ -110,17 +116,30 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     Returns:
         (d, e) with d[i] = 2/h^2 + V_eff(rho_i) at the n_grid interior nodes
         and e[i] = -1/h^2 on both off-diagonals (length n_grid - 1).
+
+    Raises:
+        OverflowGuard: a diagonal entry is not finite, from a large m*omega
+            or a box too large or too small for the double range.
     """
     h = spec.step
     rho = h * np.arange(1, spec.n_grid + 1)
-    v_eff = (
-        (spec.abs_l**2 - 0.25) / rho**2
-        + spec.coulomb_strength / rho
-        + (spec.m * spec.omega) ** 2 * rho**2
-        + 2.0 * spec.m * spec.eta * rho
-    )
-    d = 2.0 / h**2 + v_eff
-    e = np.full(spec.n_grid - 1, -1.0 / h**2)
+    # numpy's ** is the same libm pow as Python's, but overflows to inf
+    # rather than raising OverflowError, and 1/0 is inf, not ZeroDivisionError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h2 = np.float64(h) ** 2
+        v_eff = (
+            (spec.abs_l**2 - 0.25) / rho**2
+            + spec.coulomb_strength / rho
+            + np.float64(spec.m * spec.omega) ** 2 * rho**2
+            + 2.0 * spec.m * spec.eta * rho
+        )
+        d = 2.0 / h2 + v_eff
+        e = np.full(spec.n_grid - 1, -1.0 / h2)
+    if not np.isfinite(d).all():
+        raise OverflowGuard(
+            f"finite-difference operator overflows (m*omega = {spec.m * spec.omega:.3e}, "
+            f"rho_max = {spec.rho_max:.6g})"
+        )
     return d, e
 
 
@@ -139,12 +158,10 @@ def eigenvalues(
     verify_solution).
 
     Raises:
+        OverflowGuard: the operator is not finite (build_operator).
         ConvergenceFailure: the bisection backend failed or returned a
             non-ascending sequence.
     """
-    # scipy is imported here so the solver-only commands never load it.
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > spec.n_grid:
@@ -154,17 +171,13 @@ def eigenvalues(
     d, e = build_operator(spec)
     vals = None if within is None else _certified_window(d, e, count, first, *within)
     if vals is None:
-        try:
-            vals = eigh_tridiagonal(
-                d,
-                e,
-                eigvals_only=True,
-                select="i",
-                select_range=(first, count - 1),
-                tol=_EIG_ABS_TOL,
+        # range = 2: indices il..iu, 1-based
+        found, vals, _, _, info = _dstebz()(d, e, 2, 0.0, 0.0, first + 1, count, _EIG_ABS_TOL, b"E")
+        if info != 0 or found != count - first:
+            raise ConvergenceFailure(
+                f"dstebz failed: info = {info}, {found} of {count - first} eigenvalues"
             )
-        except LinAlgError as exc:
-            raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+        vals = vals[:found]
     if not np.all(np.isfinite(vals)):
         raise ConvergenceFailure("eigensolver returned non-finite eigenvalues")
     if np.any(np.diff(vals) <= 0.0):
@@ -181,8 +194,7 @@ def _certified_window(
     (floor, lo], with floor below the Gershgorin bound and a tolerance so wide
     that nothing is bisected, then the bisection of (lo, hi] to _EIG_ABS_TOL.
     """
-    from scipy.linalg.lapack import dstebz
-
+    dstebz = _dstebz()
     floor = min(float(d.min() - 2.0 * np.abs(e).max()), lo)
     floor -= 1.0 + abs(floor)
     if not -math.inf < floor < lo < hi < math.inf:
@@ -192,6 +204,32 @@ def _certified_window(
     if info_below != 0 or info != 0 or below != first or found != count - first:
         return None
     return vals[:found]
+
+
+@functools.cache
+def _dstebz():
+    """LAPACK dstebz from scipy's compiled _flapack, loaded without scipy.linalg.
+
+    Importing scipy.linalg takes about 0.3 s (scipy 1.17's array-API shim
+    imports numpy.f2py and numpy.testing); the extension file alone, under
+    10 ms. It is the routine scipy.linalg.lapack.dstebz.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is loaded already
+        return sys.modules[name].dstebz
+    scipy = importlib.util.find_spec("scipy")  # locates the package, imports nothing
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next(filter(os.path.isfile, (os.path.join(directory, "_flapack" + s) for s in suffixes)), None)
+    if path is None:
+        raise ImportError(f"no compiled _flapack extension in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    # A single-phase extension enters itself in sys.modules; take it out so a
+    # later import of scipy.linalg binds _flapack to its package as usual.
+    sys.modules.pop(name, None)
+    return module.dstebz
 
 
 def _refined_hint(claim: float, coarse: float, step: float, step_refined: float) -> tuple[float, float]:
@@ -213,11 +251,23 @@ def default_rho_max(m: float, omega: float, eta: float, zeta_sq_target: float) -
     largest eigenvalue the caller intends to resolve; zeta_t is floored at
     m*omega so a positive root always exists. Gaussian decay past the turning
     point makes the remaining truncation error negligible against PASS_TOL.
+
+    Raises:
+        OverflowGuard: the box is not finite, as when (m*omega)^2 leaves
+            the double range.
     """
     zeta_t = max(zeta_sq_target, m * omega)
-    a = (m * omega) ** 2
-    b = m * eta
-    rho_t = (-b + math.sqrt(b * b + a * zeta_t)) / a
+    try:
+        a = (m * omega) ** 2
+        b = m * eta
+        rho_t = (-b + math.sqrt(b * b + a * zeta_t)) / a
+    except (OverflowError, ZeroDivisionError):
+        rho_t = math.inf
+    if not math.isfinite(BOX_PADDING * rho_t):
+        raise OverflowGuard(
+            f"oracle box overflows (m*omega = {m * omega:.3e}, eta = {eta:.6g}, "
+            f"target zeta^2 = {zeta_sq_target:.6g})"
+        )
     return BOX_PADDING * rho_t
 
 

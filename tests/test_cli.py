@@ -259,6 +259,20 @@ class TestVerify:
     def test_bad_grids_rejected(self, capsys, grids):
         assert run_cli(capsys, "verify", *grids)[0] == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--perturb-omega", "1e200"), "oracle box overflows"),
+            (("--perturb-omega", "3e153"), "oracle box overflows"),
+            (("--rho-max", "5", "--perturb-omega", "3e153"), "finite-difference operator overflows"),
+            (("--rho-max", "1e-200"), "finite-difference operator overflows"),
+        ],
+    )
+    def test_overflow_is_one_error_line(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 
 class TestConfigFiles:
     def test_file_values_applied(self, capsys, tmp_path):
@@ -407,3 +421,50 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False False"
+
+
+def run_python(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+# Both dstebz routines on one operator, index and value range, as comparable bytes.
+COMPARE_DSTEBZ = """
+from heunqes.oracle import RadialOperatorSpec, build_operator
+d, e = build_operator(RadialOperatorSpec(1.0, 1.75, 1.0, 1.0, 1, 8.0, 400))
+calls = [(2, 0.0, 0.0, 1, 10, 1e-14, b"E"), (1, 20.0, 60.0, 0, 0, 1e-14, b"E")]
+out = [[f(d, e, *args) for args in calls] for f in (ours, scipy.linalg.lapack.dstebz)]
+same = all(a[0] == b[0] and a[1][: a[0]].tobytes() == b[1][: b[0]].tobytes() for a, b in zip(*out))
+print(same, hasattr(scipy.linalg, "_flapack"))
+"""
+
+
+class TestOracleLoader:
+    """The oracle loads LAPACK dstebz alone; scipy.linalg still imports and agrees, in either order."""
+
+    def test_verify_leaves_scipy_linalg_unloaded(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from heunqes import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify'])\n"
+            "print(code, 'scipy.linalg' in sys.modules)"
+        )
+        assert run_python(code) == ["0", "False"]
+
+    def test_oracle_first(self):
+        code = (
+            "import sys\n"
+            "from heunqes import oracle\n"
+            "ours = oracle._dstebz()\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
+            "import scipy.linalg\n"
+        )
+        assert run_python(code + COMPARE_DSTEBZ) == ["False", "False", "True", "True"]
+
+    def test_scipy_linalg_first(self):
+        code = "import scipy.linalg\nfrom heunqes import oracle\nours = oracle._dstebz()\n"
+        assert run_python(code + COMPARE_DSTEBZ) == ["True", "True"]

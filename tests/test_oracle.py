@@ -1,13 +1,15 @@
 """Finite-difference verifier: operator assembly, spectra, pass/fail logic."""
 
+import importlib.machinery
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
 from heunqes import oracle
-from heunqes.errors import InvalidGrid
+from heunqes.errors import ConvergenceFailure, InvalidGrid, OverflowGuard
 from heunqes.model import PhysicalParams
 from heunqes.oracle import (
     BOX_PADDING,
@@ -195,6 +197,12 @@ class TestDefaultRhoMax:
 
     def test_floor_keeps_root_positive(self):
         assert default_rho_max(1.0, 1.0, 1.0, -100.0) > 0.0
+
+    @pytest.mark.parametrize("omega", [1e200, 3e153, 1e-200])
+    def test_box_overflow_is_typed(self, omega):
+        # (m w)^2 raises OverflowError, a * zeta_t overflows to inf, (m w)^2 underflows to 0
+        with pytest.raises(OverflowGuard, match="oracle box overflows"):
+            default_rho_max(1.0, omega, 1.0, 10.0 * omega)
 
 
 class TestDefaultBox:
@@ -417,6 +425,85 @@ class TestRefinedHint:
             assert not report.passed
             assert [certified for *_, certified in calls] == [False, False]
             assert_oracle_values_are_index_k(state, report)
+
+
+class TestOverflow:
+    """Overflow surfaces as OverflowGuard before any LAPACK call (a RuntimeWarning fails the suite)."""
+
+    @pytest.mark.parametrize("within", [None, (0.0, 1.0)], ids=["index", "window"])
+    @pytest.mark.parametrize(
+        "omega, rho_max", [(3e153, 5.0), (1.0, 1e-200), (1.0, 1e300)], ids=["omega", "tiny-box", "huge-box"]
+    )
+    def test_operator_overflow_is_typed(self, omega, rho_max, within, monkeypatch):
+        spec = RadialOperatorSpec(
+            m=1, omega=omega, eta=1, coulomb_strength=1, abs_l=1, rho_max=rho_max, n_grid=200
+        )
+        monkeypatch.setattr(oracle, "_dstebz", lambda: pytest.fail("dstebz called"))
+        with pytest.raises(OverflowGuard, match="finite-difference operator overflows"):
+            eigenvalues(spec, 1, within=within)
+
+    @pytest.mark.parametrize("perturb", [1e200, 3e153])
+    def test_verify_overflow_is_typed(self, perturb):
+        with pytest.raises(OverflowGuard, match="oracle box overflows"):
+            verify_solution(reference_solution(), perturb_omega=perturb)
+
+
+class TestConvergenceFailure:
+    """A failed or inconsistent dstebz result raises ConvergenceFailure on either route."""
+
+    K = 3
+
+    def stub_dstebz(self, monkeypatch, info, values):
+        """Replace dstebz; the Sturm count below a window always reports K values."""
+        calls = []
+
+        def dstebz(d, e, select, vl, vu, il, iu, tol, order):
+            calls.append(select)
+            found = self.K if select == 1 and tol > 1.0 else len(values)
+            return found, np.array(values + (0.0,) * (d.size - len(values))), None, None, info
+
+        monkeypatch.setattr(oracle, "_dstebz", lambda: dstebz)
+        return calls
+
+    @pytest.mark.parametrize(
+        "within, info, values, calls, message",
+        [
+            (None, 1, (1.0, 2.0), [2], "dstebz failed: info = 1"),
+            # a failed window falls back to the index route, which fails too
+            ((0.5, 3.0), 1, (1.0, 2.0), [1, 1, 2], "dstebz failed: info = 1"),
+            (None, 0, (2.0, 1.0), [2], "not strictly ascending"),
+            ((0.5, 3.0), 0, (2.0, 1.0), [1, 1], "not strictly ascending"),
+        ],
+        ids=["index-info", "window-info", "index-descending", "window-descending"],
+    )
+    def test_failure_raises(self, monkeypatch, within, info, values, calls, message):
+        seen = self.stub_dstebz(monkeypatch, info, values)
+        with pytest.raises(ConvergenceFailure, match=message):
+            eigenvalues(reference_channel(n_grid=200), self.K + 2, self.K, within=within)
+        assert seen == calls
+
+    def test_lost_states_raise(self, monkeypatch):
+        self.stub_dstebz(monkeypatch, 0, (1.0,))
+        with pytest.raises(ConvergenceFailure, match="1 of 2 eigenvalues"):
+            eigenvalues(reference_channel(n_grid=200), self.K + 2, self.K)
+
+
+class TestDstebz:
+    def test_index_route_matches_eigh_tridiagonal(self):
+        # scipy.linalg's own route to the same LAPACK call is the reference
+        from scipy.linalg import eigh_tridiagonal
+
+        spec = reference_channel()
+        expected = eigh_tridiagonal(
+            *build_operator(spec), eigvals_only=True, select="i", select_range=(2, 6), tol=1e-14
+        )
+        assert eigenvalues(spec, 7, 2).eigenvalues == tuple(expected)
+
+    def test_missing_extension_names_the_directory(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"no compiled _flapack extension in .*scipy.linalg"):
+            oracle._dstebz.__wrapped__()
 
 
 class TestVerifySolution:
