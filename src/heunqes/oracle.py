@@ -7,11 +7,13 @@ self-adjoint form with u(rho) = sqrt(rho) * R(rho),
         = zeta^2 u,
 
 discretized by central second differences on a uniform grid with Dirichlet
-ends, and diagonalized by Sturm-sequence bisection: LAPACK's dstebz, the one
-routine the oracle takes from scipy (see _dstebz). A quantized frequency is
-genuine exactly when the analytic zeta^2 shows up in this spectrum at the
-index equal to the state's radial node count (Sturm oscillation ordering),
-with the residual deviation shrinking like h^2 under grid doubling.
+ends, and diagonalized by Sturm-sequence bisection with LAPACK's dstebz. Two
+inverse-iteration steps (dgttrf, dgttrs) narrow the interval it bisects; the
+three routines come from scipy's compiled _flapack alone (see _flapack). A
+quantized frequency is genuine exactly when the analytic zeta^2 shows up in
+this spectrum at the index equal to the state's radial node count (Sturm
+oscillation ordering), with the residual deviation shrinking like h^2 under
+grid doubling.
 
 Dirichlet at rho = 0 is exact for |l| >= 1 because u ~ rho^(|l|+1/2) there;
 the first grid node sits at h > 0, so |l| = 0 regression channels never touch
@@ -51,14 +53,10 @@ TARGET_MARGIN = 10.0
 # than the 1e-10 relative contract; a fixed tiny value keeps every eigenvalue
 # refined to machine-level width.
 _EIG_ABS_TOL = 1e-14
-# The refined eigenvalue is bisected inside a window predicted from the
-# coarse one by h^2 convergence. Its half-width is HINT_WIDTH times the coarse
-# deviation |z_coarse - claim| (the prediction missed by at most 1.9% of it over
-# the 132 states of n <= 12, l in {1, -1, 2}, and 2.4% over 543 random-sweep
-# states), floored at HINT_NOISE_FLOOR roundings of the operator norm 4/h^2,
-# far above the ~1e-10 rounding noise of an 8000-point eigenvalue.
-HINT_WIDTH = 0.05
-HINT_NOISE_FLOOR = 100.0
+# Least half-width of the window around a Rayleigh quotient. Its residual
+# norm is itself a rounding of T x, median 2.4e-10 at 8000 points, and a
+# window this narrow still costs only about 15 bisection halvings.
+_RESIDUAL_FLOOR = 1e-11
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,18 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalues(
-    spec: RadialOperatorSpec, count: int, first: int = 0, *, within: tuple[float, float] | None = None
+    spec: RadialOperatorSpec, count: int, first: int = 0, *, near: float | None = None
 ) -> OracleSpectrum:
     """Eigenvalues of indices first..count-1 of the channel by Sturm-sequence bisection.
 
-    With within = (lo, hi) only (lo, hi] is bisected, and its values are used
-    when Sturm counts certify that it holds exactly these indices. Otherwise,
-    as without a window, the indices are bisected from the Gershgorin bounds,
-    so the result is the same indices either way.
+    With near = shift, two inverse-iteration steps at that shift give a
+    Rayleigh quotient theta and its residual norm r, and some eigenvalue lies
+    within r of theta. Only the window theta -/+ max(r, _RESIDUAL_FLOOR) is
+    bisected, and its values are used when Sturm counts certify that it holds
+    exactly these indices (_certified_window); a shift nearest index first
+    gives such a window for a one-index request. Otherwise, as without near
+    or when T - shift is singular, the indices are bisected from the
+    Gershgorin bounds, so the result is the same indices either way.
     A narrow window costs fewer bisection sweeps: each halves the interval
     down to _EIG_ABS_TOL. The values themselves are exact only to the
     rounding of the operator, about half an ulp of 2/h^2 (see
@@ -169,10 +171,11 @@ def eigenvalues(
     if not 0 <= first < count:
         raise ValueError(f"first must lie in [0, {count}), got {first}")
     d, e = build_operator(spec)
-    vals = None if within is None else _certified_window(d, e, count, first, *within)
+    window = None if near is None else _rayleigh_window(d, e, near)
+    vals = None if window is None else _certified_window(d, e, count, first, *window)
     if vals is None:
         # range = 2: indices il..iu, 1-based
-        found, vals, _, _, info = _dstebz()(d, e, 2, 0.0, 0.0, first + 1, count, _EIG_ABS_TOL, b"E")
+        found, vals, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 0.0, first + 1, count, _EIG_ABS_TOL, b"E")
         if info != 0 or found != count - first:
             raise ConvergenceFailure(
                 f"dstebz failed: info = {info}, {found} of {count - first} eigenvalues"
@@ -185,6 +188,33 @@ def eigenvalues(
     return OracleSpectrum(tuple(float(v) for v in vals), spec, first=first)
 
 
+def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float, float] | None:
+    """theta -/+ max(r, _RESIDUAL_FLOOR) around an eigenvalue near shift, None if T - shift is singular.
+
+    dgttrf factors T - shift once; two dgttrs solves from the all-ones vector
+    give a unit x, its Rayleigh quotient theta = x.T T x and residual
+    r = |T x - theta x|. A non-finite window is left to _certified_window,
+    which rejects it.
+    """
+    lapack = _flapack()
+    # in place where LAPACK allows: each 8000-point vector is 64 kB of peak RSS
+    *factors, info = lapack.dgttrf(e, d - shift, e, overwrite_d=1)
+    if info != 0:
+        return None
+    x = np.ones(d.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            x, _ = lapack.dgttrs(*factors, x, overwrite_b=1)
+            x /= np.linalg.norm(x)
+        tx = d * x
+        tx[1:] += e * x[:-1]
+        tx[:-1] += e * x[1:]
+        theta = float(x @ tx)
+        tx -= theta * x
+        radius = max(float(np.linalg.norm(tx)), _RESIDUAL_FLOOR)
+    return theta - radius, theta + radius
+
+
 def _certified_window(
     d: np.ndarray, e: np.ndarray, count: int, first: int, lo: float, hi: float
 ) -> np.ndarray | None:
@@ -194,7 +224,7 @@ def _certified_window(
     (floor, lo], with floor below the Gershgorin bound and a tolerance so wide
     that nothing is bisected, then the bisection of (lo, hi] to _EIG_ABS_TOL.
     """
-    dstebz = _dstebz()
+    dstebz = _flapack().dstebz
     floor = min(float(d.min() - 2.0 * np.abs(e).max()), lo)
     floor -= 1.0 + abs(floor)
     if not -math.inf < floor < lo < hi < math.inf:
@@ -207,16 +237,17 @@ def _certified_window(
 
 
 @functools.cache
-def _dstebz():
-    """LAPACK dstebz from scipy's compiled _flapack, loaded without scipy.linalg.
+def _flapack():
+    """scipy's compiled LAPACK wrappers (_flapack), loaded without scipy.linalg.
 
     Importing scipy.linalg takes about 0.3 s (scipy 1.17's array-API shim
     imports numpy.f2py and numpy.testing); the extension file alone, under
-    10 ms. It is the routine scipy.linalg.lapack.dstebz.
+    10 ms. The oracle calls its dstebz, dgttrf and dgttrs, the routines of
+    scipy.linalg.lapack by those names.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:  # scipy.linalg is loaded already
-        return sys.modules[name].dstebz
+        return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")  # locates the package, imports nothing
     directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
@@ -229,19 +260,7 @@ def _dstebz():
     # A single-phase extension enters itself in sys.modules; take it out so a
     # later import of scipy.linalg binds _flapack to its package as usual.
     sys.modules.pop(name, None)
-    return module.dstebz
-
-
-def _refined_hint(claim: float, coarse: float, step: float, step_refined: float) -> tuple[float, float]:
-    """Window where h^2 convergence puts the refined eigenvalue, given the coarse one.
-
-    The deviation from the claim shrinks by (step_refined / step)^2, 1/4 for a
-    doubled grid, so the prediction is claim + (coarse - claim) * that factor.
-    """
-    predicted = claim + (coarse - claim) * (step_refined / step) ** 2
-    noise = 4.0 / step_refined**2 * np.finfo(float).eps
-    radius = max(HINT_WIDTH * abs(coarse - claim), HINT_NOISE_FLOOR * noise)
-    return predicted - radius, predicted + radius
+    return module
 
 
 def default_rho_max(m: float, omega: float, eta: float, zeta_sq_target: float) -> float:
@@ -301,16 +320,16 @@ def verify_solution(
 
     The channel is diagonalized at grid_n and grid_n_refined (default 2x)
     interior points with a shared rho_max, and on each grid only the
-    eigenvalue at index node_count is compared with the claimed zeta^2. On
-    the coarse grid it is bisected inside claim * (1 -/+ PASS_TOL), the values
-    that can pass. On the refined grid it is bisected inside the much
-    narrower window that h^2 convergence predicts from the coarse value
-    (_refined_hint). A window is used only when Sturm counts certify that it
-    holds exactly this index, and the index is bisected from the Gershgorin
-    bounds when it does not, as for a failing state or a perturbed frequency;
-    either way both oracle values are eigenvalue node_count. PASS requires
-    relative deviation < PASS_TOL on the coarse grid and a strictly smaller
-    deviation on the refined one.
+    eigenvalue at index node_count is compared with the claimed zeta^2. It is
+    bisected inside the Rayleigh-quotient window of an inverse iteration
+    shifted to the claim on the coarse grid and to the coarse value on the
+    refined one (eigenvalues with near). A window is used only when Sturm
+    counts certify that it holds exactly this index, and the index is
+    bisected from the Gershgorin bounds when it does not, as when a perturbed
+    frequency puts the claim nearest another eigenvalue; either way both
+    oracle values are eigenvalue node_count. PASS requires relative
+    deviation < PASS_TOL on the coarse grid and a strictly smaller deviation
+    on the refined one.
 
     Every diagonal entry carries 2/h^2 (1.8e6 at 8000 points in a box of
     8.5), so the oracle values carry absolute rounding noise of about half an
@@ -346,12 +365,10 @@ def verify_solution(
     )
     if grid_n_refined is None:
         grid_n_refined = 2 * grid_n
-    scale = max(abs(claim), 1e-300)
-    window = (claim - PASS_TOL * scale, claim + PASS_TOL * scale)
-    (zeta_oracle,) = eigenvalues(coarse_spec, k + 1, k, within=window).eigenvalues
+    (zeta_oracle,) = eigenvalues(coarse_spec, k + 1, k, near=claim).eigenvalues
     refined_spec = replace(coarse_spec, n_grid=grid_n_refined)
-    hint = _refined_hint(claim, zeta_oracle, coarse_spec.step, refined_spec.step)
-    (zeta_oracle_refined,) = eigenvalues(refined_spec, k + 1, k, within=hint).eigenvalues
+    (zeta_oracle_refined,) = eigenvalues(refined_spec, k + 1, k, near=zeta_oracle).eigenvalues
+    scale = max(abs(claim), 1e-300)
     deviation = abs(zeta_oracle - claim) / scale
     deviation_refined = abs(zeta_oracle_refined - claim) / scale
     ratio = deviation / deviation_refined if deviation_refined > 0.0 else math.inf

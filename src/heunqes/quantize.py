@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import NonPositiveFrequency, NoPositiveRoot, NoRootInRange, WrongDegree
+from .errors import NonPositiveFrequency, NoPositiveRoot, NoRootInRange, OverflowGuard, WrongDegree
 from .model import PhysicalParams, validate
 from .series import HeunParams
 
@@ -184,13 +184,23 @@ def _cubic_real_roots(a2: float, a1: float, a0: float) -> list[float]:
     trigonometric form when the discriminant is positive, one through the
     radical (Cardano) form when negative, explicit repeated-root formulas on
     the boundary.
+
+    Raises:
+        OverflowGuard: p^3 or q^2, which grow like the sixth power of the
+            root scale, leave the double range: roots past about 1e51, as
+            for a mass below about 1e-52 at unit couplings.
     """
-    p = a1 - a2 * a2 / 3.0
-    q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
+    try:
+        p = a1 - a2 * a2 / 3.0
+        q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
+        disc = -4.0 * p**3 - 27.0 * q * q
+    except OverflowError:  # float ** raises where * gives inf
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise OverflowGuard(f"ground-state cubic overflows (a2 = {a2:.3e}, a1 = {a1:.3e}, a0 = {a0:.3e})")
     shift = -a2 / 3.0
     if p == 0.0 and q == 0.0:
         return [shift]  # triple root
-    disc = -4.0 * p**3 - 27.0 * q * q
     if disc > 0.0:
         # three distinct real roots; clamp guards acos against rounding spill
         r = math.sqrt(-p / 3.0)

@@ -119,7 +119,17 @@ def radial_ansatz(coeffs, alpha: float, abs_l: int, xi):
     alpha < -75, and it cancels in any normalized profile.
     Accepts a scalar or an ndarray; xi must be >= 0 for the result to be the
     physical profile.
+
+    Raises:
+        OverflowGuard: the exponent is not finite, as for xi past about
+            1e154, where xi^2 leaves the double range.
     """
     xi = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else float(xi)
-    exponent = -0.5 * (xi + 0.5 * alpha) ** 2 if alpha < 0.0 else -0.5 * xi * (xi + alpha)
+    with np.errstate(over="ignore"):
+        try:
+            exponent = -0.5 * (xi + 0.5 * alpha) ** 2 if alpha < 0.0 else -0.5 * xi * (xi + alpha)
+        except OverflowError:  # float ** raises where numpy gives inf
+            exponent = -math.inf
+    if not np.isfinite(exponent).all():
+        raise OverflowGuard(f"radial envelope overflows (xi up to {np.max(xi):.3e}, alpha = {alpha:.6g})")
     return np.exp(exponent) * xi**abs_l * evaluate_H(coeffs, xi)

@@ -127,6 +127,12 @@ class TestSolve:
     def test_missing_command_rejected(self, capsys):
         assert run_cli(capsys)[0] == 2
 
+    def test_cubic_overflow_is_one_error_line(self, capsys):
+        # a mass of 1e-200 puts the cubic's coefficients near 1e200, past what its closed form can cube
+        code, out, err = run_cli(capsys, "solve", "--mass", "1e-200")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ground-state cubic overflows") and err.count("\n") == 1
+
 
 class TestScan:
     def test_rows_and_status(self, capsys):
@@ -210,6 +216,13 @@ class TestWavefunction:
 
     def test_bad_rho_max_rejected(self, capsys):
         assert run_cli(capsys, "wavefunction", "--rho-max", "-1")[0] == 2
+
+    @pytest.mark.parametrize("rho_max", ["1e300", "1e160"])
+    def test_envelope_overflow_is_one_error_line(self, capsys, rho_max):
+        # xi^2 leaves the double range; a leaked RuntimeWarning would fail the suite
+        code, out, err = run_cli(capsys, "wavefunction", "--rho-max", rho_max)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: radial envelope overflows") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -443,7 +456,7 @@ print(same, hasattr(scipy.linalg, "_flapack"))
 
 
 class TestOracleLoader:
-    """The oracle loads LAPACK dstebz alone; scipy.linalg still imports and agrees, in either order."""
+    """The oracle loads scipy's _flapack alone; scipy.linalg still imports and agrees, in either order."""
 
     def test_verify_leaves_scipy_linalg_unloaded(self):
         code = (
@@ -459,12 +472,12 @@ class TestOracleLoader:
         code = (
             "import sys\n"
             "from heunqes import oracle\n"
-            "ours = oracle._dstebz()\n"
+            "ours = oracle._flapack().dstebz\n"
             "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
             "import scipy.linalg\n"
         )
         assert run_python(code + COMPARE_DSTEBZ) == ["False", "False", "True", "True"]
 
     def test_scipy_linalg_first(self):
-        code = "import scipy.linalg\nfrom heunqes import oracle\nours = oracle._dstebz()\n"
+        code = "import scipy.linalg\nfrom heunqes import oracle\nours = oracle._flapack().dstebz\n"
         assert run_python(code + COMPARE_DSTEBZ) == ["True", "True"]

@@ -3,6 +3,7 @@
 import importlib.machinery
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def spy_certified_window(monkeypatch):
 
 
 class TestWindow:
-    """eigenvalues(..., within=(lo, hi)) returns the requested indices whatever the window holds."""
+    """_certified_window accepts a window only when it holds exactly the requested indices."""
 
     K = 3
 
@@ -342,17 +343,14 @@ class TestWindow:
         ids=["next-index", "two-indices", "empty", "degenerate", "reversed", "unbounded", "nan"],
     )
     def test_window_without_index_k_falls_back(self, full, window):
-        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, within=window(full, self.K))
-        assert spectrum.first == self.K
-        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+        d, e = build_operator(reference_channel())
+        assert oracle._certified_window(d, e, self.K + 1, self.K, *window(full, self.K)) is None
 
     def test_window_holding_the_indices_is_used(self, full):
         k = self.K
         lo, hi = (full[k - 1] + full[k]) / 2, (full[k + 2] + full[k + 3]) / 2
-        spec = reference_channel()
-        assert oracle._certified_window(*build_operator(spec), k + 3, k, lo, hi) is not None
-        spectrum = eigenvalues(spec, k + 3, k, within=(lo, hi))
-        assert spectrum.eigenvalues == pytest.approx(full[k : k + 3], rel=1e-14)
+        vals = oracle._certified_window(*build_operator(reference_channel()), k + 3, k, lo, hi)
+        assert vals == pytest.approx(full[k : k + 3], rel=1e-14)
 
     def test_negative_control_reports_index_k(self):
         # at 1.05 omega no eigenvalue lies within PASS_TOL of the claim
@@ -394,15 +392,22 @@ def verify_workload_cells():
     return cells
 
 
-class TestRefinedHint:
-    """The refined eigenvalue is bisected inside the window the coarse one predicts."""
+class TestRayleighWindow:
+    """eigenvalues(..., near=shift) bisects a Rayleigh-quotient window, or falls back to index k."""
+
+    K = 3
 
     @pytest.fixture(scope="class")
     def cells(self):
         return verify_workload_cells()
 
-    def test_every_hint_is_certified(self, cells, monkeypatch):
-        # one certified window per grid: the pass window, then a far narrower hint
+    @pytest.fixture(scope="class")
+    def full(self):
+        return eigenvalues(reference_channel(), self.K + 2).eigenvalues
+
+    def test_every_window_is_certified(self, cells, monkeypatch):
+        # one certified window per grid, each a sliver of the values that can pass
+        # (at most 5.0e-7 of it on these states, 7.7e-4 on a 543-state random sweep)
         calls = spy_certified_window(monkeypatch)
         states = [state for cell in cells for state in cell]
         assert len(states) == 132
@@ -411,36 +416,55 @@ class TestRefinedHint:
             report = verify_solution(state)
             assert report.passed
             pass_width = 2.0 * PASS_TOL * abs(state.zeta_sq)
-            (coarse, refined) = calls
-            assert coarse == (report.grid_n, pytest.approx(pass_width), True)
-            assert refined[0] == report.grid_n_refined and refined[2], (state.n, state.l, state.omega)
-            assert refined[1] < 1e-2 * pass_width
+            assert [(grid, certified) for grid, _, certified in calls] == [
+                (report.grid_n, True),
+                (report.grid_n_refined, True),
+            ], (state.n, state.l, state.omega)
+            assert all(width < 1e-3 * pass_width for _, width, _ in calls)
 
-    def test_negative_control_falls_back_to_index_k(self, cells, monkeypatch):
-        # at 1.05 omega neither the pass window nor the hint holds eigenvalue k
+    def test_negative_control_windows_certify_index_k(self, cells, monkeypatch):
+        # at 1.05 omega the claim is far from every eigenvalue, yet eigenvalue k is still nearest
         calls = spy_certified_window(monkeypatch)
         for state in [cell[0] for cell in cells]:
             calls.clear()
             report = verify_solution(state, perturb_omega=1.05)
             assert not report.passed
-            assert [certified for *_, certified in calls] == [False, False]
+            assert [certified for *_, certified in calls] == [True, True]
             assert_oracle_values_are_index_k(state, report)
+
+    def test_shift_at_next_index_falls_back(self, full, monkeypatch):
+        # inverse iteration finds eigenvalue k + 1; the count below the window rejects it
+        calls = spy_certified_window(monkeypatch)
+        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, near=full[self.K + 1])
+        assert [certified for *_, certified in calls] == [False]
+        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+
+    def test_singular_factorization_falls_back(self, full, monkeypatch):
+        lapack = oracle._flapack()
+        singular = types.SimpleNamespace(
+            dstebz=lapack.dstebz, dgttrs=lapack.dgttrs, dgttrf=lambda dl, d, du, **_: (dl, d, du, du, None, 1)
+        )
+        monkeypatch.setattr(oracle, "_flapack", lambda: singular)
+        calls = spy_certified_window(monkeypatch)
+        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, near=full[self.K])
+        assert calls == []
+        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
 
 
 class TestOverflow:
     """Overflow surfaces as OverflowGuard before any LAPACK call (a RuntimeWarning fails the suite)."""
 
-    @pytest.mark.parametrize("within", [None, (0.0, 1.0)], ids=["index", "window"])
+    @pytest.mark.parametrize("near", [None, 0.5], ids=["index", "window"])
     @pytest.mark.parametrize(
         "omega, rho_max", [(3e153, 5.0), (1.0, 1e-200), (1.0, 1e300)], ids=["omega", "tiny-box", "huge-box"]
     )
-    def test_operator_overflow_is_typed(self, omega, rho_max, within, monkeypatch):
+    def test_operator_overflow_is_typed(self, omega, rho_max, near, monkeypatch):
         spec = RadialOperatorSpec(
             m=1, omega=omega, eta=1, coulomb_strength=1, abs_l=1, rho_max=rho_max, n_grid=200
         )
-        monkeypatch.setattr(oracle, "_dstebz", lambda: pytest.fail("dstebz called"))
+        monkeypatch.setattr(oracle, "_flapack", lambda: pytest.fail("LAPACK called"))
         with pytest.raises(OverflowGuard, match="finite-difference operator overflows"):
-            eigenvalues(spec, 1, within=within)
+            eigenvalues(spec, 1, near=near)
 
     @pytest.mark.parametrize("perturb", [1e200, 3e153])
     def test_verify_overflow_is_typed(self, perturb):
@@ -454,7 +478,7 @@ class TestConvergenceFailure:
     K = 3
 
     def stub_dstebz(self, monkeypatch, info, values):
-        """Replace dstebz; the Sturm count below a window always reports K values."""
+        """Replace dstebz alone; the Sturm count below a window always reports K values."""
         calls = []
 
         def dstebz(d, e, select, vl, vu, il, iu, tol, order):
@@ -462,24 +486,26 @@ class TestConvergenceFailure:
             found = self.K if select == 1 and tol > 1.0 else len(values)
             return found, np.array(values + (0.0,) * (d.size - len(values))), None, None, info
 
-        monkeypatch.setattr(oracle, "_dstebz", lambda: dstebz)
+        real = oracle._flapack()
+        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=real.dgttrs)
+        monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
         return calls
 
     @pytest.mark.parametrize(
-        "within, info, values, calls, message",
+        "near, info, values, calls, message",
         [
             (None, 1, (1.0, 2.0), [2], "dstebz failed: info = 1"),
             # a failed window falls back to the index route, which fails too
-            ((0.5, 3.0), 1, (1.0, 2.0), [1, 1, 2], "dstebz failed: info = 1"),
+            (1.5, 1, (1.0, 2.0), [1, 1, 2], "dstebz failed: info = 1"),
             (None, 0, (2.0, 1.0), [2], "not strictly ascending"),
-            ((0.5, 3.0), 0, (2.0, 1.0), [1, 1], "not strictly ascending"),
+            (1.5, 0, (2.0, 1.0), [1, 1], "not strictly ascending"),
         ],
         ids=["index-info", "window-info", "index-descending", "window-descending"],
     )
-    def test_failure_raises(self, monkeypatch, within, info, values, calls, message):
+    def test_failure_raises(self, monkeypatch, near, info, values, calls, message):
         seen = self.stub_dstebz(monkeypatch, info, values)
         with pytest.raises(ConvergenceFailure, match=message):
-            eigenvalues(reference_channel(n_grid=200), self.K + 2, self.K, within=within)
+            eigenvalues(reference_channel(n_grid=200), self.K + 2, self.K, near=near)
         assert seen == calls
 
     def test_lost_states_raise(self, monkeypatch):
@@ -503,7 +529,7 @@ class TestDstebz:
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
         with pytest.raises(ImportError, match=r"no compiled _flapack extension in .*scipy.linalg"):
-            oracle._dstebz.__wrapped__()
+            oracle._flapack.__wrapped__()
 
 
 class TestVerifySolution:

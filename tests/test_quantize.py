@@ -13,6 +13,7 @@ import oracles
 from heunqes.errors import (
     NonPositiveFrequency,
     NoRootInRange,
+    OverflowGuard,
     VanishingCoupling,
     WrongDegree,
     ZeroAngularMomentum,
@@ -177,6 +178,16 @@ class TestSolveCubic:
     def test_roots_ascending(self):
         roots = [s.omega for s in solve_cubic(problem(quad=10.0, l=-1))]
         assert roots == sorted(roots)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(mass=1e-60), dict(mass=1e-200), dict(mass=1e-320), dict(eta=1e80)],
+        ids=["p-cubed", "a2-cubed", "infinite-coefficients", "q-squared"],
+    )
+    def test_overflow_is_typed(self, overrides):
+        # Python's float ** raises OverflowError, its * gives inf, and inf - inf gives nan
+        with pytest.raises(OverflowGuard, match="ground-state cubic overflows"):
+            solve_cubic(problem(**overrides))
 
     def test_every_root_is_quantized(self):
         for sol in solve_cubic(problem(quad=10.0, l=-1)):

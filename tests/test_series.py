@@ -179,6 +179,13 @@ class TestRadialAnsatz:
         for x, v in zip(xi, vector):
             assert v == radial_ansatz(coeffs, 0.9, 2, float(x))
 
+    @pytest.mark.parametrize("alpha", [0.9, -0.9])
+    @pytest.mark.parametrize("xi", [1e200, np.array([0.0, 1.0, 1e200])], ids=["scalar", "array"])
+    def test_overflow_is_typed(self, alpha, xi):
+        # both branches of the exponent square xi; a leaked RuntimeWarning would fail the suite
+        with pytest.raises(OverflowGuard, match="radial envelope overflows"):
+            radial_ansatz((1.0, 0.5), alpha, 1, xi)
+
 
 class TestDefiningEquation:
     """H must satisfy H'' + [theta/xi - alpha - 2 xi] H' + [g - (theta alpha + 2 delta)/(2 xi)] H = 0.
