@@ -28,6 +28,7 @@ from .errors import (
     NonPositiveMass,
     NoPositiveRoot,
     NoRootInRange,
+    OverflowGuard,
     VanishingCoupling,
     ZeroAngularMomentum,
 )
@@ -325,6 +326,11 @@ def cmd_wavefunction(config: RunConfig) -> tuple[int, list[str]]:
     wavefunction = normalize(state)
     rho_max = config.rho_max if config.rho_max is not None else suggested_rho_max(state)
     rows = wavefunction.sample(config.samples, rho_max)
+    unresolved = [rho for rho, amplitude in rows if not math.isfinite(amplitude)]
+    if unresolved:
+        raise OverflowGuard(
+            f"radial profile overflows at rho = {unresolved[0]:.6g} (rho_max = {rho_max:.6g})"
+        )
     pairs = _physics_pairs(config) + [
         ("l", config.l),
         ("n", config.n),

@@ -20,10 +20,12 @@ potentials cannot be chosen freely, the oscillator frequency itself is
 quantized. For n = 1 the condition c_2 = 0 is a cubic in omega solved in
 closed form; for general n every root of c_{n+1}(omega) is an eigenvalue of
 one real companion matrix in u = 1/(m*omega) of size (n+1) + floor((n+1)/2)
-(solve_frequency). Each cell takes one array recurrence at every eigenvalue
-candidate and just below and above it (_cell_rows): c_{n+1} below and above
-tests the root, the sign changes of c_0..c_{n+1} there are Sturm counts that
-give the node count (_node_counts), and the row at it gives the coefficients.
+(solve_frequency), filled along its diagonals straight from the scaled
+off-diagonal of K0 (_candidate_frequencies). Each cell takes one array
+recurrence at every eigenvalue candidate and just below and above it
+(_cell_rows): c_{n+1} below and above tests the root, the sign changes of
+c_0..c_{n+1} there are Sturm counts that give the node count (_node_counts),
+and the row at it gives the coefficients.
 
 Energies follow as
 
@@ -137,15 +139,15 @@ def _alpha_delta(problem: ReducedProblem, omega: float) -> tuple[float, float]:
 
 def energy(problem: ReducedProblem, omega: float) -> float:
     """Energy level E_{n,l} at a (quantized) frequency omega."""
-    _check_omega(omega)
+    return _energies(problem, [_check_omega(omega)])[0]
+
+
+def _energies(problem: ReducedProblem, omegas: list[float]) -> list[float]:
+    """energy at each of omegas, its per-cell constants taken once."""
     p = problem.physical
-    coul_sq = (p.quad * p.lam) ** 2
-    return (
-        omega * (problem.n + problem.abs_l + 1)
-        - p.eta**2 / (2.0 * p.mass * omega**2)
-        + coul_sq / (8.0 * p.mass)
-        + p.kz**2 / (2.0 * p.mass)
-    )
+    level, eta_sq, two_m = problem.n + problem.abs_l + 1, p.eta**2, 2.0 * p.mass
+    coulomb, axial = (p.quad * p.lam) ** 2 / (8.0 * p.mass), p.kz**2 / (2.0 * p.mass)
+    return [w * level - eta_sq / (two_m * w**2) + coulomb + axial for w in omegas]
 
 
 def zeta_squared(problem: ReducedProblem, omega: float) -> float:
@@ -154,8 +156,13 @@ def zeta_squared(problem: ReducedProblem, omega: float) -> float:
     Algebraically identical to 2mE - k^2 - M^2 lambda^2/4 with E from
     energy(); the identity is exercised as a cross-check in the tests.
     """
-    _check_omega(omega)
-    return problem.mass * omega * (2 * problem.n + 2 + 2 * problem.abs_l) - problem.eta**2 / omega**2
+    return _zeta_squares(problem, [_check_omega(omega)])[0]
+
+
+def _zeta_squares(problem: ReducedProblem, omegas: list[float]) -> list[float]:
+    """zeta_squared at each of omegas, its per-cell constants taken once."""
+    mass, level, eta_sq = problem.mass, 2 * problem.n + 2 + 2 * problem.abs_l, problem.eta**2
+    return [mass * w * level - eta_sq / w**2 for w in omegas]
 
 
 def cubic_coefficients(problem: ReducedProblem) -> tuple[float, float, float]:
@@ -273,19 +280,30 @@ def solve_cubic(problem: ReducedProblem) -> list["SpectralSolution"]:
 def _cell_rows(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c_0..c_{n+2} at omega * (1 - ROOT_RTOL), omega * (1 + ROOT_RTOL) and omega, in one recurrence.
 
-    Returns the rows, shape (3, len(omegas), n + 3), and (alpha, delta) at each omega; both are
-    packed from the scalar _alpha_delta, so each row is bit-identical to a scalar recurrence.
+    Returns the rows, shape (3, len(omegas), n + 3), and (alpha, delta) at each omega. Both
+    take the Python-float arithmetic of _alpha_delta at every probe (numpy's ** differs from
+    Python's in the last bit), so each row is bit-identical to a scalar recurrence.
     """
     omegas = np.asarray(omegas, dtype=float)
     probes = np.concatenate([omegas * (1.0 - ROOT_RTOL), omegas * (1.0 + ROOT_RTOL), omegas])
-    alpha, delta = np.array([_alpha_delta(problem, w) for w in probes.tolist()]).reshape(-1, 2).T
+    finite_positive = (probes > 0.0) & (probes < math.inf)
+    if not finite_positive.all():
+        _check_omega(probes[np.argmin(finite_positive)].item())
+    mass, a3, coupling = problem.mass, 2.0 * problem.mass * problem.eta, problem.coupling
+    m_omegas = [mass * w for w in probes.tolist()]
+    alpha = np.array([a3 / x**1.5 for x in m_omegas])
+    delta = np.array([coupling / x**0.5 for x in m_omegas])
     raw = series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
     return raw.reshape(3, len(omegas), problem.n + 3), alpha.reshape(3, -1)[2], delta.reshape(3, -1)[2]
 
 
 def _brackets_root(problem: ReducedProblem, rows: np.ndarray) -> np.ndarray:
-    """Whether c_{n+1} changes sign across each omega * (1 -/+ ROOT_RTOL), from its _cell_rows."""
-    return rows[0, :, problem.n + 1] * rows[1, :, problem.n + 1] <= 0.0
+    """Whether c_{n+1} changes sign across each omega * (1 -/+ ROOT_RTOL), from its _cell_rows.
+
+    Signs, not values, are multiplied: a product of two values near OVERFLOW_LIMIT
+    overflows, and one of two tiny values underflows to a false zero.
+    """
+    return np.sign(rows[0, :, problem.n + 1]) * np.sign(rows[1, :, problem.n + 1]) <= 0.0
 
 
 def _jacobi_offdiagonal(n: int, theta: int) -> np.ndarray:
@@ -294,29 +312,47 @@ def _jacobi_offdiagonal(n: int, theta: int) -> np.ndarray:
     return np.sqrt(8.0 * (n - i + 1) * i * (i - 1 + theta))
 
 
+def _fill_diagonal(matrix: np.ndarray, row: int, col: int, values: np.ndarray) -> None:
+    """Write values along the diagonal of a C-contiguous matrix that starts at (row, col)."""
+    step = matrix.shape[1] + 1
+    start = row * matrix.shape[1] + col
+    matrix.reshape(-1)[start : start + step * len(values) : step] = values
+
+
 def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
-    """Every positive real root of det T(s) = 0 as a frequency, ascending, to about 1e-5."""
-    size, theta = problem.n + 1, problem.theta
-    k0 = -np.diag(_jacobi_offdiagonal(problem.n, theta), 1)
-    k0 += k0.T
+    """Every positive real root of det T(s) = 0 as a frequency, ascending, to about 1e-5.
+
+    The companion is filled along its diagonals from the scaled off-diagonal of K0:
+    entry k joins indices k and k + 1, so even k lands on the diagonal of B and odd k
+    just below it. The companion's only other entries are diagonals too.
+    """
+    n, theta = problem.n, problem.theta
+    off = _jacobi_offdiagonal(n, theta)
     a3, a1 = 2.0 * problem.mass * problem.eta, 2.0 * problem.coupling
     if a3 == 0.0:
+        k0 = -np.diag(off, 1)
+        k0 += k0.T
         s = np.linalg.eigvalsh(-k0 / a1)
         u = s[s > 0.0] ** 2
     else:
-        d_inv = 1.0 / (2.0 * np.arange(size) + theta)
-        k0 *= np.sqrt(np.outer(d_inv, d_inv)) / a3
+        d_inv = 1.0 / (2.0 * np.arange(n + 1) + theta)
+        k = -off * (np.sqrt(d_inv[:-1] * d_inv[1:]) / a3)  # off-diagonal of D^(-1/2) K0 D^(-1/2) / a3
         c = a1 / a3
-        sigma = max((abs(c) / theta) ** 0.5, np.linalg.norm(k0, np.inf) ** (1.0 / 3.0))
+        # row r of the scaled K holds k_(r-1) and k_r: its inf-norm is the largest |k_(r-1)| + |k_r|
+        row_sums = np.abs(np.concatenate([k, [0.0]])) + np.abs(np.concatenate([[0.0], k]))
+        sigma = max((abs(c) / theta) ** 0.5, row_sums.max() ** (1.0 / 3.0))
         # blocks (x, z', y) of solve_frequency in t = u/sigma^2, with z' and y scaled by sigma
-        b = k0[0::2, 1::2] / sigma**3
-        n_e, n_o = b.shape
+        minus_b = -(k / sigma**3)
+        shift = -c / sigma**2
+        n_e, n_o = (n + 2) // 2, (n + 1) // 2
         companion = np.zeros((n_e + 2 * n_o, n_e + 2 * n_o))
-        companion[:n_e, :n_e] = np.diag(-c / sigma**2 * d_inv[0::2])
-        companion[:n_e, n_e : n_e + n_o] = -b
-        companion[n_e : n_e + n_o, n_e + n_o :] = np.eye(n_o)
-        companion[n_e + n_o :, :n_e] = -b.T
-        companion[n_e + n_o :, n_e + n_o :] = np.diag(-c / sigma**2 * d_inv[1::2])
+        _fill_diagonal(companion, 0, 0, shift * d_inv[0::2])
+        _fill_diagonal(companion, 0, n_e, minus_b[0::2])
+        _fill_diagonal(companion, 1, n_e, minus_b[1::2])
+        _fill_diagonal(companion, n_e, n_e + n_o, np.ones(n_o))
+        _fill_diagonal(companion, n_e + n_o, 0, minus_b[0::2])
+        _fill_diagonal(companion, n_e + n_o, 1, minus_b[1::2])
+        _fill_diagonal(companion, n_e + n_o, n_e + n_o, shift * d_inv[1::2])
         u = sigma**2 * np.linalg.eigvals(companion)
     real = np.abs(u.imag) <= EIG_IMAG_RTOL * np.abs(u)
     real &= u.real > EIG_ZERO_RTOL * np.max(np.abs(u))
@@ -367,14 +403,14 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     and kept only if it passes then; such a cell's roots take _cell_rows again.
     """
     candidates = _candidate_frequencies(problem)
-    gaps = np.diff(candidates, prepend=0.0, append=math.inf)
-    caps = 0.5 * np.minimum(gaps[:-1], gaps[1:])
     rows, alpha, delta = _cell_rows(problem, candidates)
     passed = _brackets_root(problem, rows)
-    kept = []
-    for w, cap, brackets in zip(candidates.tolist(), caps.tolist(), passed.tolist()):
+    ws, kept = candidates.tolist(), []
+    for k, (w, brackets) in enumerate(zip(ws, passed.tolist())):
         if not brackets:
-            w = _polish(problem, w, cap)
+            below = w - ws[k - 1] if k else w
+            above = ws[k + 1] - w if k + 1 < len(ws) else math.inf
+            w = _polish(problem, w, 0.5 * min(below, above))
             brackets = _brackets_root(problem, _cell_rows(problem, [w])[0]).item()
         if brackets:
             kept.append(w)
@@ -427,27 +463,29 @@ def _make_solutions(
 ) -> list[SpectralSolution]:
     """Assemble the solution records of a cell's frequency roots, ascending, from their _cell_rows."""
     rows, alpha, delta = cell
-    raw = rows[2]
-    scale = np.abs(raw[:, : problem.n + 1]).max(axis=1, keepdims=True)
-    tails = (np.abs(raw[:, problem.n + 1 :]) / scale).tolist()
+    n, raw = problem.n, rows[2]
+    scale = np.abs(raw[:, : n + 1]).max(axis=1, keepdims=True)
+    tails = (np.abs(raw[:, n + 1 :]) / scale).tolist()
     nodes = _node_counts(problem, cell)
+    coefficients = raw[:, : n + 1].tolist()
+    energies, zetas = _energies(problem, roots), _zeta_squares(problem, roots)
     solutions = []
-    for k, omega in enumerate(roots):
+    for k, (omega, a, d) in enumerate(zip(roots, alpha.tolist(), delta.tolist())):
         residuals = {"truncation": tails[k][0], "truncation_next": tails[k][1]}
         if cubic_residuals is not None:
             residuals["cubic"] = cubic_residuals[k]
         solutions.append(
             SpectralSolution(
-                n=problem.n,
+                n=n,
                 l=problem.physical.l,
                 omega=omega,
-                energy=energy(problem, omega),
-                zeta_sq=zeta_squared(problem, omega),
-                coefficients=tuple(raw[k, : problem.n + 1].tolist()),
+                energy=energies[k],
+                zeta_sq=zetas[k],
+                coefficients=tuple(coefficients[k]),
                 node_count=nodes[k],
                 residuals=residuals,
                 problem=problem,
-                heun=HeunParams(alpha[k].item(), delta[k].item(), problem.theta),
+                heun=HeunParams(a, d, problem.theta),
             )
         )
     return solutions

@@ -20,7 +20,9 @@ it once per cell for c_{n+1}(omega), each state's polynomial and its node
 count, and every c_j the package reports comes from it. Given equal-shape
 arrays of alpha and delta it runs the recurrence for all of them at once,
 each element bit-identical to a scalar call, which is how quantize treats
-all frequencies of a cell at once.
+all frequencies of a cell at once. The numerators and denominators of every
+step are computed before the loop, so a step costs one multiply, one divide
+and one subtract over the whole batch.
 This module only manipulates the series; it knows nothing about physical
 parameters.
 """
@@ -70,30 +72,37 @@ def _raw_coefficients(alpha, delta, theta: int, g: float, j_max: int):
     Set g = 2n to probe truncation at degree n: c_{n+1} is then the
     truncation residual. Raises OverflowGuard if any c_j (j >= 2) of any element
     passes OVERFLOW_LIMIT, naming the first such j and its first such element.
+
+    The numerators (g - 2j, 2 alpha (j+1) + theta alpha + 2 delta) of every step
+    and their denominators are computed up front, so step j is one multiply of
+    the pair (c_j, c_{j+1}), one divide and one subtract, each rounding exactly
+    as the formula read left to right.
     """
     batch = np.ndim(alpha) > 0
     alpha, delta = np.asarray(alpha, dtype=float), np.asarray(delta, dtype=float)
-    two_alpha, theta_alpha, two_delta = 2.0 * alpha, theta * alpha, 2.0 * delta
-    c = [np.ones_like(alpha), alpha / 2.0 + delta / theta]
+    a, d = alpha.reshape(-1), delta.reshape(-1)
+    j = np.arange(j_max - 1, dtype=float)
+    num = np.empty((j_max - 1, 2, a.size))
+    num[:, 0] = (g - 2.0 * j)[:, None]
+    num[:, 1] = (2.0 * a * (j[:, None] + 1.0) + theta * a) + 2.0 * d
+    den = np.stack([(j + 2.0) * (j + 1.0 + theta), 2.0 * (j + 2.0) * (j + 1.0 + theta)], axis=-1)[..., None]
+    c = np.empty((j_max + 1, a.size))  # c[j] holds c_j of every element
+    c[0] = 1.0
+    c[1] = a / 2.0 + d / theta
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(j_max - 1):
-            c.append(
-                (two_alpha * (j + 1) + theta_alpha + two_delta) * c[j + 1]
-                / (2.0 * (j + 2) * (j + 1 + theta))
-                - (g - 2.0 * j) * c[j] / ((j + 2) * (j + 1 + theta))
-            )
-    out = np.stack(c, axis=-1)
-    rows = out.reshape(-1, j_max + 1)
-    big = np.abs(rows[:, 2:]) > OVERFLOW_LIMIT
+        for k in range(j_max - 1):
+            pair = num[k] * c[k : k + 2]
+            pair /= den[k]
+            np.subtract(pair[1], pair[0], out=c[k + 2])
+    big = np.abs(c[2:]) > OVERFLOW_LIMIT
     if big.any():
-        j = np.argmax(big.any(axis=0)) + 2
-        at = np.argmax(big[:, j - 2])
-        a, d = (np.ravel(x)[at] for x in (alpha, delta))
+        k = np.argmax(big.any(axis=1))
+        at = np.argmax(big[k])
         raise OverflowGuard(
-            f"|c_{j}| = {abs(rows[at, j]):.3e} exceeds {OVERFLOW_LIMIT:.0e} "
-            f"(alpha={a:.6g}, delta={d:.6g}, theta={theta}, g={g:.6g})"
+            f"|c_{k + 2}| = {abs(c[k + 2, at]):.3e} exceeds {OVERFLOW_LIMIT:.0e} "
+            f"(alpha={a[at]:.6g}, delta={d[at]:.6g}, theta={theta}, g={g:.6g})"
         )
-    return out if batch else out.tolist()
+    return c.T.reshape(alpha.shape + (j_max + 1,)) if batch else c[:, 0].tolist()
 
 
 def evaluate_H(coeffs, xi):
@@ -118,18 +127,21 @@ def radial_ansatz(coeffs, alpha: float, abs_l: int, xi):
     the dropped constant exp(alpha^2/8) passes the double range once
     alpha < -75, and it cancels in any normalized profile.
     Accepts a scalar or an ndarray; xi must be >= 0 for the result to be the
-    physical profile.
+    physical profile. Where the envelope underflows to 0 the profile is 0,
+    even where xi^|l| H(xi) overflows; elsewhere an overflow comes back as a
+    non-finite value, without a warning, for the caller to report.
 
     Raises:
         OverflowGuard: the exponent is not finite, as for xi past about
             1e154, where xi^2 leaves the double range.
     """
-    xi = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else float(xi)
+    # a numpy scalar rounds as a float does, but overflows to inf where float ** raises
+    xi = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else np.float64(xi)
     with np.errstate(over="ignore"):
-        try:
-            exponent = -0.5 * (xi + 0.5 * alpha) ** 2 if alpha < 0.0 else -0.5 * xi * (xi + alpha)
-        except OverflowError:  # float ** raises where numpy gives inf
-            exponent = -math.inf
+        exponent = -0.5 * (xi + 0.5 * alpha) ** 2 if alpha < 0.0 else -0.5 * xi * (xi + alpha)
     if not np.isfinite(exponent).all():
         raise OverflowGuard(f"radial envelope overflows (xi up to {np.max(xi):.3e}, alpha = {alpha:.6g})")
-    return np.exp(exponent) * xi**abs_l * evaluate_H(coeffs, xi)
+    envelope = np.exp(exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = envelope * xi**abs_l * evaluate_H(coeffs, xi)
+    return np.where(envelope > 0.0, profile, 0.0)[()]

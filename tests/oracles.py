@@ -3,7 +3,9 @@
 Every helper here recomputes quantities through deliberately separate paths
 (hand-rolled recurrence, generic bisection, closed forms, the full 3(n+1)
 companion of the frequency condition) so the tests never compare the package
-against itself. The FROZEN_* constants were produced by
+against itself. The straightforward forms of the solver's array glue (dense
+companion, list recurrence, per-probe _alpha_delta) are the reference its
+optimized forms must match bit for bit. The FROZEN_* constants were produced by
 these same routines in a standalone session before the package was written
 and are pinned verbatim as regression anchors; DISPLAY_* values are the
 coarser hand-rounded figures quoted in documentation.
@@ -12,6 +14,8 @@ coarser hand-rounded figures quoted in documentation.
 import math
 
 import numpy as np
+
+from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL, _alpha_delta
 
 # Reference system m = M = lambda = l = eta = 1, k = 0, n = 1.
 FROZEN_OMEGA = 1.747847765739618
@@ -176,3 +180,50 @@ def reference_spectrum(m, coupling, eta, n, theta):
         mu = np.sort(np.linalg.eigvals(-(k0 + alpha * np.diag(d)) / 2.0).real)[::-1]
         states.append((root, int(np.argmin(np.abs(mu - delta)))))
     return states
+
+
+def dense_companion_candidates(problem):
+    """quantize._candidate_frequencies built from the dense K0, its scaling and its blocks. Needs eta != 0."""
+    n, theta = problem.n, problem.theta
+    i = np.arange(1, n + 1, dtype=float)
+    k0 = -np.diag(np.sqrt(8.0 * (n - i + 1) * i * (i - 1 + theta)), 1)
+    k0 += k0.T
+    a3, a1 = 2.0 * problem.mass * problem.eta, 2.0 * problem.coupling
+    d_inv = 1.0 / (2.0 * np.arange(n + 1) + theta)
+    k0 *= np.sqrt(np.outer(d_inv, d_inv)) / a3
+    c = a1 / a3
+    sigma = max((abs(c) / theta) ** 0.5, np.linalg.norm(k0, np.inf) ** (1.0 / 3.0))
+    b = k0[0::2, 1::2] / sigma**3
+    n_e, n_o = b.shape
+    companion = np.zeros((n_e + 2 * n_o, n_e + 2 * n_o))
+    companion[:n_e, :n_e] = np.diag(-c / sigma**2 * d_inv[0::2])
+    companion[:n_e, n_e : n_e + n_o] = -b
+    companion[n_e : n_e + n_o, n_e + n_o :] = np.eye(n_o)
+    companion[n_e + n_o :, :n_e] = -b.T
+    companion[n_e + n_o :, n_e + n_o :] = np.diag(-c / sigma**2 * d_inv[1::2])
+    u = sigma**2 * np.linalg.eigvals(companion)
+    real = np.abs(u.imag) <= EIG_IMAG_RTOL * np.abs(u)
+    real &= u.real > EIG_ZERO_RTOL * np.max(np.abs(u))
+    return np.sort(1.0 / (problem.mass * u.real[real]))
+
+
+def list_recurrence(alpha, delta, theta, g, j_max):
+    """series._raw_coefficients on equal-shape arrays, one list entry per c_j; no overflow guard."""
+    two_alpha, theta_alpha, two_delta = 2.0 * alpha, theta * alpha, 2.0 * delta
+    c = [np.ones_like(alpha), alpha / 2.0 + delta / theta]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(j_max - 1):
+            c.append(
+                (two_alpha * (j + 1) + theta_alpha + two_delta) * c[j + 1] / (2.0 * (j + 2) * (j + 1 + theta))
+                - (g - 2.0 * j) * c[j] / ((j + 2) * (j + 1 + theta))
+            )
+    return np.stack(c, axis=-1)
+
+
+def packed_cell_rows(problem, omegas):
+    """quantize._cell_rows with (alpha, delta) packed from _alpha_delta per probe, through list_recurrence."""
+    omegas = np.asarray(omegas, dtype=float)
+    probes = np.concatenate([omegas * (1.0 - ROOT_RTOL), omegas * (1.0 + ROOT_RTOL), omegas])
+    alpha, delta = np.array([_alpha_delta(problem, w) for w in probes.tolist()]).reshape(-1, 2).T
+    raw = list_recurrence(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
+    return raw.reshape(3, len(omegas), problem.n + 3), alpha.reshape(3, -1)[2], delta.reshape(3, -1)[2]

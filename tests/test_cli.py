@@ -224,6 +224,20 @@ class TestWavefunction:
         assert (code, out) == (1, "")
         assert err.startswith("error: radial envelope overflows") and err.count("\n") == 1
 
+    def test_underflowed_envelope_gives_zero_rows(self, capsys):
+        # xi^3 H(xi) overflows where exp(-xi^2/2) is already 0: the profile is 0 there
+        code, out, err = run_cli(capsys, "wavefunction", "--rho-max", "1e150", "--n", "3")
+        assert (code, err) == (0, "")
+        values = [float(line.split(",")[1]) for line in split_output(out)[1][1:]]
+        assert len(values) == 512 and values[1:] == [0.0] * 511
+
+    def test_non_finite_sample_is_one_error_line(self, capsys, monkeypatch):
+        sample = lambda *_: [(0.0, 0.0), (1.0, math.inf)]
+        monkeypatch.setattr(heunqes.wavefunction.RadialWavefunction, "sample", sample)
+        code, out, err = run_cli(capsys, "wavefunction")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: radial profile overflows at rho = 1 ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_single_state_passes(self, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from heunqes import quantize
 from heunqes.errors import (
     NonPositiveFrequency,
     NoRootInRange,
@@ -275,6 +276,12 @@ class TestCompleteness:
             warnings.simplefilter("error")
             assert solve_frequency(problem(n=n))
 
+    def test_probe_values_near_the_overflow_limit_emit_no_warning(self):
+        # c_{n+1} nears OVERFLOW_LIMIT at both probes here, so their product overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_frequency(problem(n=34, mass=6.13e-4, quad=1603.4, eta=-0.286, l=5))
+
 
 class TestAgainstFullCompanion:
     """The u = s^2 companion keeps every root of the full 3(n+1) companion of T(s)."""
@@ -293,6 +300,32 @@ class TestAgainstFullCompanion:
             for sol, (omega, nodes) in zip(sols, reference):
                 assert sol.omega == pytest.approx(omega, rel=1e-9), cell
                 assert sol.node_count == nodes, cell
+
+
+class TestAgainstStraightforwardGlue:
+    """The solver's array glue reproduces its straightforward form (tests/oracles.py) bit for bit."""
+
+    def test_seeded_sweep(self, monkeypatch):
+        rng = np.random.default_rng(1603_03078)
+        problems = []
+        for _ in range(50):
+            n = int(rng.integers(2, 51))
+            m, coupling = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-2, 2)
+            eta = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+            l = int(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+            problems.append(problem(n=n, mass=m, quad=coupling, eta=eta, l=l))
+        solved = [solve_frequency(p) for p in problems]
+        monkeypatch.setattr(quantize, "_candidate_frequencies", oracles.dense_companion_candidates)
+        monkeypatch.setattr(quantize, "_cell_rows", oracles.packed_cell_rows)
+        fields = lambda s: (s.omega, s.energy, s.zeta_sq, s.coefficients, s.node_count, s.residuals, s.heun)
+        for p, sols in zip(problems, solved):
+            assert [fields(s) for s in sols] == [fields(s) for s in solve_frequency(p)], p
+            phys = p.physical
+            for s in sols:
+                assert s.energy == oracles.energy_formula(
+                    p.mass, phys.quad * phys.lam, p.eta, phys.kz, p.n, p.abs_l, s.omega
+                )
+                assert s.zeta_sq == oracles.zeta_sq_formula(p.mass, p.eta, p.n, p.abs_l, s.omega)
 
 
 class TestNodeCount:
