@@ -3,14 +3,15 @@
 Output is deterministic: identical configuration produces byte-identical
 bytes. Run metadata lives in `#`-prefixed header lines that echo every
 effective parameter as `# key = value`, parseable by the same `key = value`
-reader used for config files, so a header round-trips into a config file
-reproducing the run. Data streams are CSV (comma separator, LF endings,
-mandatory header row) or aligned plain-text tables; numbers are printed with
-12 significant digits, switching to scientific notation below 1e-4 and at or
-above 1e+6.
+reader used for config files, so the leading header block of every command,
+verify's included, round-trips into a config file reproducing the run. Data
+streams are CSV (comma separator, LF endings, mandatory header row) or aligned
+plain-text tables; numbers are printed with 12 significant digits, switching
+to scientific notation below 1e-4 and at or above 1e+6.
 
 Exit codes: 0 success (verify: all states PASS), 1 verification failure or
-internal numerical failure, 2 configuration/validation error, 3 no frequency
+internal numerical failure, 2 configuration/validation error (an n-max of
+scan or verify outside 1..MAX_DEGREE, an unwritable --output), 3 no frequency
 root found.
 """
 
@@ -87,51 +88,32 @@ _CONVERTERS = {
     "output": str,
 }
 
-_DEFAULTS = {
-    "mass": 1.0,
-    "quad": 1.0,
-    "lam": 1.0,
-    "eta": 1.0,
-    "kz": 0.0,
-    "l": 1,
-    "n": 1,
-    "n_max": 1,
-    "l_list": (1,),
-    "samples": 512,
-    "rho_max": None,
-    "grid": (),
-    "perturb_omega": 1.0,
-    "format": None,
-    "output": None,
-    "jobs": None,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Merged effective configuration: defaults < config file < CLI flags.
+    """Merged effective configuration: field defaults < config file < CLI flags.
 
     explicit records which keys were set by the file or the command line,
     letting verify distinguish single-state mode from range mode.
     """
 
     command: str
-    mass: float
-    quad: float
-    lam: float
-    eta: float
-    kz: float
-    l: int
-    n: int
-    n_max: int
-    l_list: tuple[int, ...]
-    samples: int
-    rho_max: float | None
-    grid: tuple[int, ...]
-    perturb_omega: float
-    format: str | None
-    output: str | None
-    jobs: int | None
+    mass: float = 1.0
+    quad: float = 1.0
+    lam: float = 1.0
+    eta: float = 1.0
+    kz: float = 0.0
+    l: int = 1
+    n: int = 1
+    n_max: int = 1
+    l_list: tuple[int, ...] = (1,)
+    samples: int = 512
+    rho_max: float | None = None
+    grid: tuple[int, ...] = ()
+    perturb_omega: float = 1.0
+    format: str | None = None
+    output: str | None = None
+    jobs: int | None = None
     explicit: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -227,19 +209,13 @@ def load_config(path: str) -> dict:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional config file, and CLI flags into a RunConfig."""
-    merged = dict(_DEFAULTS)
-    explicit: set[str] = set()
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        file_values = load_config(path)
-        merged.update(file_values)
-        explicit.update(file_values)
-    for key in _DEFAULTS:
+    merged = load_config(path) if path else {}
+    for key in _CONVERTERS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = tuple(value) if key == "grid" else value
-            explicit.add(key)
-    return RunConfig(command=args.command, explicit=frozenset(explicit), **merged)
+    return RunConfig(command=args.command, explicit=frozenset(merged), **merged)
 
 
 def _make_params(config: RunConfig, l: int | None = None) -> PhysicalParams:
@@ -271,38 +247,38 @@ def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
     return 0, lines
 
 
-def _scan_cell(task: tuple) -> list[tuple]:
+def _select_cells(config: RunConfig) -> tuple[list[tuple[str, object]], list[tuple[int, int]]]:
+    """Validate the n-max / l-list range; return its header pairs and its n-major (n, l) cells."""
+    if config.n_max < 1:
+        raise ConfigError(f"n-max must be >= 1, got {config.n_max}")
+    if config.n_max > MAX_DEGREE:
+        raise ConfigError(f"n-max must be <= {MAX_DEGREE}, got {config.n_max}")
+    if any(l == 0 for l in config.l_list):
+        raise ZeroAngularMomentum("l must be nonzero: l-list contains 0")
+    l_values = tuple(sorted(set(config.l_list)))
+    pairs = [("n_max", config.n_max), ("l_list", l_values)]
+    return pairs, [(n, l) for n in range(1, config.n_max + 1) for l in l_values]
+
+
+def _scan_cell(task: tuple[int, PhysicalParams]) -> list[tuple]:
     """Worker for one (n, l) scan cell; must stay module-level for pickling."""
-    n, l, mass, quad, lam, eta, kz = task
+    n, params = task
     blank = (None, None, None, None, None)
     try:
-        params = PhysicalParams(mass=mass, quad=quad, lam=lam, eta=eta, kz=kz, l=l)
         states = _solve_states(params, n)
     except (NoRootInRange, NoPositiveRoot):
-        return [(n, l, None) + blank + ("no_root",)]
+        return [(n, params.l, None) + blank + ("no_root",)]
     except HeunQESError as exc:
-        return [(n, l, None) + blank + (f"error:{type(exc).__name__}",)]
+        return [(n, params.l, None) + blank + (f"error:{type(exc).__name__}",)]
     return [
-        (n, l, i, s.omega, s.energy, s.zeta_sq, s.node_count, s.residuals["truncation"], "ok")
+        (n, params.l, i, s.omega, s.energy, s.zeta_sq, s.node_count, s.residuals["truncation"], "ok")
         for i, s in enumerate(states)
     ]
 
 
 def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
-    if config.n_max < 1:
-        raise ConfigError(f"n-max must be >= 1, got {config.n_max}")
-    if config.n_max > MAX_DEGREE:
-        raise ConfigError(f"n-max must be <= {MAX_DEGREE}, got {config.n_max}")
-    if not config.l_list:
-        raise ConfigError("l-list must be nonempty")
-    if any(l == 0 for l in config.l_list):
-        raise ZeroAngularMomentum("l must be nonzero: l-list contains 0")
-    l_values = sorted(set(config.l_list))
-    tasks = [
-        (n, l, config.mass, config.quad, config.lam, config.eta, config.kz)
-        for n in range(1, config.n_max + 1)
-        for l in l_values
-    ]
+    range_pairs, cells = _select_cells(config)
+    tasks = [(n, _make_params(config, l=l)) for n, l in cells]
     jobs = config.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
         # imported here: the pool module costs every other command about 13 ms of start-up
@@ -314,8 +290,7 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
         per_cell = [_scan_cell(task) for task in tasks]
     # pool.map keeps task order and each cell is ascending, so rows need no sort
     rows = [row for cell in per_cell for row in cell]
-    pairs = _physics_pairs(config) + [("n_max", config.n_max), ("l_list", tuple(l_values))]
-    lines = _header_lines(config, pairs)
+    lines = _header_lines(config, _physics_pairs(config) + range_pairs)
     lines += _render(_SCAN_COLUMNS, rows, config.format or "csv")
     return 0, lines
 
@@ -359,16 +334,10 @@ def _verify_grids(config: RunConfig) -> tuple[int, int]:
 def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
     coarse, refined = _verify_grids(config)
     if {"n_max", "l_list"} & config.explicit:
-        if any(l == 0 for l in config.l_list):
-            raise ZeroAngularMomentum("l must be nonzero: l-list contains 0")
-        cells = [
-            (n, l)
-            for n in range(1, config.n_max + 1)
-            for l in sorted(set(config.l_list))
-        ]
+        cell_pairs, cells = _select_cells(config)
     else:
-        cells = [(config.n, config.l)]
-    pairs = _physics_pairs(config) + [
+        cell_pairs, cells = [("l", config.l), ("n", config.n)], [(config.n, config.l)]
+    pairs = _physics_pairs(config) + cell_pairs + [
         ("grid", (coarse, refined)),
         ("perturb_omega", config.perturb_omega),
     ]
@@ -434,6 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, help="worker processes for scan (default: CPU count); other commands run serially"
     )
 
+    cell = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    cell.add_argument("--n", type=int, help="polynomial degree n >= 1")
+    cell.add_argument("--l", type=int, help="angular momentum quantum number, l != 0")
+
+    cell_range = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    cell_range.add_argument(
+        "--n-max", dest="n_max", type=int, help=f"cells n = 1..n_max, n_max <= {MAX_DEGREE}"
+    )
+    cell_range.add_argument("--l-list", dest="l_list", type=_parse_int_list, help="e.g. 1,2,-1")
+
     parser = argparse.ArgumentParser(
         prog="heunqes",
         description="Quasi-exactly-solvable spectra of a trapped magnetic-quadrupole atom.",
@@ -441,29 +420,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", parents=[shared], help="quantized frequencies for one (n, l)")
-    solve.add_argument("--n", type=int, help="polynomial degree n >= 1")
-    solve.add_argument("--l", type=int, help="angular momentum quantum number, l != 0")
-
-    scan = sub.add_parser("scan", parents=[shared], help="sweep (n, l) cells to CSV")
-    scan.add_argument("--n-max", dest="n_max", type=int, help="scan n = 1..n_max")
-    scan.add_argument("--l-list", dest="l_list", type=_parse_int_list, help="e.g. 1,2,-1")
+    sub.add_parser("solve", parents=[shared, cell], help="quantized frequencies for one (n, l)")
+    sub.add_parser("scan", parents=[shared, cell_range], help="sweep (n, l) cells to CSV")
 
     wavefunction = sub.add_parser(
-        "wavefunction", parents=[shared], help="sampled normalized radial profile"
+        "wavefunction", parents=[shared, cell], help="sampled normalized radial profile"
     )
-    wavefunction.add_argument("--n", type=int, help="polynomial degree n >= 1")
-    wavefunction.add_argument("--l", type=int, help="angular momentum quantum number, l != 0")
     wavefunction.add_argument("--samples", type=int, help="number of radial samples")
     wavefunction.add_argument("--rho-max", dest="rho_max", type=float, help="sampling radius")
 
     verify = sub.add_parser(
-        "verify", parents=[shared], help="cross-check states against the finite-difference oracle"
+        "verify",
+        parents=[shared, cell, cell_range],
+        help="cross-check states against the finite-difference oracle",
     )
-    verify.add_argument("--n", type=int, help="polynomial degree n >= 1")
-    verify.add_argument("--l", type=int, help="angular momentum quantum number, l != 0")
-    verify.add_argument("--n-max", dest="n_max", type=int, help="verify n = 1..n_max")
-    verify.add_argument("--l-list", dest="l_list", type=_parse_int_list, help="e.g. 1,2,-1")
     verify.add_argument(
         "--grid",
         action="append",
@@ -483,8 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -1,5 +1,8 @@
 """Command-line interface: formats, headers, config merging, exit codes."""
 
+import argparse
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -287,6 +290,17 @@ class TestVerify:
         assert run_cli(capsys, "verify", *grids)[0] == 2
 
     @pytest.mark.parametrize(
+        "n_max, message",
+        [("0", "n-max must be >= 1"), ("-3", "n-max must be >= 1"), ("51", "n-max must be <= 50")],
+    )
+    def test_bad_n_max_rejected(self, capsys, n_max, message):
+        # rejected before any cell is verified, with the same messages scan gives
+        for command in ("scan", "verify"):
+            code, out, err = run_cli(capsys, command, "--n-max", n_max)
+            assert (code, out) == (2, "")
+            assert err == f"error: {message}, got {n_max}\n"
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (("--perturb-omega", "1e200"), "oracle box overflows"),
@@ -386,7 +400,8 @@ class TestExitCodes:
 class TestHeaderRoundTrip:
     def _round_trip(self, capsys, tmp_path, *argv):
         _, first, _ = run_cli(capsys, *argv)
-        header, _ = split_output(first)
+        # only the leading block: verify can print '# no frequency root for n = ...' between rows
+        header = list(itertools.takewhile(lambda line: line.startswith("#"), first.split("\n")))
         config_lines = [line[2:] for line in header[1:] if " = " in line]
         path = tmp_path / "replay.cfg"
         path.write_text("\n".join(config_lines) + "\n")
@@ -402,6 +417,12 @@ class TestHeaderRoundTrip:
     def test_scan_header_replays(self, capsys, tmp_path):
         self._round_trip(capsys, tmp_path, "scan", "--n-max", "2", "--l-list", "2,1")
 
+    @pytest.mark.parametrize(
+        "cells", [("--n", "3", "--l", "2"), ("--n-max", "2", "--l-list", "1,-1,1")]
+    )
+    def test_verify_header_replays(self, capsys, tmp_path, cells):
+        self._round_trip(capsys, tmp_path, "verify", *cells, "--grid", "500")
+
 
 class TestOutputFile:
     def test_writes_file_with_lf_endings(self, capsys, tmp_path):
@@ -412,6 +433,39 @@ class TestOutputFile:
         assert b"\r" not in blob and blob.endswith(b"\n")
         _, direct, _ = run_cli(capsys, "solve", "--format", "csv")
         assert blob.decode() == direct
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, target):
+        code, out, err = run_cli(capsys, "solve", "--output", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output file") and err.count("\n") == 1
+
+
+SHARED_FLAGS = {"-h", "--help", "--mass", "--quad", "--lambda", "--eta", "--kz", "--config",
+                "--output", "--format", "--jobs"}
+
+
+class TestParserSurface:
+    """The flag set of each subcommand and the config key set stay what they are."""
+
+    def test_each_subcommand_accepts_its_flags(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            for name, sub in commands.choices.items()
+        }
+        assert accepted == {
+            "solve": SHARED_FLAGS | {"--n", "--l"},
+            "scan": SHARED_FLAGS | {"--n-max", "--l-list"},
+            "wavefunction": SHARED_FLAGS | {"--n", "--l", "--samples", "--rho-max"},
+            "verify": SHARED_FLAGS
+            | {"--n", "--l", "--n-max", "--l-list", "--grid", "--rho-max", "--perturb-omega"},
+        }
+
+    def test_config_keys_are_the_run_config_fields(self):
+        fields = {field.name for field in dataclasses.fields(cli.RunConfig)}
+        assert set(cli._CONVERTERS) == fields - {"command", "explicit"}
 
 
 def child_env():
