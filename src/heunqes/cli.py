@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -450,6 +451,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Write '--opt -1,1' as '--opt=-1,1'.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain decimal such as -0.5, so it refuses -1e-3 or an l-list that starts
+    with a negative l. Every option takes one value and no option name starts
+    with '-' and a digit or '.', so such a token after an option is its value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and re.fullmatch(r"--[\w-]+", joined[-1]) and re.match(r"-[\d.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
@@ -465,7 +483,7 @@ def _emit(lines: list[str], output: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

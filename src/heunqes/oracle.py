@@ -7,11 +7,12 @@ self-adjoint form with u(rho) = sqrt(rho) * R(rho),
         = zeta^2 u,
 
 discretized by central second differences on a uniform grid with Dirichlet
-ends, and diagonalized by Sturm-sequence bisection with LAPACK's dstebz. Two
-inverse-iteration steps (dgttrf, dgttrs) narrow the interval it bisects; the
-three routines come from scipy's compiled _flapack alone (see _flapack). A
-quantized frequency is genuine exactly when the analytic zeta^2 shows up in
-this spectrum at the index equal to the state's radial node count (Sturm
+ends. The oracle answers one question, eigenvalue k near a shift
+(eigenvalues): LAPACK's dstebz bisects it by Sturm sequences, inside the
+window that two inverse-iteration steps (dgttrf, dgttrs) at the shift give;
+the three routines come from scipy's compiled _flapack alone (see _flapack).
+A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
+this spectrum at the index k equal to the state's radial node count (Sturm
 oscillation ordering), with the residual deviation shrinking like h^2 under
 grid doubling.
 
@@ -96,18 +97,6 @@ class RadialOperatorSpec:
         return self.rho_max / (self.n_grid + 1)
 
 
-@dataclass(frozen=True)
-class OracleSpectrum:
-    """Consecutive eigenvalues zeta^2_k of one channel, strictly ascending.
-
-    eigenvalues[i] is zeta^2 at index k = first + i.
-    """
-
-    eigenvalues: tuple[float, ...]
-    spec: RadialOperatorSpec
-    first: int = 0
-
-
 def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the symmetric tridiagonal operator.
 
@@ -141,51 +130,41 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def eigenvalues(
-    spec: RadialOperatorSpec, count: int, first: int = 0, *, near: float | None = None
-) -> OracleSpectrum:
-    """Eigenvalues of indices first..count-1 of the channel by Sturm-sequence bisection.
+def eigenvalues(spec: RadialOperatorSpec, k: int, *, near: float | None = None) -> float:
+    """Eigenvalue zeta^2_k of the channel, index k counted from 0, by Sturm-sequence bisection.
 
     With near = shift, two inverse-iteration steps at that shift give a
     Rayleigh quotient theta and its residual norm r, and some eigenvalue lies
     within r of theta. Only the window theta -/+ max(r, _RESIDUAL_FLOOR) is
-    bisected, and its values are used when Sturm counts certify that it holds
-    exactly these indices (_certified_window); a shift nearest index first
-    gives such a window for a one-index request. Otherwise, as without near
-    or when T - shift is singular, the indices are bisected from the
-    Gershgorin bounds, so the result is the same indices either way.
-    A narrow window costs fewer bisection sweeps: each halves the interval
-    down to _EIG_ABS_TOL. The values themselves are exact only to the
+    bisected, and its value is used when Sturm counts certify that it holds
+    index k alone (_certified_window), as a shift nearest eigenvalue k gives.
+    Otherwise, as without near or when T - shift is singular, index k is
+    bisected from the Gershgorin bounds, so the result is eigenvalue k either
+    way. A narrow window costs fewer bisection sweeps: each halves the
+    interval down to _EIG_ABS_TOL. The value itself is exact only to the
     rounding of the operator, about half an ulp of 2/h^2 (see
     verify_solution).
+
+    The name is plural for the benchmark tracer, which binds
+    oracle.eigenvalues and reads spec.n_grid from the first argument.
 
     Raises:
         OverflowGuard: the operator is not finite (build_operator).
         ConvergenceFailure: the bisection backend failed or returned a
-            non-ascending sequence.
+            non-finite value.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > spec.n_grid:
-        raise ValueError(f"cannot request {count} eigenvalues from a {spec.n_grid}-point grid")
-    if not 0 <= first < count:
-        raise ValueError(f"first must lie in [0, {count}), got {first}")
     d, e = build_operator(spec)
     window = None if near is None else _rayleigh_window(d, e, near)
-    vals = None if window is None else _certified_window(d, e, count, first, *window)
-    if vals is None:
+    value = None if window is None else _certified_window(d, e, k, *window)
+    if value is None:
         # range = 2: indices il..iu, 1-based
-        found, vals, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 0.0, first + 1, count, _EIG_ABS_TOL, b"E")
-        if info != 0 or found != count - first:
-            raise ConvergenceFailure(
-                f"dstebz failed: info = {info}, {found} of {count - first} eigenvalues"
-            )
-        vals = vals[:found]
-    if not np.all(np.isfinite(vals)):
-        raise ConvergenceFailure("eigensolver returned non-finite eigenvalues")
-    if np.any(np.diff(vals) <= 0.0):
-        raise ConvergenceFailure("eigenvalues not strictly ascending; bisection lost states")
-    return OracleSpectrum(tuple(float(v) for v in vals), spec, first=first)
+        found, vals, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 0.0, k + 1, k + 1, _EIG_ABS_TOL, b"E")
+        if info != 0 or found != 1:
+            raise ConvergenceFailure(f"dstebz failed on eigenvalue {k}: info = {info}, {found} values")
+        value = vals[0]
+    if not math.isfinite(value):
+        raise ConvergenceFailure(f"eigensolver returned a non-finite eigenvalue {k}")
+    return float(value)
 
 
 def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float, float] | None:
@@ -215,10 +194,8 @@ def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float,
     return theta - radius, theta + radius
 
 
-def _certified_window(
-    d: np.ndarray, e: np.ndarray, count: int, first: int, lo: float, hi: float
-) -> np.ndarray | None:
-    """Eigenvalues in (lo, hi] if they are exactly indices first..count-1, else None.
+def _certified_window(d: np.ndarray, e: np.ndarray, k: int, lo: float, hi: float) -> float | None:
+    """The eigenvalue in (lo, hi] if it is index k alone, else None.
 
     Two dstebz calls over a value range (range = 1): a Sturm count of
     (floor, lo], with floor below the Gershgorin bound and a tolerance so wide
@@ -231,9 +208,9 @@ def _certified_window(
         return None
     below, _, _, _, info_below = dstebz(d, e, 1, floor, lo, 0, 0, 1e300, b"E")
     found, vals, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, _EIG_ABS_TOL, b"E")
-    if info_below != 0 or info != 0 or below != first or found != count - first:
+    if info_below != 0 or info != 0 or below != k or found != 1:
         return None
-    return vals[:found]
+    return vals[0]
 
 
 @functools.cache
@@ -318,16 +295,15 @@ def verify_solution(
 ) -> VerificationReport:
     """Check one solved state against the finite-difference spectrum.
 
-    The channel is diagonalized at grid_n and grid_n_refined (default 2x)
-    interior points with a shared rho_max, and on each grid only the
-    eigenvalue at index node_count is compared with the claimed zeta^2. It is
-    bisected inside the Rayleigh-quotient window of an inverse iteration
-    shifted to the claim on the coarse grid and to the coarse value on the
-    refined one (eigenvalues with near). A window is used only when Sturm
-    counts certify that it holds exactly this index, and the index is
-    bisected from the Gershgorin bounds when it does not, as when a perturbed
-    frequency puts the claim nearest another eigenvalue; either way both
-    oracle values are eigenvalue node_count. PASS requires relative
+    The channel is discretized at grid_n and grid_n_refined (default 2x)
+    interior points with a shared rho_max, and on each grid one oracle call,
+    eigenvalues(spec, node_count, near=shift), gives the eigenvalue at index
+    node_count to compare with the claimed zeta^2. The shift is the claim on
+    the coarse grid and the coarse value on the refined one. A window is used
+    only when Sturm counts certify that it holds this index alone, and the
+    index is bisected from the Gershgorin bounds when it does not, as when a
+    perturbed frequency puts the claim nearest another eigenvalue; either way
+    both oracle values are eigenvalue node_count. PASS requires relative
     deviation < PASS_TOL on the coarse grid and a strictly smaller deviation
     on the refined one.
 
@@ -365,9 +341,8 @@ def verify_solution(
     )
     if grid_n_refined is None:
         grid_n_refined = 2 * grid_n
-    (zeta_oracle,) = eigenvalues(coarse_spec, k + 1, k, near=claim).eigenvalues
-    refined_spec = replace(coarse_spec, n_grid=grid_n_refined)
-    (zeta_oracle_refined,) = eigenvalues(refined_spec, k + 1, k, near=zeta_oracle).eigenvalues
+    zeta_oracle = eigenvalues(coarse_spec, k, near=claim)
+    zeta_oracle_refined = eigenvalues(replace(coarse_spec, n_grid=grid_n_refined), k, near=zeta_oracle)
     scale = max(abs(claim), 1e-300)
     deviation = abs(zeta_oracle - claim) / scale
     deviation_refined = abs(zeta_oracle_refined - claim) / scale

@@ -33,6 +33,7 @@ Energies follow as
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ ROOT_RTOL = 1e-11
 
 # Two frequency roots closer than this (relative) are treated as one.
 ROOT_MERGE_RTOL = 1e-9
+
+# The companion is balanced by u = sigma^2 t and its block B carries 1/sigma^3, so sigma
+# must stay below the cube root of the largest double; at unit parameters an |eta| below
+# about 1e-206 passes it.
+_SIGMA_LIMIT = sys.float_info.max ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -137,30 +143,20 @@ def _alpha_delta(problem: ReducedProblem, omega: float) -> tuple[float, float]:
     return 2.0 * problem.mass * problem.eta / m_omega**1.5, problem.coupling / m_omega**0.5
 
 
-def energy(problem: ReducedProblem, omega: float) -> float:
-    """Energy level E_{n,l} at a (quantized) frequency omega."""
-    return _energies(problem, [_check_omega(omega)])[0]
-
-
 def _energies(problem: ReducedProblem, omegas: list[float]) -> list[float]:
-    """energy at each of omegas, its per-cell constants taken once."""
+    """Energy level E_{n,l} at each of omegas, its per-cell constants taken once."""
     p = problem.physical
     level, eta_sq, two_m = problem.n + problem.abs_l + 1, p.eta**2, 2.0 * p.mass
     coulomb, axial = (p.quad * p.lam) ** 2 / (8.0 * p.mass), p.kz**2 / (2.0 * p.mass)
     return [w * level - eta_sq / (two_m * w**2) + coulomb + axial for w in omegas]
 
 
-def zeta_squared(problem: ReducedProblem, omega: float) -> float:
-    """Radial eigenvalue zeta^2 = m*omega*(2n + 2 + 2|l|) - eta^2/omega^2.
+def _zeta_squares(problem: ReducedProblem, omegas: list[float]) -> list[float]:
+    """Radial eigenvalue zeta^2 = m*omega*(2n + 2 + 2|l|) - eta^2/omega^2 at each of omegas.
 
     Algebraically identical to 2mE - k^2 - M^2 lambda^2/4 with E from
-    energy(); the identity is exercised as a cross-check in the tests.
+    _energies; the identity is exercised as a cross-check in the tests.
     """
-    return _zeta_squares(problem, [_check_omega(omega)])[0]
-
-
-def _zeta_squares(problem: ReducedProblem, omegas: list[float]) -> list[float]:
-    """zeta_squared at each of omegas, its per-cell constants taken once."""
     mass, level, eta_sq = problem.mass, 2 * problem.n + 2 + 2 * problem.abs_l, problem.eta**2
     return [mass * w * level - eta_sq / w**2 for w in omegas]
 
@@ -336,11 +332,17 @@ def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
         u = s[s > 0.0] ** 2
     else:
         d_inv = 1.0 / (2.0 * np.arange(n + 1) + theta)
-        k = -off * (np.sqrt(d_inv[:-1] * d_inv[1:]) / a3)  # off-diagonal of D^(-1/2) K0 D^(-1/2) / a3
+        with np.errstate(over="ignore"):  # an overflow to inf fails the sigma check below
+            k = -off * (np.sqrt(d_inv[:-1] * d_inv[1:]) / a3)  # off-diagonal of D^(-1/2) K0 D^(-1/2) / a3
         c = a1 / a3
         # row r of the scaled K holds k_(r-1) and k_r: its inf-norm is the largest |k_(r-1)| + |k_r|
         row_sums = np.abs(np.concatenate([k, [0.0]])) + np.abs(np.concatenate([[0.0], k]))
         sigma = max((abs(c) / theta) ** 0.5, row_sums.max() ** (1.0 / 3.0))
+        if not sigma < _SIGMA_LIMIT:
+            raise OverflowGuard(
+                f"frequency companion overflows: scale {sigma:.3e} from eta = {problem.eta:.3e}, "
+                f"M*lambda*l = {problem.coupling:.3e}"
+            )
         # blocks (x, z', y) of solve_frequency in t = u/sigma^2, with z' and y scaled by sigma
         minus_b = -(k / sigma**3)
         shift = -c / sigma**2

@@ -2,7 +2,8 @@
 
 Every helper here recomputes quantities through deliberately separate paths
 (hand-rolled recurrence, generic bisection, closed forms, the full 3(n+1)
-companion of the frequency condition) so the tests never compare the package
+companion of the frequency condition, scipy.linalg's index route to the
+oracle's spectrum) so the tests never compare the package
 against itself. The straightforward forms of the solver's array glue (dense
 companion, list recurrence, per-probe _alpha_delta) are the reference its
 optimized forms must match bit for bit. The FROZEN_* constants were produced by
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from heunqes.oracle import build_operator
 from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL, _alpha_delta
 
 # Reference system m = M = lambda = l = eta = 1, k = 0, n = 1.
@@ -85,6 +87,20 @@ def bisect(f, lo, hi, steps=200):
 def oscillator_level(m, omega, abs_l, k):
     """Closed-form 2D oscillator zeta^2 = 2 m omega (2k + |l| + 1)."""
     return 2.0 * m * omega * (2 * k + abs_l + 1)
+
+
+def lowest_eigenvalues(spec, count, first=0):
+    """Eigenvalues of indices first..count-1 of an oracle channel through scipy.linalg.
+
+    eigh_tridiagonal's index route makes the same dstebz call the oracle's
+    index fallback makes for one index (tol 1e-14, order E), from the
+    Gershgorin bounds, with no window or shift.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    d, e = build_operator(spec)
+    values = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(first, count - 1), tol=1e-14)
+    return tuple(float(v) for v in values)
 
 
 def rel_err(value, reference):

@@ -143,10 +143,10 @@ def test_criterion_5_oscillator_regression():
     channel = RadialOperatorSpec(
         m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
     )
-    got = eigenvalues(channel, 3).eigenvalues
     for k, expected in enumerate((4.0, 8.0, 12.0)):
-        if _rel(got[k], expected) > 1e-3:
-            failures.append(f"oscillator zeta^2[{k}] = {got[k]:.6f}, want {expected}")
+        got = eigenvalues(channel, k)
+        if _rel(got, expected) > 1e-3:
+            failures.append(f"oscillator zeta^2[{k}] = {got:.6f}, want {expected}")
     coeffs = _raw_coefficients(0.0, 0.0, 3, 4.0, 4)  # alpha = delta = 0, theta = 3, g = 2n = 4
     if coeffs != [1.0, 0.0, -0.5, 0.0, 0.0]:
         failures.append(f"series coefficients {coeffs} != (1, 0, -1/2, 0, 0)")

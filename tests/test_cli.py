@@ -136,6 +136,33 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith("error: ground-state cubic overflows") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("eta", ["1e-300", "1e-250", "1e-210", "5e-324", "-5e-324"])
+    def test_tiny_eta_is_one_error_line(self, capsys, eta):
+        # the companion's balancing scale grows like |eta|^(-1/2); its cube leaves the double range
+        code, out, err = run_cli(capsys, "solve", "--eta", eta, "--n", "4")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: frequency companion overflows") and err.count("\n") == 1
+
+
+class TestNegativeValues:
+    """A value that starts with '-' but is not a plain decimal reads as in the '--flag=value' form."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--n-max", "2", "--l-list", "-1,1"),
+            ("verify", "--n-max", "2", "--l-list", "-1,2"),
+            ("solve", "--eta", "-1e-3"),
+            ("solve", "--lambda", "-2e0"),
+        ],
+        ids=["scan-l-list", "verify-l-list", "solve-eta", "solve-lambda"],
+    )
+    def test_same_as_equals_form(self, capsys, argv):
+        *head, flag, value = argv
+        spaced = run_cli(capsys, *argv)
+        assert spaced == run_cli(capsys, *head, f"{flag}={value}")
+        assert spaced[0] == 0 and spaced[2] == ""
+
 
 class TestScan:
     def test_rows_and_status(self, capsys):
@@ -180,6 +207,12 @@ class TestScan:
     def test_bad_n_max_rejected(self, capsys):
         assert run_cli(capsys, "scan", "--n-max", "0")[0] == 2
         assert run_cli(capsys, "scan", "--n-max", "999")[0] == 2
+
+    def test_tiny_eta_cells_are_error_rows(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--n-max", "3", "--eta", "1e-300", "--jobs", "1")
+        assert code == 0 and err == ""
+        rows = split_output(out)[1][1:]
+        assert rows[-2:] == ["2,1,,,,,,,error:OverflowGuard", "3,1,,,,,,,error:OverflowGuard"]
 
 
 class TestWavefunction:

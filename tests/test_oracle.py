@@ -15,7 +15,6 @@ from heunqes.model import PhysicalParams
 from heunqes.oracle import (
     BOX_PADDING,
     PASS_TOL,
-    OracleSpectrum,
     RadialOperatorSpec,
     build_operator,
     default_rho_max,
@@ -129,30 +128,14 @@ class TestBuildOperator:
 
 
 class TestEigenvalues:
-    def test_count_validation(self):
-        spec = reference_channel(n_grid=150)
-        with pytest.raises(ValueError):
-            eigenvalues(spec, 0)
-        with pytest.raises(ValueError):
-            eigenvalues(spec, 151)
-
-    def test_first_validation(self):
-        spec = reference_channel(n_grid=150)
-        for bad in (-1, 3):
-            with pytest.raises(ValueError):
-                eigenvalues(spec, 3, bad)
-
     def test_window_matches_lowest_eigenvalues(self):
         spec = reference_channel()
-        full = eigenvalues(spec, 6).eigenvalues
-        window = eigenvalues(spec, 6, 3)
-        assert window.first == 3
-        assert window.eigenvalues == pytest.approx(full[3:], rel=1e-14)
+        full = oracles.lowest_eigenvalues(spec, 6)
+        assert [eigenvalues(spec, k) for k in (3, 4, 5)] == pytest.approx(full[3:], rel=1e-14)
 
     def test_strictly_ascending(self):
-        spectrum = eigenvalues(reference_channel(), 6)
-        assert len(spectrum.eigenvalues) == 6
-        assert all(b > a for a, b in zip(spectrum.eigenvalues, spectrum.eigenvalues[1:]))
+        values = [eigenvalues(reference_channel(), k) for k in range(6)]
+        assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_oscillator_ladder(self):
         # eta = coulomb = 0 collapses the channel to the radial oscillator,
@@ -161,9 +144,8 @@ class TestEigenvalues:
         spec = RadialOperatorSpec(
             m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
         )
-        got = eigenvalues(spec, 3).eigenvalues
-        for k, value in enumerate(got):
-            assert value == pytest.approx(oracles.oscillator_level(1.0, 1.0, 1, k), rel=1e-3)
+        for k in range(3):
+            assert eigenvalues(spec, k) == pytest.approx(oracles.oscillator_level(1.0, 1.0, 1, k), rel=1e-3)
 
     def test_oscillator_ladder_scaled(self):
         m, omega, abs_l = 0.5, 3.0, 2
@@ -173,15 +155,14 @@ class TestEigenvalues:
         spec = RadialOperatorSpec(
             m=m, omega=omega, eta=0.0, coulomb_strength=0.0, abs_l=abs_l, rho_max=rho_max, n_grid=4000
         )
-        got = eigenvalues(spec, 3).eigenvalues
-        for k, value in enumerate(got):
-            assert value == pytest.approx(oracles.oscillator_level(m, omega, abs_l, k), rel=1e-3)
+        for k in range(3):
+            assert eigenvalues(spec, k) == pytest.approx(oracles.oscillator_level(m, omega, abs_l, k), rel=1e-3)
 
     def test_reference_state_sits_at_ground_index(self):
         sol = reference_solution()
         rho_max = default_rho_max(1.0, sol.omega, 1.0, sol.zeta_sq + 10.0 * sol.omega)
         spec = reference_channel(omega=sol.omega, rho_max=rho_max, n_grid=4000)
-        lowest = eigenvalues(spec, 1).eigenvalues[0]
+        lowest = eigenvalues(spec, 0)
         assert lowest == pytest.approx(oracles.FROZEN_ZETA_SQ, rel=1e-3)
         assert lowest == pytest.approx(oracles.DISPLAY_ZETA_SQ, rel=oracles.DISPLAY_TOL)
 
@@ -244,7 +225,7 @@ class TestGridConvergence:
         devs = []
         for n_grid in (2000, 4000, 8000):
             spec = reference_channel(omega=sol.omega, rho_max=rho_max, n_grid=n_grid)
-            lowest = eigenvalues(spec, 1).eigenvalues[0]
+            lowest = eigenvalues(spec, 0)
             devs.append(abs(lowest - sol.zeta_sq) / sol.zeta_sq)
         assert 3.0 < devs[0] / devs[1] < 5.0
         assert 3.0 < devs[1] / devs[2] < 5.0
@@ -295,14 +276,15 @@ def report_channel(state, report, n_grid):
 def assert_oracle_values_are_index_k(state, report, full_request=True):
     """Both reported oracle values equal eigenvalue k = node_count bisected with no window.
 
-    The reference bisects indices 0..k from the Gershgorin bounds, or index k
-    alone without full_request, which costs a fraction of it at high k.
+    The reference (oracles.lowest_eigenvalues) bisects indices 0..k from the
+    Gershgorin bounds, or index k alone without full_request, which costs a
+    fraction of it at high k.
     """
     k = state.node_count
     first = 0 if full_request else k
     pairs = ((report.grid_n, report.zeta_oracle), (report.grid_n_refined, report.zeta_oracle_refined))
     for grid, value in pairs:
-        reference = eigenvalues(report_channel(state, report, grid), k + 1, first).eigenvalues[-1]
+        reference = oracles.lowest_eigenvalues(report_channel(state, report, grid), k + 1, first)[-1]
         assert value == pytest.approx(reference, rel=1e-14), (state.n, state.l, state.omega, grid)
 
 
@@ -311,23 +293,23 @@ def spy_certified_window(monkeypatch):
     calls = []
     certify = oracle._certified_window
 
-    def spy(d, e, count, first, lo, hi):
-        vals = certify(d, e, count, first, lo, hi)
-        calls.append((d.size, hi - lo, vals is not None))
-        return vals
+    def spy(d, e, k, lo, hi):
+        value = certify(d, e, k, lo, hi)
+        calls.append((d.size, hi - lo, value is not None))
+        return value
 
     monkeypatch.setattr(oracle, "_certified_window", spy)
     return calls
 
 
 class TestWindow:
-    """_certified_window accepts a window only when it holds exactly the requested indices."""
+    """_certified_window accepts a window only when it holds index k alone."""
 
     K = 3
 
     @pytest.fixture(scope="class")
     def full(self):
-        return eigenvalues(reference_channel(), self.K + 4).eigenvalues
+        return oracles.lowest_eigenvalues(reference_channel(), self.K + 4)
 
     @pytest.mark.parametrize(
         "window",
@@ -344,13 +326,13 @@ class TestWindow:
     )
     def test_window_without_index_k_falls_back(self, full, window):
         d, e = build_operator(reference_channel())
-        assert oracle._certified_window(d, e, self.K + 1, self.K, *window(full, self.K)) is None
+        assert oracle._certified_window(d, e, self.K, *window(full, self.K)) is None
 
     def test_window_holding_the_indices_is_used(self, full):
         k = self.K
-        lo, hi = (full[k - 1] + full[k]) / 2, (full[k + 2] + full[k + 3]) / 2
-        vals = oracle._certified_window(*build_operator(reference_channel()), k + 3, k, lo, hi)
-        assert vals == pytest.approx(full[k : k + 3], rel=1e-14)
+        lo, hi = (full[k - 1] + full[k]) / 2, (full[k] + full[k + 1]) / 2
+        value = oracle._certified_window(*build_operator(reference_channel()), k, lo, hi)
+        assert value == pytest.approx(full[k], rel=1e-14)
 
     def test_negative_control_reports_index_k(self):
         # at 1.05 omega no eigenvalue lies within PASS_TOL of the claim
@@ -403,7 +385,7 @@ class TestRayleighWindow:
 
     @pytest.fixture(scope="class")
     def full(self):
-        return eigenvalues(reference_channel(), self.K + 2).eigenvalues
+        return oracles.lowest_eigenvalues(reference_channel(), self.K + 2)
 
     def test_every_window_is_certified(self, cells, monkeypatch):
         # one certified window per grid, each a sliver of the values that can pass
@@ -435,9 +417,9 @@ class TestRayleighWindow:
     def test_shift_at_next_index_falls_back(self, full, monkeypatch):
         # inverse iteration finds eigenvalue k + 1; the count below the window rejects it
         calls = spy_certified_window(monkeypatch)
-        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, near=full[self.K + 1])
+        value = eigenvalues(reference_channel(), self.K, near=full[self.K + 1])
         assert [certified for *_, certified in calls] == [False]
-        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+        assert value == pytest.approx(full[self.K], rel=1e-14)
 
     def test_singular_factorization_falls_back(self, full, monkeypatch):
         lapack = oracle._flapack()
@@ -446,9 +428,9 @@ class TestRayleighWindow:
         )
         monkeypatch.setattr(oracle, "_flapack", lambda: singular)
         calls = spy_certified_window(monkeypatch)
-        spectrum = eigenvalues(reference_channel(), self.K + 1, self.K, near=full[self.K])
+        value = eigenvalues(reference_channel(), self.K, near=full[self.K])
         assert calls == []
-        assert spectrum.eigenvalues == pytest.approx([full[self.K]], rel=1e-14)
+        assert value == pytest.approx(full[self.K], rel=1e-14)
 
 
 class TestOverflow:
@@ -464,7 +446,7 @@ class TestOverflow:
         )
         monkeypatch.setattr(oracle, "_flapack", lambda: pytest.fail("LAPACK called"))
         with pytest.raises(OverflowGuard, match="finite-difference operator overflows"):
-            eigenvalues(spec, 1, near=near)
+            eigenvalues(spec, 0, near=near)
 
     @pytest.mark.parametrize("perturb", [1e200, 3e153])
     def test_verify_overflow_is_typed(self, perturb):
@@ -494,24 +476,22 @@ class TestConvergenceFailure:
     @pytest.mark.parametrize(
         "near, info, values, calls, message",
         [
-            (None, 1, (1.0, 2.0), [2], "dstebz failed: info = 1"),
+            (None, 1, (1.0,), [2], "dstebz failed on eigenvalue 3: info = 1"),
             # a failed window falls back to the index route, which fails too
-            (1.5, 1, (1.0, 2.0), [1, 1, 2], "dstebz failed: info = 1"),
-            (None, 0, (2.0, 1.0), [2], "not strictly ascending"),
-            (1.5, 0, (2.0, 1.0), [1, 1], "not strictly ascending"),
+            (1.5, 1, (1.0,), [1, 1, 2], "dstebz failed on eigenvalue 3: info = 1"),
         ],
-        ids=["index-info", "window-info", "index-descending", "window-descending"],
+        ids=["index-info", "window-info"],
     )
     def test_failure_raises(self, monkeypatch, near, info, values, calls, message):
         seen = self.stub_dstebz(monkeypatch, info, values)
         with pytest.raises(ConvergenceFailure, match=message):
-            eigenvalues(reference_channel(n_grid=200), self.K + 2, self.K, near=near)
+            eigenvalues(reference_channel(n_grid=200), self.K, near=near)
         assert seen == calls
 
     def test_lost_states_raise(self, monkeypatch):
-        self.stub_dstebz(monkeypatch, 0, (1.0,))
-        with pytest.raises(ConvergenceFailure, match="1 of 2 eigenvalues"):
-            eigenvalues(reference_channel(n_grid=200), self.K + 2, self.K)
+        self.stub_dstebz(monkeypatch, 0, ())
+        with pytest.raises(ConvergenceFailure, match="info = 0, 0 values"):
+            eigenvalues(reference_channel(n_grid=200), self.K)
 
 
 class TestDstebz:
@@ -520,10 +500,11 @@ class TestDstebz:
         from scipy.linalg import eigh_tridiagonal
 
         spec = reference_channel()
-        expected = eigh_tridiagonal(
-            *build_operator(spec), eigvals_only=True, select="i", select_range=(2, 6), tol=1e-14
-        )
-        assert eigenvalues(spec, 7, 2).eigenvalues == tuple(expected)
+        for k in range(2, 7):
+            (expected,) = eigh_tridiagonal(
+                *build_operator(spec), eigvals_only=True, select="i", select_range=(k, k), tol=1e-14
+            )
+            assert eigenvalues(spec, k) == expected
 
     def test_missing_extension_names_the_directory(self, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
@@ -576,9 +557,3 @@ class TestVerifySolution:
         assert report.grid_n_refined == 2000
         assert report.rho_max == 9.0
         assert report.passed
-
-    def test_spectrum_dataclass_round_trip(self):
-        spec = reference_channel(n_grid=200)
-        spectrum = eigenvalues(spec, 3)
-        assert isinstance(spectrum, OracleSpectrum)
-        assert spectrum.spec is spec

@@ -25,14 +25,14 @@ from heunqes.quantize import (
     SpectralSolution,
     _alpha_delta,
     _cell_rows,
+    _energies,
     _node_count,
     _node_counts,
     _polish,
+    _zeta_squares,
     cubic_coefficients,
-    energy,
     solve_cubic,
     solve_frequency,
-    zeta_squared,
 )
 from heunqes.series import _raw_coefficients
 from heunqes.wavefunction import evaluate_R, suggested_rho_max
@@ -282,6 +282,15 @@ class TestCompleteness:
             warnings.simplefilter("error")
             assert solve_frequency(problem(n=34, mass=6.13e-4, quad=1603.4, eta=-0.286, l=5))
 
+    @pytest.mark.parametrize("eta", [1e-300, 1e-250, 1e-210, 5e-324, -5e-324])
+    def test_tiny_eta_overflow_is_typed(self, eta):
+        # the balancing scale sigma ~ (|M lambda l / (m eta)| / theta)^(1/2) has a cube past the
+        # double range; at 5e-324 the scaled off-diagonal of K0 overflows as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowGuard, match="frequency companion overflows"):
+                solve_frequency(problem(n=4, eta=eta))
+
 
 class TestAgainstFullCompanion:
     """The u = s^2 companion keeps every root of the full 3(n+1) companion of T(s)."""
@@ -387,6 +396,14 @@ class TestNodeCount:
         assert [s.node_count for s in sols] == [3, 2]
 
 
+def energy(p, omega):
+    return _energies(p, [omega])[0]
+
+
+def zeta_squared(p, omega):
+    return _zeta_squares(p, [omega])[0]
+
+
 class TestEnergy:
     def test_pure_oscillator_formula_level(self):
         assert energy(bare_problem(), 2.0) == 6.0
@@ -402,8 +419,9 @@ class TestEnergy:
         assert shifted == pytest.approx(base + 2.0, rel=1e-14)
 
     def test_rejects_nonpositive_omega(self):
+        # every energy is taken at roots whose rows _cell_rows has built, and it checks omega
         with pytest.raises(NonPositiveFrequency):
-            energy(problem(), -1.0)
+            _cell_rows(problem(), [-1.0])
 
 
 class TestZetaSquared:
