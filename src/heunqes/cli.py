@@ -28,7 +28,6 @@ from pathlib import Path
 from .errors import (
     HeunQESError,
     NonPositiveMass,
-    NoPositiveRoot,
     NoRootInRange,
     OverflowGuard,
     VanishingCoupling,
@@ -267,7 +266,7 @@ def _scan_cell(task: tuple[int, PhysicalParams]) -> list[tuple]:
     blank = (None, None, None, None, None)
     try:
         states = _solve_states(params, n)
-    except (NoRootInRange, NoPositiveRoot):
+    except NoRootInRange:
         return [(n, params.l, None) + blank + ("no_root",)]
     except HeunQESError as exc:
         return [(n, params.l, None) + blank + (f"error:{type(exc).__name__}",)]
@@ -349,7 +348,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
     for n, l in cells:
         try:
             states = _solve_states(_make_params(config, l=l), n)
-        except (NoRootInRange, NoPositiveRoot):
+        except NoRootInRange:
             lines.append(f"# no frequency root for n = {n}, l = {l}")
             continue
         for i, state in enumerate(states):
@@ -378,7 +377,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
 # Exit code main returns for each error it reports; the first matching group wins.
 _EXIT_CODES = (
     ((ConfigError, NonPositiveMass, ZeroAngularMomentum, VanishingCoupling, ValueError), 2),
-    ((NoRootInRange, NoPositiveRoot), 3),
+    (NoRootInRange, 3),
     (HeunQESError, 1),
 )
 

@@ -31,12 +31,12 @@ class NonPositiveFrequency(HeunQESError):
     """Oscillator frequency must be strictly positive."""
 
 
-class NoPositiveRoot(HeunQESError):
-    """The ground-state cubic has no positive root (degenerate couplings)."""
-
-
 class NoRootInRange(HeunQESError):
     """c_{n+1}(omega) has no positive real root: the cell has no quantized frequency."""
+
+
+class NoPositiveRoot(NoRootInRange):
+    """No root of the ground-state (n = 1) cubic passes the sign test on c_2."""
 
 
 class WrongDegree(HeunQESError):

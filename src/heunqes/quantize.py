@@ -17,15 +17,15 @@ g = 2n and c_{n+1} = 0. The first fixes
 
 the second is satisfied only at discrete frequencies omega_{n,l}: the
 potentials cannot be chosen freely, the oscillator frequency itself is
-quantized. For n = 1 the condition c_2 = 0 is a cubic in omega solved in
-closed form; for general n every root of c_{n+1}(omega) is an eigenvalue of
-one real companion matrix in u = 1/(m*omega) of size (n+1) + floor((n+1)/2)
+quantized. For n = 1 the condition c_2 = 0 is a cubic in omega with a closed
+form (solve_cubic); for general n every root of c_{n+1}(omega) is an eigenvalue
+of one real companion matrix in u = 1/(m*omega) of size (n+1) + floor((n+1)/2)
 (solve_frequency), filled along its diagonals straight from the scaled
-off-diagonal of K0 (_candidate_frequencies). Each cell takes one array
-recurrence at every eigenvalue candidate and just below and above it
-(_cell_rows): c_{n+1} below and above tests the root, the sign changes of
-c_0..c_{n+1} there are Sturm counts that give the node count (_node_counts),
-and the row at it gives the coefficients.
+off-diagonal of K0 (_candidate_frequencies). Both only propose candidates and
+quantize decides: it takes one array recurrence at every candidate and just
+below and above it (_cell_rows): c_{n+1} below and above tests the root, the
+sign changes of c_0..c_{n+1} there are Sturm counts that give the node count
+(_node_counts), and the row at it gives the coefficients.
 
 Energies follow as
 
@@ -180,13 +180,14 @@ def cubic_coefficients(problem: ReducedProblem) -> tuple[float, float, float]:
 
 
 def _cubic_real_roots(a2: float, a1: float, a0: float) -> list[float]:
-    """All real roots of omega^3 + a2 omega^2 + a1 omega + a0, multiplicity collapsed.
+    """Real roots of omega^3 + a2 omega^2 + a1 omega + a0: the largest in closed form, the rest by deflation.
 
-    Classical discriminant-classified closed form on the depressed cubic
-    t^3 + p t + q (omega = t - a2/3): three real roots through the
-    trigonometric form when the discriminant is positive, one through the
-    radical (Cardano) form when negative, explicit repeated-root formulas on
-    the boundary.
+    The closed form works on the depressed cubic t^3 + p t + q (omega = t - a2/3): the
+    trigonometric form when the discriminant is positive (three real roots), the radical
+    (Cardano) form otherwise. Both lose a root far below the largest to cancellation against
+    the shift (a pair near 0.005 beside 6.4e5 comes out wrong from its third digit), so they
+    give only the largest-magnitude root r. The other two solve omega^2 + (a2 + r) omega - a0/r
+    (Vieta), by the quadratic formula without cancellation; a double root is one of its cases.
 
     Raises:
         OverflowGuard: p^3 or q^2, which grow like the sixth power of the
@@ -202,33 +203,36 @@ def _cubic_real_roots(a2: float, a1: float, a0: float) -> list[float]:
     if not math.isfinite(disc):
         raise OverflowGuard(f"ground-state cubic overflows (a2 = {a2:.3e}, a1 = {a1:.3e}, a0 = {a0:.3e})")
     shift = -a2 / 3.0
-    if p == 0.0 and q == 0.0:
-        return [shift]  # triple root
     if disc > 0.0:
         # three distinct real roots; clamp guards acos against rounding spill
         r = math.sqrt(-p / 3.0)
         phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (2.0 * p * r))))
-        return [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) + shift for k in range(3)]
-    if disc < 0.0:
+        roots = [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) + shift for k in range(3)]
+        largest = max(roots, key=abs)
+    else:
         half_q = -q / 2.0
-        root_term = math.sqrt(q * q / 4.0 + p**3 / 27.0)
-        t = _signed_cbrt(half_q + root_term) + _signed_cbrt(half_q - root_term)
-        return [t + shift]
-    if p == 0.0:
-        return [shift]
-    return [3.0 * q / p + shift, -3.0 * q / (2.0 * p) + shift]  # simple + double root
+        root_term = math.sqrt(max(0.0, q * q / 4.0 + p**3 / 27.0))
+        largest = _signed_cbrt(half_q + root_term) + _signed_cbrt(half_q - root_term) + shift
+    if largest == 0.0:  # then every real root is zero
+        return [largest]
+    b, c = a2 + largest, -a0 / largest
+    d = b * b - 4.0 * c
+    if d < 0.0:
+        return [largest]
+    s = -0.5 * (b + math.copysign(math.sqrt(d), b))  # the pair's larger root in magnitude
+    return [largest, s, c / s] if s else [largest, s, s]
 
 
 def _signed_cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _polish_newton(value: float, a2: float, a1: float, a0: float, steps: int = 4) -> float:
-    """One round of Newton polishing on the cubic, kept only while it improves."""
+def _polish_newton(value: float, a2: float, a1: float, a0: float) -> float:
+    """Up to four Newton steps on the cubic from value, each kept only if it lowers the residual."""
     f = lambda w: ((w + a2) * w + a1) * w + a0
     fp = lambda w: (3.0 * w + 2.0 * a2) * w + a1
     best = value
-    for _ in range(steps):
+    for _ in range(4):
         slope = fp(best)
         if slope == 0.0:
             break
@@ -249,28 +253,19 @@ def _merge_close(roots: list[float]) -> list[float]:
 
 
 def solve_cubic(problem: ReducedProblem) -> list["SpectralSolution"]:
-    """All positive roots of the n = 1 cubic, ascending, as SpectralSolutions.
-
-    Every positive root is a legitimate quantized frequency; nothing selects
-    among them. With eta = 0 the cubic factors exactly as
-    omega^2 (omega + a2): the double root at zero is unphysical and only
-    -a2 = (M lambda l)^2/(2 m theta) survives, handled as a branch so that
-    float cancellation in the general formulas cannot fabricate a tiny
-    spurious positive root out of the exact zeros.
+    """The n = 1 states, ascending: the cubic's real roots, each Newton-polished, are candidates
+    for quantize, the root test of solve_frequency too. Each state's residuals add 'cubic', the
+    absolute cubic residual at omega. Raises NoPositiveRoot if no candidate passes.
     """
     a2, a1, a0 = cubic_coefficients(problem)
-    if problem.eta == 0.0:
-        candidates = [-a2]
-    else:
-        candidates = [_polish_newton(w, a2, a1, a0) for w in _cubic_real_roots(a2, a1, a0)]
-    roots = _merge_close([w for w in candidates if w > 0.0])
-    if not roots:
-        raise NoPositiveRoot(
-            "cubic has no positive root; requires eta = 0 and M*lambda*l = 0, "
-            "which construction of the problem excludes"
-        )
-    cubic_residuals = [abs(((w + a2) * w + a1) * w + a0) for w in roots]
-    return _make_solutions(problem, roots, _cell_rows(problem, roots), cubic_residuals)
+    candidates = np.sort([_polish_newton(w, a2, a1, a0) for w in _cubic_real_roots(a2, a1, a0)])
+    try:
+        solutions = quantize(problem, candidates)
+    except NoRootInRange as exc:
+        raise NoPositiveRoot(f"ground-state cubic: {exc}") from None
+    for s in solutions:
+        s.residuals["cubic"] = abs(((s.omega + a2) * s.omega + a1) * s.omega + a0)
+    return solutions
 
 
 def _cell_rows(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,7 +282,10 @@ def _cell_rows(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray,
         _check_omega(probes[np.argmin(finite_positive)].item())
     mass, a3, coupling = problem.mass, 2.0 * problem.mass * problem.eta, problem.coupling
     m_omegas = [mass * w for w in probes.tolist()]
-    alpha = np.array([a3 / x**1.5 for x in m_omegas])
+    try:
+        alpha = np.array([a3 / x**1.5 for x in m_omegas])
+    except (OverflowError, ZeroDivisionError):  # float ** raises past the double range, or gives 0
+        raise OverflowGuard(f"(m*omega)^1.5 leaves the double range, m*omega = {min(m_omegas):.3e}") from None
     delta = np.array([coupling / x**0.5 for x in m_omegas])
     raw = series._raw_coefficients(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
     return raw.reshape(3, len(omegas), problem.n + 3), alpha.reshape(3, -1)[2], delta.reshape(3, -1)[2]
@@ -398,13 +396,22 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     of size (n+1) + floor((n+1)/2), balanced by u = sigma^2 t, whose real
     positive eigenvalues carry every root. That is about an eighth of the
     LAPACK work of the linearization in s of size 3(n+1), which computes each
-    root twice; at eta = 0, T is linear in s. One _cell_rows recurrence tests
-    every candidate for a sign change of c_{n+1} across it, and a candidate that
-    passes is a root as it stands, its state read off the same rows. One that
-    fails is polished by secant steps capped at half the gap to its neighbours
-    and kept only if it passes then; such a cell's roots take _cell_rows again.
+    root twice; at eta = 0, T is linear in s. The eigenvalues are candidates,
+    and quantize decides which are roots.
     """
-    candidates = _candidate_frequencies(problem)
+    return quantize(problem, _candidate_frequencies(problem))
+
+
+def quantize(problem: ReducedProblem, candidates: np.ndarray) -> list["SpectralSolution"]:
+    """The cell's states, ascending, from its ascending candidate frequencies; both routes end here.
+
+    A root is a positive candidate across which c_{n+1} changes sign at omega * (1 -/+ ROOT_RTOL).
+    One _cell_rows recurrence tests them all; a candidate that passes is a root as it stands, its
+    state read off the same rows. One that fails is polished by secant steps capped at half the gap
+    to its neighbours and kept only if it passes then; such a cell's roots take _cell_rows again.
+    Raises NoRootInRange if no candidate passes.
+    """
+    candidates = candidates[candidates > 0.0]
     rows, alpha, delta = _cell_rows(problem, candidates)
     passed = _brackets_root(problem, rows)
     ws, kept = candidates.tolist(), []
@@ -420,7 +427,7 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     if not roots:
         raise NoRootInRange(
             f"no sign change of c_{problem.n + 1}(omega) at any of the {len(candidates)} "
-            "positive real eigenvalue candidates: the cell has no quantized frequency"
+            "positive candidate frequencies: the cell has no quantized frequency"
         )
     if roots != candidates[passed].tolist():  # a root was polished or merged
         return _make_solutions(problem, roots, _cell_rows(problem, roots))
@@ -460,9 +467,7 @@ def _node_counts(problem: ReducedProblem, cell: tuple) -> list[int]:
     return nodes
 
 
-def _make_solutions(
-    problem: ReducedProblem, roots: list[float], cell: tuple, cubic_residuals: list[float] | None = None
-) -> list[SpectralSolution]:
+def _make_solutions(problem: ReducedProblem, roots: list[float], cell: tuple) -> list[SpectralSolution]:
     """Assemble the solution records of a cell's frequency roots, ascending, from their _cell_rows."""
     rows, alpha, delta = cell
     n, raw = problem.n, rows[2]
@@ -473,9 +478,6 @@ def _make_solutions(
     energies, zetas = _energies(problem, roots), _zeta_squares(problem, roots)
     solutions = []
     for k, (omega, a, d) in enumerate(zip(roots, alpha.tolist(), delta.tolist())):
-        residuals = {"truncation": tails[k][0], "truncation_next": tails[k][1]}
-        if cubic_residuals is not None:
-            residuals["cubic"] = cubic_residuals[k]
         solutions.append(
             SpectralSolution(
                 n=n,
@@ -485,7 +487,7 @@ def _make_solutions(
                 zeta_sq=zetas[k],
                 coefficients=tuple(coefficients[k]),
                 node_count=nodes[k],
-                residuals=residuals,
+                residuals={"truncation": tails[k][0], "truncation_next": tails[k][1]},
                 problem=problem,
                 heun=HeunParams(a, d, problem.theta),
             )

@@ -6,6 +6,7 @@ fails the suite.
 """
 
 import math
+import random
 import time
 
 import numpy as np
@@ -78,19 +79,66 @@ def reference_states():
     return states
 
 
+def _route_mismatches(tag: str, closed, scanned, rtol: float) -> list[str]:
+    """Where the n = 1 root sets of the cubic and eigenvalue routes differ beyond rtol."""
+    if len(closed) != len(scanned):
+        return [f"{tag}: {len(closed)} closed-form vs {len(scanned)} scanned roots"]
+    return [
+        f"{tag}: omega mismatch {a.omega} vs {b.omega}"
+        for a, b in zip(closed, scanned)
+        if _rel(a.omega, b.omega) > rtol
+    ]
+
+
+def _both_routes(mass, quad, eta, l):
+    problem = ReducedProblem.from_params(
+        PhysicalParams(mass=mass, quad=quad, lam=1.0, eta=eta, kz=0.0, l=l), 1
+    )
+    return solve_cubic(problem), solve_frequency(problem)
+
+
 def test_criterion_1_dual_route_agreement(dual_route_draws):
     draws, elapsed = dual_route_draws
     failures = []
     for i, (problem, closed, scanned) in enumerate(draws):
-        if len(closed) != len(scanned):
-            failures.append(f"draw {i}: {len(closed)} closed-form vs {len(scanned)} scanned roots")
-            continue
-        for a, b in zip(closed, scanned):
-            if _rel(a.omega, b.omega) > 1e-10:
-                failures.append(f"draw {i}: omega mismatch {a.omega} vs {b.omega}")
+        failures += _route_mismatches(f"draw {i}", closed, scanned, 1e-10)
     if elapsed >= 5.0:
         failures.append(f"runtime {elapsed:.2f}s exceeds 5s")
     _report(1, failures, f"200 draws, both routes, {elapsed:.2f}s")
+
+
+def test_criterion_1_wide_separation_cell():
+    # one cubic root near 6.4e5 beside a pair near 0.005, which a closed form loses to cancellation
+    closed, scanned = _both_routes(0.005511577305479499, 74.21740078574345, 0.1392140738945987, -3)
+    failures = _route_mismatches("cell", closed, scanned, 1e-9)
+    if len(closed) != 3:
+        failures.append(f"{len(closed)} roots, want 3")
+    for state in closed:
+        if not state.residuals["truncation"] < 1e-8:
+            failures.append(f"omega {state.omega}: truncation {state.residuals['truncation']:.3e}")
+        if not verify_solution(state).passed:
+            failures.append(f"omega {state.omega}: verify fails")
+    _report(1, failures, "omega ~ 6.4e5 beside a pair near 0.005: 3 roots, both routes, each verified")
+
+
+def test_criterion_1_wide_separation_sweep():
+    # small m and large M lambda: the largest root dwarfs the other two in many cells
+    rng = random.Random(15)
+    failures, states = [], 0
+    for i in range(400):
+        mass = 10.0 ** rng.uniform(-3.0, -1.0)
+        product = 10.0 ** rng.uniform(1.0, 2.0)  # M*lambda
+        eta = 10.0 ** rng.uniform(-1.0, 0.0) * rng.choice([-1.0, 1.0])
+        l = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+        closed, scanned = _both_routes(mass, product, eta, l)
+        failures += _route_mismatches(f"draw {i}", closed, scanned, 1e-9)
+        failures += [
+            f"draw {i}: omega {s.omega} truncation {s.residuals['truncation']:.3e}"
+            for s in closed
+            if not s.residuals["truncation"] < 1e-6
+        ]
+        states += len(closed)
+    _report(1, failures, f"400 wide-separation draws, {states} states, both routes")
 
 
 def test_criterion_2_truncation_property(dual_route_draws):

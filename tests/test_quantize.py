@@ -13,6 +13,7 @@ import oracles
 from heunqes import quantize
 from heunqes.errors import (
     NonPositiveFrequency,
+    NoPositiveRoot,
     NoRootInRange,
     OverflowGuard,
     VanishingCoupling,
@@ -25,10 +26,12 @@ from heunqes.quantize import (
     SpectralSolution,
     _alpha_delta,
     _cell_rows,
+    _cubic_real_roots,
     _energies,
     _node_count,
     _node_counts,
     _polish,
+    _polish_newton,
     _zeta_squares,
     cubic_coefficients,
     solve_cubic,
@@ -190,10 +193,43 @@ class TestSolveCubic:
         with pytest.raises(OverflowGuard, match="ground-state cubic overflows"):
             solve_cubic(problem(**overrides))
 
+    @pytest.mark.parametrize("eta", [1e-14, 1e-20])
+    def test_tiny_positive_eta_keeps_one_root(self, eta):
+        # the cubic tends to omega^2 (omega - 1/6); its pair near zero is no root of c_2
+        (sol,) = solve_cubic(problem(eta=eta))
+        assert sol.omega == pytest.approx(1.0 / 6.0, rel=1e-12)
+
+    def test_tiny_negative_eta_matches_eigen_route(self):
+        # for eta < 0 the pair is genuine, near -3 eta and -5 eta, and both routes keep it
+        p = problem(eta=-1e-14)
+        roots = [s.omega for s in solve_cubic(p)]
+        assert roots == pytest.approx([s.omega for s in solve_frequency(p)], rel=1e-9)
+        assert roots == pytest.approx([3e-14, 5e-14, 1.0 / 6.0], rel=1e-9)
+
+    def test_underflowed_cubic_has_no_root(self):
+        # (M lambda l)^2 underflows, so every coefficient is zero and so is every real root
+        with pytest.raises(NoRootInRange) as caught:
+            solve_cubic(problem(quad=1e-170, eta=0.0))
+        assert caught.type is NoPositiveRoot
+
     def test_every_root_is_quantized(self):
         for sol in solve_cubic(problem(quad=10.0, l=-1)):
             assert sol.residuals["truncation"] < 1e-10
             assert sol.residuals["truncation_next"] < 1e-10
+
+
+class TestCubicRealRoots:
+    @pytest.mark.parametrize(
+        "roots",
+        [(6.4e5, 0.004, 0.006), (1.0, 1.0, 1.0), (2.0, 2.0, -1.0)],
+        ids=["wide-separation", "triple", "double"],
+    )
+    def test_polished_roots(self, roots):
+        # the largest root comes from the closed form, the other two from the deflated quadratic
+        r0, r1, r2 = roots
+        a2, a1, a0 = -(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2
+        found = sorted(_polish_newton(w, a2, a1, a0) for w in _cubic_real_roots(a2, a1, a0))
+        assert found == pytest.approx(sorted(roots), rel=1e-14)
 
 
 class TestSolveFrequency:
