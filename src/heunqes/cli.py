@@ -261,7 +261,7 @@ def _select_cells(config: RunConfig) -> tuple[list[tuple[str, object]], list[tup
 
 
 def _scan_cell(task: tuple[int, PhysicalParams]) -> list[tuple]:
-    """Worker for one (n, l) scan cell; must stay module-level for pickling."""
+    """Rows of one (n, l) scan cell; a cell without a root or with a typed failure gives one status row."""
     n, params = task
     blank = (None, None, None, None, None)
     try:
@@ -276,19 +276,83 @@ def _scan_cell(task: tuple[int, PhysicalParams]) -> list[tuple]:
     ]
 
 
+def _solve_share(share: list[tuple[int, PhysicalParams]]) -> tuple[list[list[tuple]], Exception | None]:
+    """_scan_cell rows of each task of share in order, up to the first that raises, and its error."""
+    cells = []
+    try:
+        for task in share:
+            cells.append(_scan_cell(task))
+    except Exception as exc:  # handed to _scan_cells, which raises the first in task order
+        return cells, exc
+    return cells, None
+
+
+def _solve_child_share(share: list, write_fd: int, parent_pipes: list) -> None:
+    """In a forked child: write the pickled _solve_share of share to write_fd and exit.
+
+    It closes the parent's read ends first, so that once the parent closes them
+    a child blocked on a full pipe gets BrokenPipeError. It always leaves through
+    os._exit, status 0 once its rows are written and 1 otherwise, with no traceback.
+    """
+    import pickle  # numpy has loaded it already
+
+    status = 1
+    try:
+        for pipe in parent_pipes:
+            pipe.close()
+        with open(write_fd, "wb") as out:
+            out.write(pickle.dumps(_solve_share(share)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _scan_cells(tasks: list[tuple[int, PhysicalParams]], jobs: int) -> list[list[tuple]]:
+    """_scan_cell rows of every task, in task order, from w = min(jobs, len(tasks)) processes.
+
+    Process i solves tasks[i::w]: this one i = 0, and each of w - 1 forked children
+    sends its rows back through one pipe. Fork suits a command that runs no threads
+    of its own, and the child starts with numpy loaded where a spawned one would
+    import it again. Without os.fork, w is 1. The error raised is the one a serial
+    run gives, that of the first failing task, or a HeunQESError for a child that
+    exits without its rows. Every child is reaped before this returns or raises.
+    """
+    import pickle  # numpy has loaded it already
+
+    w = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+    pids, pipes = [], []
+    try:
+        for i in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _solve_child_share(tasks[i::w], write_fd, pipes)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        shares = [_solve_share(tasks[0::w])]
+        payloads = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, status, payload in zip(pids, statuses, payloads):
+        if status != 0:
+            raise HeunQESError(f"scan worker {pid} exited with status {status} before sending its rows")
+        shares.append(pickle.loads(payload))
+    failures = [(i + w * len(cells), exc) for i, (cells, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures)[1]  # task indices differ, so no two errors are compared
+    return [shares[k % w][0][k // w] for k in range(len(tasks))]
+
+
 def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
     range_pairs, cells = _select_cells(config)
     tasks = [(n, _make_params(config, l=l)) for n, l in cells]
-    jobs = config.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        # imported here: the pool module costs every other command about 13 ms of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_cell = list(pool.map(_scan_cell, tasks))
-    else:
-        per_cell = [_scan_cell(task) for task in tasks]
-    # pool.map keeps task order and each cell is ascending, so rows need no sort
+    per_cell = _scan_cells(tasks, config.jobs or os.cpu_count() or 1)
+    # each cell is ascending and the cells come in n-major task order, so rows need no sort
     rows = [row for cell in per_cell for row in cell]
     lines = _header_lines(config, _physics_pairs(config) + range_pairs)
     lines += _render(_SCAN_COLUMNS, rows, config.format or "csv")
@@ -400,7 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--output", help="write output to this file instead of stdout")
     shared.add_argument("--format", choices=("csv", "table"), help="data stream format")
     shared.add_argument(
-        "--jobs", type=int, help="worker processes for scan (default: CPU count); other commands run serially"
+        "--jobs",
+        type=int,
+        help="processes that solve scan cells, this one included (default: CPU count); "
+        "other commands run serially",
     )
 
     cell = argparse.ArgumentParser(add_help=False, allow_abbrev=False)

@@ -475,7 +475,10 @@ def _make_solutions(problem: ReducedProblem, roots: list[float], cell: tuple) ->
     tails = (np.abs(raw[:, n + 1 :]) / scale).tolist()
     nodes = _node_counts(problem, cell)
     coefficients = raw[:, : n + 1].tolist()
-    energies, zetas = _energies(problem, roots), _zeta_squares(problem, roots)
+    try:
+        energies, zetas = _energies(problem, roots), _zeta_squares(problem, roots)
+    except (OverflowError, ZeroDivisionError):  # float ** raises past the double range, or 2 m omega^2 gives 0
+        raise OverflowGuard(f"energy or zeta^2 leaves the double range at omega = {min(roots):.3e}") from None
     solutions = []
     for k, (omega, a, d) in enumerate(zip(roots, alpha.tolist(), delta.tolist())):
         solutions.append(

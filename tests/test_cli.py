@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -33,6 +34,16 @@ def split_output(out):
     header = [line for line in lines if line.startswith("#")]
     data = [line for line in lines if not line.startswith("#")]
     return header, data
+
+
+# at l = -5, omega is about 1.8e-155, so 2 m omega^2 underflows to 0 in the energy's eta^2 term
+ENERGY_UNDERFLOW = ("--mass", "2.9310929663982757e-40", "--quad", "6.773586822100118e-98", "--eta", "0")
+
+
+def assert_no_child_processes():
+    """Every process a command started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def verify_tokens(line):
@@ -136,6 +147,11 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith("error: ground-state cubic overflows") and err.count("\n") == 1
 
+    def test_energy_underflow_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *ENERGY_UNDERFLOW, "--l=-5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: energy or zeta^2 leaves the double range") and err.count("\n") == 1
+
     @pytest.mark.parametrize("eta", ["1e-300", "1e-250", "1e-210", "5e-324", "-5e-324"])
     def test_tiny_eta_is_one_error_line(self, capsys, eta):
         # the companion's balancing scale grows like |eta|^(-1/2); its cube leaves the double range
@@ -193,11 +209,84 @@ class TestScan:
         assert [row.split(",")[1] for row in data[1:]] == ["-2", "1", "2"]
 
     def test_deterministic_across_runs_and_jobs(self, capsys):
-        args = ("scan", "--n-max", "2", "--l-list", "1,2")
-        first = run_cli(capsys, *args, "--jobs", "1")
-        second = run_cli(capsys, *args, "--jobs", "1")
-        parallel = run_cli(capsys, *args, "--jobs", "2")
-        assert first == second == parallel
+        # 4, 3 and 6 cells with ok, error:OverflowGuard and no_root rows; --jobs 3 splits
+        # them unevenly and --jobs 50 exceeds the cell count
+        ranges = [
+            ("--n-max", "2", "--l-list", "1,2"),
+            ("--n-max", "3", "--eta", "1e-300"),
+            ("--n-max", "3", "--mass", "0.01", "--quad", "10", "--eta", "1e-15", "--l-list", "1,-1"),
+        ]
+        statuses = set()
+        for cells in ranges:
+            first = run_cli(capsys, "scan", *cells, "--jobs", "1")
+            assert first[0] == 0 and first[2] == ""
+            for jobs in ("1", "2", "3", "50"):
+                assert run_cli(capsys, "scan", *cells, "--jobs", jobs) == first
+            statuses |= {row.split(",")[-1] for row in split_output(first[1])[1][1:]}
+        assert statuses == {"ok", "error:OverflowGuard", "no_root"}
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_energy_underflow_cells_are_error_rows(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "scan", *ENERGY_UNDERFLOW, "--n-max", "2", "--l-list=-5", "--jobs", jobs)
+        assert code == 0 and err == ""
+        assert split_output(out)[1][1:] == ["1,-5,,,,,,,error:OverflowGuard", "2,-5,,,,,,,error:OverflowGuard"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_cell_error_raised_as_serially(self, capsys, monkeypatch, jobs):
+        # cells run (1,1), (1,2), (2,1), (2,2): under --jobs 2 the child fails at (1,2) and
+        # this process at (2,1), and the earlier cell's error is the one reported
+        solve = cli._scan_cell
+
+        def failing(task):
+            n, params = task
+            if (n, params.l) in {(1, 2), (2, 1)}:
+                raise ValueError(f"injected at n = {n}, l = {params.l}")
+            return solve(task)
+
+        monkeypatch.setattr(cli, "_scan_cell", failing)
+        code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", "--jobs", jobs)
+        assert (code, out, err) == (2, "", "error: injected at n = 1, l = 2\n")
+        assert_no_child_processes()
+
+    def test_child_exit_without_rows_is_one_error_line(self, capsys, monkeypatch):
+        solve, parent = cli._scan_cell, os.getpid()
+
+        def dying(task):
+            if os.getpid() != parent:
+                os._exit(3)
+            return solve(task)
+
+        monkeypatch.setattr(cli, "_scan_cell", dying)
+        code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", "--jobs", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: scan worker") and "exited with status 3" in err
+        assert err.count("\n") == 1
+        assert_no_child_processes()
+
+    def test_interrupt_reaps_children_blocked_on_their_pipes(self, capsys, monkeypatch):
+        # each child writes more than a pipe holds and blocks until this process closes
+        # its read ends; the alarm turns a deadlock into a failure
+        parent = os.getpid()
+
+        def cell(task):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return [("x" * 1_000_000,)]
+
+        def deadlock(signum, frame):
+            raise TimeoutError("scan did not reap its children")
+
+        monkeypatch.setattr(cli, "_scan_cell", cell)
+        previous = signal.signal(signal.SIGALRM, deadlock)
+        signal.alarm(30)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(["scan", "--n-max", "2", "--l-list", "1,2", "--jobs", "3"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_processes()
 
     def test_zero_in_l_list_rejected(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--l-list", "1,0")
@@ -522,7 +611,7 @@ class TestModuleEntryPoint:
         assert fields[2] == fmt12(oracles.FROZEN_OMEGA)
 
     def test_cli_import_leaves_scipy_unloaded(self):
-        # neither the oracle's scipy nor scan's process pool loads before it is used
+        # neither the oracle's scipy nor a process pool loads before it is used
         code = (
             "import sys, heunqes.cli; "
             "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)"
