@@ -24,14 +24,13 @@ from .errors import (
     WrongDegree,
     ZeroAngularMomentum,
 )
-from .model import PhysicalParams, validate
+from .model import PhysicalParams
 from .quantize import (
     ReducedProblem,
     SpectralSolution,
     solve_cubic,
     solve_frequency,
 )
-from .series import HeunParams
 from .wavefunction import RadialWavefunction, normalize
 
 __version__ = "0.1.0"
@@ -50,12 +49,10 @@ __all__ = [
     "WrongDegree",
     "ZeroAngularMomentum",
     "PhysicalParams",
-    "validate",
     "ReducedProblem",
     "SpectralSolution",
     "solve_cubic",
     "solve_frequency",
-    "HeunParams",
     "RadialWavefunction",
     "normalize",
     "__version__",

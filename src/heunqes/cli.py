@@ -218,25 +218,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=args.command, explicit=frozenset(merged), **merged)
 
 
-def _make_params(config: RunConfig, l: int | None = None) -> PhysicalParams:
-    return PhysicalParams(
-        mass=config.mass,
-        quad=config.quad,
-        lam=config.lam,
-        eta=config.eta,
-        kz=config.kz,
-        l=config.l if l is None else l,
-    )
+def _make_problem(config: RunConfig, n: int, l: int) -> ReducedProblem:
+    params = PhysicalParams(config.mass, config.quad, config.lam, config.eta, config.kz, l)
+    return ReducedProblem.from_params(params, n)
 
 
-def _solve_states(params: PhysicalParams, n: int) -> list[SpectralSolution]:
+def _solve_states(problem: ReducedProblem) -> list[SpectralSolution]:
     """All quantized states for one (n, l) cell, ascending in omega."""
-    problem = ReducedProblem.from_params(params, n)
-    return solve_cubic(problem) if n == 1 else solve_frequency(problem)
+    return solve_cubic(problem) if problem.n == 1 else solve_frequency(problem)
 
 
 def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
-    states = _solve_states(_make_params(config), config.n)
+    states = _solve_states(_make_problem(config, config.n, config.l))
     rows = [
         (s.n, s.l, s.omega, s.energy, s.zeta_sq, s.node_count, s.residuals["truncation"])
         for s in states
@@ -260,23 +253,23 @@ def _select_cells(config: RunConfig) -> tuple[list[tuple[str, object]], list[tup
     return pairs, [(n, l) for n in range(1, config.n_max + 1) for l in l_values]
 
 
-def _scan_cell(task: tuple[int, PhysicalParams]) -> list[tuple]:
-    """Rows of one (n, l) scan cell; a cell without a root or with a typed failure gives one status row."""
-    n, params = task
+def _scan_cell(problem: ReducedProblem) -> list[tuple]:
+    """Rows of one (n, l) scan cell; a cell with no root or a numerical failure gives one status row."""
+    n, l = problem.n, problem.physical.l
     blank = (None, None, None, None, None)
     try:
-        states = _solve_states(params, n)
+        states = _solve_states(problem)
     except NoRootInRange:
-        return [(n, params.l, None) + blank + ("no_root",)]
+        return [(n, l, None) + blank + ("no_root",)]
     except HeunQESError as exc:
-        return [(n, params.l, None) + blank + (f"error:{type(exc).__name__}",)]
+        return [(n, l, None) + blank + (f"error:{type(exc).__name__}",)]
     return [
-        (n, params.l, i, s.omega, s.energy, s.zeta_sq, s.node_count, s.residuals["truncation"], "ok")
+        (n, l, i, s.omega, s.energy, s.zeta_sq, s.node_count, s.residuals["truncation"], "ok")
         for i, s in enumerate(states)
     ]
 
 
-def _solve_share(share: list[tuple[int, PhysicalParams]]) -> tuple[list[list[tuple]], Exception | None]:
+def _solve_share(share: list[ReducedProblem]) -> tuple[list[list[tuple]], Exception | None]:
     """_scan_cell rows of each task of share in order, up to the first that raises, and its error."""
     cells = []
     try:
@@ -307,7 +300,7 @@ def _solve_child_share(share: list, write_fd: int, parent_pipes: list) -> None:
         os._exit(status)
 
 
-def _scan_cells(tasks: list[tuple[int, PhysicalParams]], jobs: int) -> list[list[tuple]]:
+def _scan_cells(tasks: list[ReducedProblem], jobs: int) -> list[list[tuple]]:
     """_scan_cell rows of every task, in task order, from w = min(jobs, len(tasks)) processes.
 
     Process i solves tasks[i::w]: this one i = 0, and each of w - 1 forked children
@@ -350,8 +343,9 @@ def _scan_cells(tasks: list[tuple[int, PhysicalParams]], jobs: int) -> list[list
 
 def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
     range_pairs, cells = _select_cells(config)
-    tasks = [(n, _make_params(config, l=l)) for n, l in cells]
-    per_cell = _scan_cells(tasks, config.jobs or os.cpu_count() or 1)
+    # built before any cell is solved, so a configuration error exits 2 and is never a cell row
+    problems = [_make_problem(config, n, l) for n, l in cells]
+    per_cell = _scan_cells(problems, config.jobs or os.cpu_count() or 1)
     # each cell is ascending and the cells come in n-major task order, so rows need no sort
     rows = [row for cell in per_cell for row in cell]
     lines = _header_lines(config, _physics_pairs(config) + range_pairs)
@@ -360,7 +354,7 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
 
 
 def cmd_wavefunction(config: RunConfig) -> tuple[int, list[str]]:
-    states = _solve_states(_make_params(config), config.n)
+    states = _solve_states(_make_problem(config, config.n, config.l))
     state = states[0]  # lowest quantized frequency
     wavefunction = normalize(state)
     rho_max = config.rho_max if config.rho_max is not None else suggested_rho_max(state)
@@ -411,7 +405,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
     verified = failed = 0
     for n, l in cells:
         try:
-            states = _solve_states(_make_params(config, l=l), n)
+            states = _solve_states(_make_problem(config, n, l))
         except NoRootInRange:
             lines.append(f"# no frequency root for n = {n}, l = {l}")
             continue

@@ -22,12 +22,15 @@ that system and no unit conversion layer exists.
 from dataclasses import dataclass
 import math
 
-from .errors import NonPositiveMass, VanishingCoupling, ZeroAngularMomentum
+from .errors import NonPositiveMass
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Full parameter set of the confined particle.
+    """Full parameter set of the confined particle, checked on construction.
+
+    The Coulomb-type term that quantization needs (l != 0, M*lambda != 0) is
+    not required here; ReducedProblem.from_params checks it.
 
     Attributes:
         mass: particle mass m > 0.
@@ -37,6 +40,11 @@ class PhysicalParams:
             dominates at large rho, so bound states exist regardless).
         kz: axial wavenumber of the separated plane wave along z.
         l: azimuthal quantum number, integer, may be negative.
+
+    Raises:
+        NonPositiveMass: mass <= 0.
+        ValueError: non-finite entries, negative quadrupole magnitude, or a
+            non-integral l.
     """
 
     mass: float
@@ -46,48 +54,17 @@ class PhysicalParams:
     kz: float = 0.0
     l: int = 1
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mass, self.quad, self.lam, self.eta, self.kz)):
+            raise ValueError(f"non-finite physical parameter in {self}")
+        if self.mass <= 0:
+            raise NonPositiveMass(f"mass must be > 0, got {self.mass}")
+        if self.quad < 0:
+            raise ValueError(f"quadrupole magnitude must be >= 0, got {self.quad}")
+        if self.l != int(self.l):
+            raise ValueError(f"l must be an integer, got {self.l!r}")
+
     @property
     def coupling(self) -> float:
         """Signed Coulomb-type strength M*lambda*l."""
         return self.quad * self.lam * self.l
-
-
-def validate(params: PhysicalParams, require_coulomb: bool = False) -> PhysicalParams:
-    """Check physical preconditions and return the params unchanged.
-
-    Args:
-        params: candidate parameter set.
-        require_coulomb: when set, additionally require the Coulomb-type term
-            to be present (l != 0 and M*lambda != 0), which every frequency
-            quantization operation needs.
-
-    Returns:
-        The same object, so validation is idempotent and chainable.
-
-    Raises:
-        NonPositiveMass: mass <= 0.
-        ZeroAngularMomentum: l == 0 with require_coulomb.
-        VanishingCoupling: M*lambda == 0 with require_coulomb.
-        ValueError: non-finite entries, negative quadrupole magnitude, or a
-            non-integral l.
-    """
-    fields = (params.mass, params.quad, params.lam, params.eta, params.kz)
-    if not all(math.isfinite(v) for v in fields):
-        raise ValueError(f"non-finite physical parameter in {params}")
-    if params.mass <= 0:
-        raise NonPositiveMass(f"mass must be > 0, got {params.mass}")
-    if params.quad < 0:
-        raise ValueError(f"quadrupole magnitude must be >= 0, got {params.quad}")
-    if params.l != int(params.l):
-        raise ValueError(f"l must be an integer, got {params.l!r}")
-    if require_coulomb:
-        if params.l == 0:
-            raise ZeroAngularMomentum(
-                "l must be nonzero: the Coulomb-type term M*lambda*l/rho vanishes "
-                "at l = 0 and the frequency quantization is undefined"
-            )
-        if params.quad * params.lam == 0.0:
-            raise VanishingCoupling(
-                "M*lambda must be nonzero for the quantized problem"
-            )
-    return params

@@ -39,9 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import NonPositiveFrequency, NoPositiveRoot, NoRootInRange, OverflowGuard, WrongDegree
-from .model import PhysicalParams, validate
-from .series import HeunParams
+from .errors import (
+    NonPositiveFrequency,
+    NoPositiveRoot,
+    NoRootInRange,
+    OverflowGuard,
+    VanishingCoupling,
+    WrongDegree,
+    ZeroAngularMomentum,
+)
+from .model import PhysicalParams
 
 # Eigenvalues u = s^2 kept as real positive roots: |Im| <= EIG_IMAG_RTOL*|u|, and
 # Re > EIG_ZERO_RTOL*max|u|, which drops the u -> 0 artifacts (omega ~ 1e40 and up).
@@ -68,7 +75,8 @@ ROOT_MERGE_RTOL = 1e-9
 
 # The companion is balanced by u = sigma^2 t and its block B carries 1/sigma^3, so sigma
 # must stay below the cube root of the largest double; at unit parameters an |eta| below
-# about 1e-206 passes it.
+# about 1e-206 passes it. It must stay above the reciprocal too, or sigma^2 and sigma^3
+# underflow to 0, as where 2 m eta leaves the double range.
 _SIGMA_LIMIT = sys.float_info.max ** (1.0 / 3.0)
 
 
@@ -76,9 +84,10 @@ _SIGMA_LIMIT = sys.float_info.max ** (1.0 / 3.0)
 class ReducedProblem:
     """Radial problem at fixed polynomial degree n.
 
-    Carries the validated physical parameters plus the derived quantities
-    every quantization formula needs. Construct through from_params, which
-    enforces l != 0, M*lambda != 0 and 1 <= n <= series.MAX_DEGREE.
+    Carries the physical parameters plus the derived quantities every
+    quantization formula needs. Construct through from_params, which adds
+    to the checks of PhysicalParams the Coulomb-type term that quantization
+    needs, l != 0 and M*lambda != 0, and 1 <= n <= series.MAX_DEGREE.
     """
 
     physical: PhysicalParams
@@ -89,7 +98,13 @@ class ReducedProblem:
 
     @classmethod
     def from_params(cls, physical: PhysicalParams, n: int) -> "ReducedProblem":
-        validate(physical, require_coulomb=True)
+        if physical.l == 0:
+            raise ZeroAngularMomentum(
+                "l must be nonzero: the Coulomb-type term M*lambda*l/rho vanishes "
+                "at l = 0 and the frequency quantization is undefined"
+            )
+        if physical.quad * physical.lam == 0.0:
+            raise VanishingCoupling("M*lambda must be nonzero for the quantized problem")
         if n != int(n) or n < 1:
             raise ValueError(f"polynomial degree n must be an integer >= 1, got {n!r}")
         if n > series.MAX_DEGREE:
@@ -112,7 +127,8 @@ class SpectralSolution:
 
     residuals holds diagnostics: 'truncation' and 'truncation_next' are
     |c_{n+1}| and |c_{n+2}| relative to max_{j<=n}|c_j|; 'cubic' (n = 1 only)
-    is the absolute cubic residual at omega.
+    is the absolute cubic residual at omega. alpha and delta are the Heun
+    parameters at omega (see the module docstring); theta is problem.theta.
     """
 
     n: int
@@ -124,23 +140,12 @@ class SpectralSolution:
     node_count: int
     residuals: dict[str, float]
     problem: ReducedProblem
-    heun: HeunParams
+    alpha: float
+    delta: float
 
     def __post_init__(self):
         if not (self.omega > 0):
             raise ValueError(f"omega must be positive, got {self.omega}")
-
-
-def _check_omega(omega: float) -> float:
-    if not (math.isfinite(omega) and omega > 0):
-        raise NonPositiveFrequency(f"omega must be finite and > 0, got {omega}")
-    return omega
-
-
-def _alpha_delta(problem: ReducedProblem, omega: float) -> tuple[float, float]:
-    """Heun (alpha, delta) at frequency omega; theta and g = 2n come from the problem."""
-    m_omega = problem.mass * _check_omega(omega)
-    return 2.0 * problem.mass * problem.eta / m_omega**1.5, problem.coupling / m_omega**0.5
 
 
 def _energies(problem: ReducedProblem, omegas: list[float]) -> list[float]:
@@ -272,14 +277,15 @@ def _cell_rows(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray,
     """c_0..c_{n+2} at omega * (1 - ROOT_RTOL), omega * (1 + ROOT_RTOL) and omega, in one recurrence.
 
     Returns the rows, shape (3, len(omegas), n + 3), and (alpha, delta) at each omega. Both
-    take the Python-float arithmetic of _alpha_delta at every probe (numpy's ** differs from
-    Python's in the last bit), so each row is bit-identical to a scalar recurrence.
+    take Python-float ** at every probe (numpy's ** differs from Python's in the last bit),
+    so each row is bit-identical to a scalar recurrence.
     """
     omegas = np.asarray(omegas, dtype=float)
     probes = np.concatenate([omegas * (1.0 - ROOT_RTOL), omegas * (1.0 + ROOT_RTOL), omegas])
     finite_positive = (probes > 0.0) & (probes < math.inf)
     if not finite_positive.all():
-        _check_omega(probes[np.argmin(finite_positive)].item())
+        bad = probes[np.argmin(finite_positive)].item()
+        raise NonPositiveFrequency(f"omega must be finite and > 0, got {bad}")
     mass, a3, coupling = problem.mass, 2.0 * problem.mass * problem.eta, problem.coupling
     m_omegas = [mass * w for w in probes.tolist()]
     try:
@@ -332,11 +338,11 @@ def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
         d_inv = 1.0 / (2.0 * np.arange(n + 1) + theta)
         with np.errstate(over="ignore"):  # an overflow to inf fails the sigma check below
             k = -off * (np.sqrt(d_inv[:-1] * d_inv[1:]) / a3)  # off-diagonal of D^(-1/2) K0 D^(-1/2) / a3
+            # row r of the scaled K holds k_(r-1) and k_r: its inf-norm is the largest |k_(r-1)| + |k_r|
+            row_sums = np.abs(np.concatenate([k, [0.0]])) + np.abs(np.concatenate([[0.0], k]))
         c = a1 / a3
-        # row r of the scaled K holds k_(r-1) and k_r: its inf-norm is the largest |k_(r-1)| + |k_r|
-        row_sums = np.abs(np.concatenate([k, [0.0]])) + np.abs(np.concatenate([[0.0], k]))
         sigma = max((abs(c) / theta) ** 0.5, row_sums.max() ** (1.0 / 3.0))
-        if not sigma < _SIGMA_LIMIT:
+        if not 1.0 / _SIGMA_LIMIT < sigma < _SIGMA_LIMIT:
             raise OverflowGuard(
                 f"frequency companion overflows: scale {sigma:.3e} from eta = {problem.eta:.3e}, "
                 f"M*lambda*l = {problem.coupling:.3e}"
@@ -356,7 +362,9 @@ def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
         u = sigma**2 * np.linalg.eigvals(companion)
     real = np.abs(u.imag) <= EIG_IMAG_RTOL * np.abs(u)
     real &= u.real > EIG_ZERO_RTOL * np.max(np.abs(u))
-    return np.sort(1.0 / (problem.mass * u.real[real]))
+    m_u = problem.mass * u.real[real]
+    with np.errstate(divide="ignore", over="ignore"):  # m*u at or near 0: omega = inf, which _cell_rows rejects
+        return np.sort(1.0 / m_u)
 
 
 def _polish(problem: ReducedProblem, omega: float, cap: float) -> float:
@@ -492,7 +500,8 @@ def _make_solutions(problem: ReducedProblem, roots: list[float], cell: tuple) ->
                 node_count=nodes[k],
                 residuals={"truncation": tails[k][0], "truncation_next": tails[k][1]},
                 problem=problem,
-                heun=HeunParams(a, d, problem.theta),
+                alpha=a,
+                delta=d,
             )
         )
     return solutions

@@ -27,9 +27,6 @@ This module only manipulates the series; it knows nothing about physical
 parameters.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OverflowGuard
@@ -42,25 +39,6 @@ OVERFLOW_LIMIT = 1e250
 # Largest polynomial degree the downstream root-finder is rated for in double
 # precision.
 MAX_DEGREE = 50
-
-
-@dataclass(frozen=True)
-class HeunParams:
-    """Dimensionless parameters (alpha, delta, theta) of a truncated state.
-
-    theta = 2|l| + 1 is an odd positive integer. The spectral parameter g is
-    not stored: for a degree-n state the truncation condition pins it to 2n.
-    """
-
-    alpha: float
-    delta: float
-    theta: int
-
-    def __post_init__(self):
-        if self.theta < 1 or self.theta % 2 == 0:
-            raise ValueError(f"theta must be an odd positive integer, got {self.theta}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.delta)):
-            raise ValueError("HeunParams entries must be finite")
 
 
 def _raw_coefficients(alpha, delta, theta: int, g: float, j_max: int):

@@ -57,7 +57,7 @@ def evaluate_R(solution: SpectralSolution, rho):
     """
     xi_scale = math.sqrt(solution.problem.mass * solution.omega)
     return series.radial_ansatz(
-        solution.coefficients, solution.heun.alpha, solution.problem.abs_l, xi_scale * rho
+        solution.coefficients, solution.alpha, solution.problem.abs_l, xi_scale * rho
     )
 
 
@@ -73,7 +73,7 @@ def suggested_rho_max(solution: SpectralSolution) -> float:
     sooner, where xi*(xi + alpha) reaches the Gaussian's xi_cut^2.
     """
     xi_cut = math.sqrt(solution.problem.abs_l + solution.n + 16.0 * math.log(10.0))
-    half_alpha = 0.5 * solution.heun.alpha
+    half_alpha = 0.5 * solution.alpha
     if half_alpha < 0.0:
         xi_cut -= half_alpha
     else:

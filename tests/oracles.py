@@ -5,7 +5,7 @@ Every helper here recomputes quantities through deliberately separate paths
 companion of the frequency condition, scipy.linalg's index route to the
 oracle's spectrum) so the tests never compare the package
 against itself. The straightforward forms of the solver's array glue (dense
-companion, list recurrence, per-probe _alpha_delta) are the reference its
+companion, list recurrence, per-probe alpha_delta) are the reference its
 optimized forms must match bit for bit. The FROZEN_* constants were produced by
 these same routines in a standalone session before the package was written
 and are pinned verbatim as regression anchors; DISPLAY_* values are the
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from heunqes.oracle import build_operator
-from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL, _alpha_delta
+from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL
 
 # Reference system m = M = lambda = l = eta = 1, k = 0, n = 1.
 FROZEN_OMEGA = 1.747847765739618
@@ -236,10 +236,16 @@ def list_recurrence(alpha, delta, theta, g, j_max):
     return np.stack(c, axis=-1)
 
 
+def alpha_delta(problem, omega):
+    """Heun (alpha, delta) at frequency omega, in the Python-float arithmetic of one quantize._cell_rows probe."""
+    m_omega = problem.mass * omega
+    return 2.0 * problem.mass * problem.eta / m_omega**1.5, problem.coupling / m_omega**0.5
+
+
 def packed_cell_rows(problem, omegas):
-    """quantize._cell_rows with (alpha, delta) packed from _alpha_delta per probe, through list_recurrence."""
+    """quantize._cell_rows with (alpha, delta) packed from alpha_delta per probe, through list_recurrence."""
     omegas = np.asarray(omegas, dtype=float)
     probes = np.concatenate([omegas * (1.0 - ROOT_RTOL), omegas * (1.0 + ROOT_RTOL), omegas])
-    alpha, delta = np.array([_alpha_delta(problem, w) for w in probes.tolist()]).reshape(-1, 2).T
+    alpha, delta = np.array([alpha_delta(problem, w) for w in probes.tolist()]).reshape(-1, 2).T
     raw = list_recurrence(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
     return raw.reshape(3, len(omegas), problem.n + 3), alpha.reshape(3, -1)[2], delta.reshape(3, -1)[2]

@@ -160,6 +160,22 @@ class TestSolve:
         assert err.startswith("error: frequency companion overflows") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--mass", "9.392263089218397e+211", "--quad", "1.368307824923521e-12",
+              "--eta", "1.731383107406301e+146", "--l", "1", "--n", "6"), "frequency companion overflows"),
+            (("--mass", "2.473241998978134e-287", "--quad", "5.341722406817056e+89",
+              "--eta", "3.333981093116267e-295", "--l", "5", "--n", "2"), "omega must be finite and > 0, got inf"),
+        ],
+        ids=["sigma-underflow", "m-u-underflow"],
+    )
+    def test_companion_extremes_are_one_error_line(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "solve", *args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestNegativeValues:
     """A value that starts with '-' but is not a plain decimal reads as in the '--flag=value' form."""
 
@@ -238,11 +254,11 @@ class TestScan:
         # this process at (2,1), and the earlier cell's error is the one reported
         solve = cli._scan_cell
 
-        def failing(task):
-            n, params = task
-            if (n, params.l) in {(1, 2), (2, 1)}:
-                raise ValueError(f"injected at n = {n}, l = {params.l}")
-            return solve(task)
+        def failing(problem):
+            n, l = problem.n, problem.physical.l
+            if (n, l) in {(1, 2), (2, 1)}:
+                raise ValueError(f"injected at n = {n}, l = {l}")
+            return solve(problem)
 
         monkeypatch.setattr(cli, "_scan_cell", failing)
         code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", "--jobs", jobs)
@@ -252,10 +268,10 @@ class TestScan:
     def test_child_exit_without_rows_is_one_error_line(self, capsys, monkeypatch):
         solve, parent = cli._scan_cell, os.getpid()
 
-        def dying(task):
+        def dying(problem):
             if os.getpid() != parent:
                 os._exit(3)
-            return solve(task)
+            return solve(problem)
 
         monkeypatch.setattr(cli, "_scan_cell", dying)
         code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", "--jobs", "2")
@@ -269,7 +285,7 @@ class TestScan:
         # its read ends; the alarm turns a deadlock into a failure
         parent = os.getpid()
 
-        def cell(task):
+        def cell(problem):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return [("x" * 1_000_000,)]
@@ -286,6 +302,21 @@ class TestScan:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--quad", "0"), "M*lambda must be nonzero for the quantized problem"),
+            (("--lambda", "0"), "M*lambda must be nonzero for the quantized problem"),
+            (("--mass", "-1"), "mass must be > 0, got -1.0"),
+        ],
+        ids=["quad", "lambda", "mass"],
+    )
+    def test_configuration_error_exits_before_any_cell(self, capsys, args, message, jobs):
+        code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", *args, "--jobs", jobs)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert_no_child_processes()
 
     def test_zero_in_l_list_rejected(self, capsys):

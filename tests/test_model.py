@@ -1,11 +1,16 @@
-"""Physical configuration: parameters, coupling product, validation."""
+"""Physical configuration: parameters, coupling product, validation.
+
+PhysicalParams checks its fields on construction; the Coulomb-type term that
+quantization needs is checked by ReducedProblem.from_params.
+"""
 
 import math
 
 import pytest
 
 from heunqes.errors import NonPositiveMass, VanishingCoupling, ZeroAngularMomentum
-from heunqes.model import PhysicalParams, validate
+from heunqes.model import PhysicalParams
+from heunqes.quantize import ReducedProblem
 
 
 def params(**overrides):
@@ -14,54 +19,52 @@ def params(**overrides):
     return PhysicalParams(**base)
 
 
+def quantized(p):
+    return ReducedProblem.from_params(p, 1)
+
+
 class TestValidate:
     def test_reference_accepted(self):
         p = params()
-        assert validate(p, require_coulomb=True) is p
-
-    def test_idempotent(self):
-        p = params()
-        assert validate(validate(p)) is p
+        assert quantized(p).physical is p
 
     def test_zero_angular_momentum(self):
         with pytest.raises(ZeroAngularMomentum, match="l must be nonzero"):
-            validate(params(l=0), require_coulomb=True)
+            quantized(params(l=0))
 
     def test_zero_l_allowed_without_coulomb(self):
-        p = params(l=0)
-        assert validate(p) is p
+        assert params(l=0).coupling == 0.0
 
     def test_negative_mass(self):
         with pytest.raises(NonPositiveMass):
-            validate(params(mass=-1.0))
+            params(mass=-1.0)
 
     def test_zero_mass(self):
         with pytest.raises(NonPositiveMass):
-            validate(params(mass=0.0))
+            params(mass=0.0)
 
     def test_vanishing_quadrupole_coupling(self):
         with pytest.raises(VanishingCoupling):
-            validate(params(quad=0.0), require_coulomb=True)
+            quantized(params(quad=0.0))
 
     def test_vanishing_gradient_coupling(self):
         with pytest.raises(VanishingCoupling):
-            validate(params(lam=0.0), require_coulomb=True)
+            quantized(params(lam=0.0))
 
     def test_coupling_not_required_by_default(self):
-        p = params(quad=0.0)
-        assert validate(p) is p
+        assert params(quad=0.0).coupling == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            validate(params(eta=math.nan))
+            params(eta=math.nan)
 
     def test_negative_quad_magnitude_rejected(self):
         with pytest.raises(ValueError):
-            validate(params(quad=-1.0))
+            params(quad=-1.0)
 
     def test_fractional_l_rejected(self):
         with pytest.raises(ValueError):
-            validate(params(l=1.5))
+            params(l=1.5)
 
 
 class TestPhysicalParams:

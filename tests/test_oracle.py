@@ -22,7 +22,6 @@ from heunqes.oracle import (
     verify_solution,
 )
 from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
-from heunqes.series import HeunParams
 from heunqes.wavefunction import suggested_rho_max
 
 
@@ -46,7 +45,8 @@ def oscillator_solution():
         node_count=0,
         residuals={},
         problem=problem,
-        heun=HeunParams(0.0, 0.0, 3),
+        alpha=0.0,
+        delta=0.0,
     )
 
 
@@ -213,7 +213,7 @@ class TestDefaultBox:
             mass=0.1073655501737475, quad=8.254676500349738, lam=1.0, eta=0.8656445537726762, kz=0.0, l=-1
         )
         states = solve_frequency(ReducedProblem.from_params(params, 12))
-        assert len(states) == 9 and states[0].heun.alpha > 30.0
+        assert len(states) == 9 and states[0].alpha > 30.0
         assert [(s.omega, s.node_count) for s in states if not verify_solution(s).passed] == []
 
 
@@ -359,7 +359,7 @@ class TestWindow:
             reports += [(state, verify_solution(state)) for state in states]
             reports.append((states[0], verify_solution(states[0], perturb_omega=1.05)))
         assert any(s.zeta_sq < 0.0 for s, _ in reports)
-        assert any(s.heun.alpha < 0.0 for s, _ in reports)
+        assert any(s.alpha < 0.0 for s, _ in reports)
         for state, report in reports:
             assert_oracle_values_are_index_k(state, report, full_request=False)
 

@@ -24,7 +24,6 @@ from heunqes.model import PhysicalParams
 from heunqes.quantize import (
     ReducedProblem,
     SpectralSolution,
-    _alpha_delta,
     _cell_rows,
     _cubic_real_roots,
     _energies,
@@ -48,7 +47,7 @@ def problem(n=1, **overrides):
 
 
 def bare_problem(mass=1.0, quad=0.0, lam=0.0, eta=0.0, kz=0.0, l=1, n=1):
-    """Direct construction bypassing validation, for formula-level checks."""
+    """Direct construction bypassing from_params's Coulomb and degree checks, for formula-level checks."""
     physical = PhysicalParams(mass=mass, quad=quad, lam=lam, eta=eta, kz=kz, l=l)
     return ReducedProblem(
         physical=physical,
@@ -104,34 +103,35 @@ class TestReducedProblem:
 
 
 class TestHeunParamsAt:
-    """The omega -> (alpha, delta) map shared by the root solver and the states."""
+    """The omega -> (alpha, delta) map of _cell_rows, which the root test and the states share."""
 
     def test_alpha_reference(self):
-        assert _alpha_delta(problem(), 1.0)[0] == 2.0
+        assert _cell_rows(problem(), [1.0])[1].tolist() == [2.0]
 
     def test_alpha_vanishes_without_linear_term(self):
         p = problem(eta=0.0, quad=oracles.SQRT6)
-        for omega in (0.3, 1.0, 4.7):
-            assert _alpha_delta(p, omega)[0] == 0.0
+        assert _cell_rows(p, [0.3, 1.0, 4.7])[1].tolist() == [0.0, 0.0, 0.0]
+        assert {s.alpha for s in solve_frequency(problem(n=3, eta=0.0, quad=oracles.SQRT6))} == {0.0}
 
     def test_delta_reference(self):
-        assert _alpha_delta(problem(), 4.0)[1] == 0.5
+        assert _cell_rows(problem(), [4.0])[2].tolist() == [0.5]
 
     def test_truncation_condition_imposed(self):
         # the state's polynomial is the recurrence at g = 2n = 6, cut at degree 3
         sol = solve_frequency(problem(n=3))[0]
-        hp = sol.heun
-        assert hp.theta == 3
-        assert sol.coefficients == tuple(_raw_coefficients(hp.alpha, hp.delta, 3, 6.0, 3))
+        assert sol.problem.theta == 3
+        assert sol.coefficients == tuple(_raw_coefficients(sol.alpha, sol.delta, 3, 6.0, 3))
 
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(NonPositiveFrequency):
-            _alpha_delta(problem(), 0.0)
+            _cell_rows(problem(), [0.0])
 
     def test_frozen_reference_values(self):
-        alpha, delta = _alpha_delta(problem(), oracles.FROZEN_OMEGA)
-        assert alpha == pytest.approx(oracles.FROZEN_ALPHA, rel=1e-12)
-        assert delta == pytest.approx(oracles.FROZEN_DELTA, rel=1e-12)
+        _, alpha, delta = _cell_rows(problem(), [oracles.FROZEN_OMEGA])
+        (sol,) = solve_cubic(problem())
+        for a, d in ((alpha.item(), delta.item()), (sol.alpha, sol.delta)):
+            assert a == pytest.approx(oracles.FROZEN_ALPHA, rel=1e-12)
+            assert d == pytest.approx(oracles.FROZEN_DELTA, rel=1e-12)
 
 
 class TestCubicCoefficients:
@@ -327,6 +327,23 @@ class TestCompleteness:
             with pytest.raises(OverflowGuard, match="frequency companion overflows"):
                 solve_frequency(problem(n=4, eta=eta))
 
+    @pytest.mark.parametrize(
+        "n,mass,quad,eta,l,error,message",
+        [
+            # m eta near 1e358: c and the scaled off-diagonal of K0 underflow, and sigma^2 with them
+            (6, 9.392263089218397e211, 1.368307824923521e-12, 1.731383107406301e146, 1,
+             OverflowGuard, "frequency companion overflows"),
+            # an eigenvalue u with m u below the double range gives omega = 1/(m u) = inf
+            (2, 2.473241998978134e-287, 5.341722406817056e89, 3.333981093116267e-295, 5,
+             NonPositiveFrequency, "omega must be finite and > 0, got inf"),
+        ],
+        ids=["sigma-underflow", "m-u-underflow"],
+    )
+    def test_extreme_scale_is_typed(self, n, mass, quad, eta, l, error, message):
+        # the pytest RuntimeWarning gate fails this test if either leaks a warning first
+        with pytest.raises(error, match=message):
+            solve_frequency(problem(n=n, mass=mass, quad=quad, eta=eta, l=l))
+
 
 class TestAgainstFullCompanion:
     """The u = s^2 companion keeps every root of the full 3(n+1) companion of T(s)."""
@@ -362,7 +379,7 @@ class TestAgainstStraightforwardGlue:
         solved = [solve_frequency(p) for p in problems]
         monkeypatch.setattr(quantize, "_candidate_frequencies", oracles.dense_companion_candidates)
         monkeypatch.setattr(quantize, "_cell_rows", oracles.packed_cell_rows)
-        fields = lambda s: (s.omega, s.energy, s.zeta_sq, s.coefficients, s.node_count, s.residuals, s.heun)
+        fields = lambda s: (s.omega, s.energy, s.zeta_sq, s.coefficients, s.node_count, s.residuals, s.alpha, s.delta)
         for p, sols in zip(problems, solved):
             assert [fields(s) for s in sols] == [fields(s) for s in solve_frequency(p)], p
             phys = p.physical
@@ -423,7 +440,7 @@ class TestNodeCount:
         assert not dense
         assert len(states) > 1000
         for sol in states:
-            assert sol.node_count == _node_count(sol.problem, sol.heun.alpha, sol.heun.delta), sol
+            assert sol.node_count == _node_count(sol.problem, sol.alpha, sol.delta), sol
 
     def test_negative_eta_reverses_order(self):
         # ascending omega is not ascending node count: rank would give [0, 1]
@@ -498,7 +515,7 @@ class TestPolynomializedResidual:
     @pytest.mark.parametrize("omega", [0.37, 1.0, 2.3, 7.9])
     def test_series_cubic_identity(self, omega):
         p = problem(mass=1.7, quad=2.2, lam=0.9, eta=-1.3, l=-2)
-        alpha, delta = _alpha_delta(p, omega)
+        alpha, delta = oracles.alpha_delta(p, omega)
         c2 = oracles.heun_series(alpha, delta, p.theta, 2.0 * p.n, 2)[2]
         a2, a1, a0 = cubic_coefficients(p)
         m_omega = p.mass * omega
@@ -508,9 +525,9 @@ class TestPolynomializedResidual:
 
     def test_polynomialized_root_residual_small(self):
         for sol in solve_cubic(problem(quad=10.0, l=-1)):
-            p, hp = sol.problem, sol.heun
+            p = sol.problem
             m_omega = p.mass * sol.omega
-            coeffs = oracles.heun_series(hp.alpha, hp.delta, hp.theta, 2.0 * p.n, p.n + 1)
+            coeffs = oracles.heun_series(sol.alpha, sol.delta, p.theta, 2.0 * p.n, p.n + 1)
             scaled = [abs(c) * m_omega ** (1.5 * j) for j, c in enumerate(coeffs)]
             assert scaled[p.n + 1] < 1e-10 * max(scaled[: p.n + 1])
 

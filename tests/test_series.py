@@ -13,7 +13,6 @@ from heunqes.errors import OverflowGuard
 from heunqes.series import (
     MAX_DEGREE,
     OVERFLOW_LIMIT,
-    HeunParams,
     _raw_coefficients,
     evaluate_H,
     radial_ansatz,
@@ -23,24 +22,6 @@ finite_alpha = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 finite_delta = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 odd_theta = st.sampled_from([1, 3, 5, 7])
 finite_g = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-class TestHeunParams:
-    def test_theta_must_be_odd(self):
-        with pytest.raises(ValueError):
-            HeunParams(0.0, 0.0, 2)
-
-    def test_theta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HeunParams(0.0, 0.0, -1)
-
-    def test_fields_must_be_finite(self):
-        with pytest.raises(ValueError):
-            HeunParams(math.nan, 0.0, 3)
-
-    def test_valid_construction(self):
-        p = HeunParams(1.0, -2.0, 5)
-        assert (p.alpha, p.delta, p.theta) == (1.0, -2.0, 5)
 
 
 class TestFirstCoefficient:

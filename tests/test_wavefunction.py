@@ -12,7 +12,6 @@ import oracles
 from heunqes.errors import QuadratureFailure
 from heunqes.model import PhysicalParams
 from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
-from heunqes.series import HeunParams
 from heunqes.wavefunction import (
     count_positive_roots,
     evaluate_R,
@@ -35,7 +34,6 @@ def synthetic_solution(coeffs, *, l=1, n=None, omega=1.0, mass=1.0, alpha=0.0, d
     problem = ReducedProblem(
         physical=physical, n=degree, abs_l=abs(l), theta=2 * abs(l) + 1, coupling=delta * (mass * omega) ** 0.5
     )
-    heun = HeunParams(alpha, delta, problem.theta)
     return SpectralSolution(
         n=degree,
         l=l,
@@ -46,7 +44,8 @@ def synthetic_solution(coeffs, *, l=1, n=None, omega=1.0, mass=1.0, alpha=0.0, d
         node_count=count_positive_roots(coeffs),
         residuals={},
         problem=problem,
-        heun=heun,
+        alpha=alpha,
+        delta=delta,
     )
 
 
@@ -218,9 +217,9 @@ class TestNegativeAlpha:
 
     def test_unit_norm_beyond_the_box(self):
         sol = self.lowest_roots(0.25, 6.12, -0.148, 1, 14)[0]
-        assert sol.heun.alpha < -30.0
+        assert sol.alpha < -30.0
         wf = normalize(sol)
-        peak = -0.5 * sol.heun.alpha / math.sqrt(sol.problem.mass * sol.omega)
+        peak = -0.5 * sol.alpha / math.sqrt(sol.problem.mass * sol.omega)
         rho_max = suggested_rho_max(sol)
         integral, _ = quad(
             lambda r: wf.evaluate(r) ** 2 * r, 0.0, 4.0 * rho_max, points=[peak], limit=500
@@ -233,10 +232,10 @@ class TestNegativeAlpha:
         sols = self.lowest_roots(
             0.11837586346593508, 7.791128550344119, -0.1521807528798439, 2, 14
         )
-        assert sols[0].heun.alpha < -80.0 and sols[1].heun.alpha < -50.0
+        assert sols[0].alpha < -80.0 and sols[1].alpha < -50.0
         for sol in sols[:2]:
             wf = normalize(sol)
-            peak = -0.5 * sol.heun.alpha / math.sqrt(sol.problem.mass * sol.omega)
+            peak = -0.5 * sol.alpha / math.sqrt(sol.problem.mass * sol.omega)
             integral, _ = quad(
                 lambda r: wf.evaluate(r) ** 2 * r, 0.0, 4.0 * suggested_rho_max(sol), points=[peak], limit=500
             )
