@@ -269,18 +269,18 @@ def _scan_cell(problem: ReducedProblem) -> list[tuple]:
     ]
 
 
-def _solve_share(share: list[ReducedProblem]) -> tuple[list[list[tuple]], Exception | None]:
-    """_scan_cell rows of each task of share in order, up to the first that raises, and its error."""
+def _solve_share(cell, share: list[ReducedProblem]) -> tuple[list[list], Exception | None]:
+    """cell's rows of each task of share in order, up to the first that raises, and its error."""
     cells = []
     try:
         for task in share:
-            cells.append(_scan_cell(task))
-    except Exception as exc:  # handed to _scan_cells, which raises the first in task order
+            cells.append(cell(task))
+    except Exception as exc:  # handed to _run_cells, which raises the first in task order
         return cells, exc
     return cells, None
 
 
-def _solve_child_share(share: list, write_fd: int, parent_pipes: list) -> None:
+def _solve_child_share(cell, share: list, write_fd: int, parent_pipes: list) -> None:
     """In a forked child: write the pickled _solve_share of share to write_fd and exit.
 
     It closes the parent's read ends first, so that once the parent closes them
@@ -294,25 +294,28 @@ def _solve_child_share(share: list, write_fd: int, parent_pipes: list) -> None:
         for pipe in parent_pipes:
             pipe.close()
         with open(write_fd, "wb") as out:
-            out.write(pickle.dumps(_solve_share(share)))
+            out.write(pickle.dumps(_solve_share(cell, share)))
         status = 0
     finally:
         os._exit(status)
 
 
-def _scan_cells(tasks: list[ReducedProblem], jobs: int) -> list[list[tuple]]:
-    """_scan_cell rows of every task, in task order, from w = min(jobs, len(tasks)) processes.
+def _run_cells(cell, tasks: list[ReducedProblem], jobs: int | None) -> list[list]:
+    """cell(task), a picklable list of rows, for every task in task order; scan and verify run here.
 
-    Process i solves tasks[i::w]: this one i = 0, and each of w - 1 forked children
-    sends its rows back through one pipe. Fork suits a command that runs no threads
-    of its own, and the child starts with numpy loaded where a spawned one would
-    import it again. Without os.fork, w is 1. The error raised is the one a serial
-    run gives, that of the first failing task, or a HeunQESError for a child that
-    exits without its rows. Every child is reaped before this returns or raises.
+    w = min(jobs, CPU count, len(tasks)) processes share the tasks, jobs defaulting
+    to the CPU count. Process i solves tasks[i::w]: this one i = 0, and each of
+    w - 1 forked children sends its rows back through one pipe. Fork suits a
+    command that runs no threads of its own, and the child starts with numpy
+    loaded where a spawned one would import it again. Without os.fork, w is 1.
+    The error raised is the one a serial run gives, that of the first failing
+    task, or a HeunQESError for a child that exits without its rows. Every child
+    is reaped before this returns or raises.
     """
     import pickle  # numpy has loaded it already
 
-    w = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+    cpus = os.cpu_count() or 1
+    w = min(jobs or cpus, cpus, len(tasks)) if hasattr(os, "fork") else 1
     pids, pipes = [], []
     try:
         for i in range(1, w):
@@ -321,11 +324,11 @@ def _scan_cells(tasks: list[ReducedProblem], jobs: int) -> list[list[tuple]]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _solve_child_share(tasks[i::w], write_fd, pipes)
+                    _solve_child_share(cell, tasks[i::w], write_fd, pipes)
             finally:
                 os.close(write_fd)
             pids.append(pid)
-        shares = [_solve_share(tasks[0::w])]
+        shares = [_solve_share(cell, tasks[0::w])]
         payloads = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
@@ -333,7 +336,7 @@ def _scan_cells(tasks: list[ReducedProblem], jobs: int) -> list[list[tuple]]:
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     for pid, status, payload in zip(pids, statuses, payloads):
         if status != 0:
-            raise HeunQESError(f"scan worker {pid} exited with status {status} before sending its rows")
+            raise HeunQESError(f"worker {pid} exited with status {status} before sending its rows")
         shares.append(pickle.loads(payload))
     failures = [(i + w * len(cells), exc) for i, (cells, exc) in enumerate(shares) if exc is not None]
     if failures:
@@ -345,7 +348,7 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
     range_pairs, cells = _select_cells(config)
     # built before any cell is solved, so a configuration error exits 2 and is never a cell row
     problems = [_make_problem(config, n, l) for n, l in cells]
-    per_cell = _scan_cells(problems, config.jobs or os.cpu_count() or 1)
+    per_cell = _run_cells(_scan_cell, problems, config.jobs)
     # each cell is ascending and the cells come in n-major task order, so rows need no sort
     rows = [row for cell in per_cell for row in cell]
     lines = _header_lines(config, _physics_pairs(config) + range_pairs)
@@ -389,47 +392,44 @@ def _verify_grids(config: RunConfig) -> tuple[int, int]:
     return coarse, refined
 
 
+def _verify_cell(problem: ReducedProblem, config: RunConfig, grids: tuple[int, int]) -> list[tuple]:
+    """(passed, line) of each state of one verify cell, or (None, its no-root line)."""
+    n, l = problem.n, problem.physical.l
+    try:
+        states = _solve_states(problem)
+    except NoRootInRange:
+        return [(None, f"# no frequency root for n = {n}, l = {l}")]
+    verdicts = []
+    for i, state in enumerate(states):
+        report = verify_solution(state, grid_n=grids[0], grid_n_refined=grids[1],
+                                 rho_max=config.rho_max, perturb_omega=config.perturb_omega)
+        verdicts.append((report.passed, (
+            f"{'PASS' if report.passed else 'FAIL'} "
+            f"n={n} l={l} root={i} omega={fmt12(state.omega)} "
+            f"zeta_sq={fmt12(report.zeta_claim)} oracle={fmt12(report.zeta_oracle)} "
+            f"deviation={fmt12(report.deviation)} refined={fmt12(report.deviation_refined)} "
+            f"ratio={fmt12(report.ratio)}"
+        )))
+    return verdicts
+
+
 def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
-    coarse, refined = _verify_grids(config)
+    grids = _verify_grids(config)
     if {"n_max", "l_list"} & config.explicit:
         cell_pairs, cells = _select_cells(config)
     else:
         cell_pairs, cells = [("l", config.l), ("n", config.n)], [(config.n, config.l)]
-    pairs = _physics_pairs(config) + cell_pairs + [
-        ("grid", (coarse, refined)),
-        ("perturb_omega", config.perturb_omega),
-    ]
+    pairs = _physics_pairs(config) + cell_pairs + [("grid", grids), ("perturb_omega", config.perturb_omega)]
     if config.rho_max is not None:
         pairs.append(("rho_max", config.rho_max))
-    lines = _header_lines(config, pairs)
-    verified = failed = 0
-    for n, l in cells:
-        try:
-            states = _solve_states(_make_problem(config, n, l))
-        except NoRootInRange:
-            lines.append(f"# no frequency root for n = {n}, l = {l}")
-            continue
-        for i, state in enumerate(states):
-            report = verify_solution(
-                state,
-                grid_n=coarse,
-                grid_n_refined=refined,
-                rho_max=config.rho_max,
-                perturb_omega=config.perturb_omega,
-            )
-            verified += 1
-            failed += 0 if report.passed else 1
-            lines.append(
-                f"{'PASS' if report.passed else 'FAIL'} "
-                f"n={n} l={l} root={i} omega={fmt12(state.omega)} "
-                f"zeta_sq={fmt12(report.zeta_claim)} oracle={fmt12(report.zeta_oracle)} "
-                f"deviation={fmt12(report.deviation)} refined={fmt12(report.deviation_refined)} "
-                f"ratio={fmt12(report.ratio)}"
-            )
-    lines.append(f"# summary: {verified - failed} passed, {failed} failed")
-    if verified == 0:
-        return 3, lines
-    return (1 if failed else 0), lines
+    problems = [_make_problem(config, n, l) for n, l in cells]
+    per_cell = _run_cells(lambda problem: _verify_cell(problem, config, grids), problems, config.jobs)
+    verdicts = [verdict for cell in per_cell for verdict in cell]
+    passed = [ok for ok, _ in verdicts if ok is not None]
+    failed = passed.count(False)
+    lines = _header_lines(config, pairs) + [line for _, line in verdicts]
+    lines.append(f"# summary: {len(passed) - failed} passed, {failed} failed")
+    return (3 if not passed else 1 if failed else 0), lines
 
 
 # Exit code main returns for each error it reports; the first matching group wins.
@@ -457,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
     shared.add_argument("--output", help="write output to this file instead of stdout")
     shared.add_argument("--format", choices=("csv", "table"), help="data stream format")
-    shared.add_argument(
-        "--jobs",
-        type=int,
-        help="processes that solve scan cells, this one included (default: CPU count); "
-        "other commands run serially",
-    )
 
     cell = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     cell.add_argument("--n", type=int, help="polynomial degree n >= 1")
@@ -473,6 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-max", dest="n_max", type=int, help=f"cells n = 1..n_max, n_max <= {MAX_DEGREE}"
     )
     cell_range.add_argument("--l-list", dest="l_list", type=_parse_int_list, help="e.g. 1,2,-1")
+    cell_range.add_argument(
+        "--jobs",
+        type=int,
+        help="processes that share the cells, this one included (default and cap: CPU count)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="heunqes",

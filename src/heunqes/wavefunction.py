@@ -93,11 +93,11 @@ def _simpson_norm_sq(solution: SpectralSolution, rho_max: float, intervals: int)
         return float(h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
 
 
-def normalize(solution: SpectralSolution, rtol: float = NORM_RTOL) -> RadialWavefunction:
+def normalize(solution: SpectralSolution) -> RadialWavefunction:
     """Compute the norm constant N by adaptive composite quadrature.
 
     Simpson's rule on [0, rho_max] with the interval count doubled until N
-    moves by less than rtol relative between refinements.
+    moves by less than NORM_RTOL relative between refinements.
 
     Raises:
         QuadratureFailure: the integral is non-finite or non-positive, or the
@@ -113,12 +113,12 @@ def normalize(solution: SpectralSolution, rtol: float = NORM_RTOL) -> RadialWave
                 f"norm integral evaluated to {integral!r} on [0, {rho_max:.6g}]"
             )
         norm = 1.0 / math.sqrt(integral)
-        if previous is not None and abs(norm - previous) <= rtol * abs(norm):
+        if previous is not None and abs(norm - previous) <= NORM_RTOL * abs(norm):
             return RadialWavefunction(solution, norm)
         previous = norm
         intervals *= 2
     raise QuadratureFailure(
-        f"norm constant did not stabilize to {rtol:g} within {_SIMPSON_MAX} intervals"
+        f"norm constant did not stabilize to {NORM_RTOL:g} within {_SIMPSON_MAX} intervals"
     )
 
 

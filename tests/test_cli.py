@@ -46,6 +46,12 @@ def assert_no_child_processes():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """A CPU count of 4, so that --jobs 2 and 3 fork on any host despite the CPU cap."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
 def verify_tokens(line):
     """'PASS n=1 l=1 ... ratio=3.8' -> ('PASS', {'n': '1', ..., 'ratio': '3.8'})."""
     status, *rest = line.split()
@@ -196,6 +202,7 @@ class TestNegativeValues:
         assert spaced[0] == 0 and spaced[2] == ""
 
 
+@pytest.mark.usefixtures("four_cpus")
 class TestScan:
     def test_rows_and_status(self, capsys):
         code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1")
@@ -276,7 +283,7 @@ class TestScan:
         monkeypatch.setattr(cli, "_scan_cell", dying)
         code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", "--jobs", "2")
         assert (code, out) == (1, "")
-        assert err.startswith("error: scan worker") and "exited with status 3" in err
+        assert err.startswith("error: worker") and "exited with status 3" in err
         assert err.count("\n") == 1
         assert_no_child_processes()
 
@@ -317,6 +324,23 @@ class TestScan:
     def test_configuration_error_exits_before_any_cell(self, capsys, args, message, jobs):
         code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", *args, "--jobs", jobs)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert_no_child_processes()
+
+    def test_fan_out_capped_at_cpu_count(self, capsys, monkeypatch):
+        # 6 cells at --jobs 50 on 2 CPUs fork one child, not one per cell
+        fork, forks = os.fork, []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        code, out, err = run_cli(capsys, "scan", "--n-max", "3", "--l-list", "1,2", "--jobs", "50")
+        assert (code, err, len(forks)) == (0, "", 1)
+        assert run_cli(capsys, "scan", "--n-max", "3", "--l-list", "1,2", "--jobs", "1") == (0, out, "")
         assert_no_child_processes()
 
     def test_zero_in_l_list_rejected(self, capsys):
@@ -468,6 +492,68 @@ class TestVerify:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.usefixtures("four_cpus")
+class TestVerifyCells:
+    """verify reaches its cells through the runner that scan uses."""
+
+    def test_deterministic_across_jobs(self, capsys, monkeypatch):
+        # cell (2, -1) is made rootless; --perturb-omega 1.05 turns every PASS into a FAIL
+        solve = cli._solve_states
+
+        def rootless_at_2_m1(problem):
+            if (problem.n, problem.physical.l) == (2, -1):
+                raise errors.NoRootInRange("injected")
+            return solve(problem)
+
+        monkeypatch.setattr(cli, "_solve_states", rootless_at_2_m1)
+        cells = ("--n-max", "3", "--l-list", "1,-1", "--grid", "500")
+        for extra, code, status in [((), 0, "PASS"), (("--perturb-omega", "1.05"), 1, "FAIL")]:
+            first = run_cli(capsys, "verify", *cells, *extra, "--jobs", "1")
+            assert first[0] == code and first[2] == ""
+            data = split_output(first[1])[1]
+            assert data and {line.split()[0] for line in data} == {status}
+            assert "# no frequency root for n = 2, l = -1" in first[1].split("\n")
+            for jobs in ("2", "3", "50"):
+                assert run_cli(capsys, "verify", *cells, *extra, "--jobs", jobs) == first
+        assert_no_child_processes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_cell_error_raised_as_serially(self, capsys, monkeypatch, jobs):
+        # cells run (1,1), (1,2), (2,1), (2,2): under --jobs 2 the child fails at (1,2) and
+        # this process at (2,1), and the earlier cell's error is the one reported
+        solve = cli._solve_states
+
+        def failing(problem):
+            n, l = problem.n, problem.physical.l
+            if (n, l) in {(1, 2), (2, 1)}:
+                raise ValueError(f"injected at n = {n}, l = {l}")
+            return solve(problem)
+
+        monkeypatch.setattr(cli, "_solve_states", failing)
+        code, out, err = run_cli(
+            capsys, "verify", "--n-max", "2", "--l-list", "1,2", "--grid", "500", "--jobs", jobs
+        )
+        assert (code, out, err) == (2, "", "error: injected at n = 1, l = 2\n")
+        assert_no_child_processes()
+
+    def test_child_exit_without_rows_is_one_error_line(self, capsys, monkeypatch):
+        solve, parent = cli._solve_states, os.getpid()
+
+        def dying(problem):
+            if os.getpid() != parent:
+                os._exit(3)
+            return solve(problem)
+
+        monkeypatch.setattr(cli, "_solve_states", dying)
+        code, out, err = run_cli(
+            capsys, "verify", "--n-max", "2", "--l-list", "1,2", "--grid", "500", "--jobs", "2"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: worker") and "exited with status 3" in err
+        assert err.count("\n") == 1
+        assert_no_child_processes()
+
+
 class TestConfigFiles:
     def test_file_values_applied(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
@@ -595,7 +681,7 @@ class TestOutputFile:
 
 
 SHARED_FLAGS = {"-h", "--help", "--mass", "--quad", "--lambda", "--eta", "--kz", "--config",
-                "--output", "--format", "--jobs"}
+                "--output", "--format"}
 
 
 class TestParserSurface:
@@ -610,11 +696,18 @@ class TestParserSurface:
         }
         assert accepted == {
             "solve": SHARED_FLAGS | {"--n", "--l"},
-            "scan": SHARED_FLAGS | {"--n-max", "--l-list"},
+            "scan": SHARED_FLAGS | {"--n-max", "--l-list", "--jobs"},
             "wavefunction": SHARED_FLAGS | {"--n", "--l", "--samples", "--rho-max"},
             "verify": SHARED_FLAGS
-            | {"--n", "--l", "--n-max", "--l-list", "--grid", "--rho-max", "--perturb-omega"},
+            | {"--n", "--l", "--n-max", "--l-list", "--jobs", "--grid", "--rho-max", "--perturb-omega"},
         }
+
+    @pytest.mark.parametrize("command", ["solve", "wavefunction"])
+    def test_jobs_only_on_commands_that_split_cells(self, capsys, command, tmp_path):
+        assert run_cli(capsys, command, "--jobs", "2")[0] == 2
+        path = tmp_path / "jobs.cfg"
+        path.write_text("jobs = 2\n")
+        assert run_cli(capsys, command, "--config", str(path)) == run_cli(capsys, command)
 
     def test_config_keys_are_the_run_config_fields(self):
         fields = {field.name for field in dataclasses.fields(cli.RunConfig)}

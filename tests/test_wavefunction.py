@@ -115,10 +115,12 @@ class TestNormalize:
         assert integral == pytest.approx(1.0, abs=1e-8)
 
     def test_norm_stable_under_tighter_refinement(self):
+        # the norm constant against an independent, tighter quadrature over 4x the box
         sol = reference_solution()
-        coarse = normalize(sol, rtol=1e-8).norm_constant
-        tight = normalize(sol, rtol=1e-11).norm_constant
-        assert coarse == pytest.approx(tight, rel=1e-8)
+        integral, _ = quad(
+            lambda r: evaluate_R(sol, r) ** 2 * r, 0.0, 4.0 * suggested_rho_max(sol), epsrel=1e-13, limit=500
+        )
+        assert normalize(sol).norm_constant == pytest.approx(integral**-0.5, rel=1e-8)
 
     def test_projective_invariance(self):
         sol = reference_solution()
