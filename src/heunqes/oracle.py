@@ -7,10 +7,12 @@ self-adjoint form with u(rho) = sqrt(rho) * R(rho),
         = zeta^2 u,
 
 discretized by central second differences on a uniform grid with Dirichlet
-ends. The oracle answers one question, eigenvalue k near a shift
-(eigenvalues): LAPACK's dstebz bisects it by Sturm sequences, inside the
-window that two inverse-iteration steps (dgttrf, dgttrs) at the shift give;
-the three routines come from scipy's compiled _flapack alone (see _flapack).
+ends at rho = 0 and at the edge of the claimed state's box
+(wavefunction.suggested_rho_max, where its density has died). The oracle
+answers one question, eigenvalue k near a shift (eigenvalues): LAPACK's
+dstebz bisects it by Sturm sequences, inside the window that two
+inverse-iteration steps (dgttrf, dgttrs) at the shift give; the three
+routines come from scipy's compiled _flapack alone (see _flapack).
 A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
 this spectrum at the index k equal to the state's radial node count (Sturm
 oscillation ordering), with the residual deviation shrinking like h^2 under
@@ -42,13 +44,6 @@ if TYPE_CHECKING:
 
 DEFAULT_GRID_N = 4000
 PASS_TOL = 1e-3  # relative, acknowledges O(h^2) discretization error
-# Box sizing: 1.5x the outer classical turning point of the claimed eigenvalue,
-# floored at m*omega so the turning-point equation always has a positive root.
-# Only index k is resolved, but the target keeps its +10*m*omega margin: it puts
-# the box edge well past the state's own turning point, in the tail where the
-# box error is negligible, and every recorded deviation was measured on it.
-BOX_PADDING = 1.5
-TARGET_MARGIN = 10.0
 # Absolute bisection tolerance for the tridiagonal eigensolver. The LAPACK
 # default scales with the matrix norm (~1/h^2), which at large N is far looser
 # than the 1e-10 relative contract; a fixed tiny value keeps every eigenvalue
@@ -240,33 +235,6 @@ def _flapack():
     return module
 
 
-def default_rho_max(m: float, omega: float, eta: float, zeta_sq_target: float) -> float:
-    """Box edge: BOX_PADDING times the outer classical turning point.
-
-    The turning point solves m^2 w^2 rho^2 + 2 m eta rho = zeta_t for the
-    largest eigenvalue the caller intends to resolve; zeta_t is floored at
-    m*omega so a positive root always exists. Gaussian decay past the turning
-    point makes the remaining truncation error negligible against PASS_TOL.
-
-    Raises:
-        OverflowGuard: the box is not finite, as when (m*omega)^2 leaves
-            the double range.
-    """
-    zeta_t = max(zeta_sq_target, m * omega)
-    try:
-        a = (m * omega) ** 2
-        b = m * eta
-        rho_t = (-b + math.sqrt(b * b + a * zeta_t)) / a
-    except (OverflowError, ZeroDivisionError):
-        rho_t = math.inf
-    if not math.isfinite(BOX_PADDING * rho_t):
-        raise OverflowGuard(
-            f"oracle box overflows (m*omega = {m * omega:.3e}, eta = {eta:.6g}, "
-            f"target zeta^2 = {zeta_sq_target:.6g})"
-        )
-    return BOX_PADDING * rho_t
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a coarse/refined oracle comparison for one solved state."""
@@ -296,7 +264,8 @@ def verify_solution(
     """Check one solved state against the finite-difference spectrum.
 
     The channel is discretized at grid_n and grid_n_refined (default 2x)
-    interior points with a shared rho_max, and on each grid one oracle call,
+    interior points with a shared rho_max, by default the claimed state's
+    box (suggested_rho_max), and on each grid one oracle call,
     eigenvalues(spec, node_count, near=shift), gives the eigenvalue at index
     node_count to compare with the claimed zeta^2. The shift is the claim on
     the coarse grid and the coarse value on the refined one. A window is used
@@ -307,17 +276,17 @@ def verify_solution(
     deviation < PASS_TOL on the coarse grid and a strictly smaller deviation
     on the refined one.
 
-    Every diagonal entry carries 2/h^2 (1.8e6 at 8000 points in a box of
-    8.5), so the oracle values carry absolute rounding noise of about half an
-    ulp of it, 1e-10 there: a few ulps of rho_max move the refined value by
-    that much, the coarse one by a quarter of it. With refined deviations
-    near 1e-7 relative, deviation_refined and ratio hold only about 5
-    significant digits.
+    Every diagonal entry carries 2/h^2 (3.7e6 at 8000 points in the box of
+    5.9 of the m = M = lambda = eta = l = n = 1 state), so the oracle values
+    carry absolute rounding noise of about half an ulp of it, 2e-10 there: a
+    few ulps of rho_max move the refined value by that much, the coarse one
+    by a quarter of it. With refined deviations near 1e-7 relative,
+    deviation_refined and ratio hold only about 5 significant digits.
 
     perturb_omega multiplies the channel frequency while the claim keeps the
-    solved state's zeta^2; values other than 1.0 turn this into a negative
-    control demonstrating that the spectrum only matches at the quantized
-    frequency.
+    solved state's zeta^2 and its box; values other than 1.0 turn this into
+    a negative control demonstrating that the spectrum only matches at the
+    quantized frequency.
     """
     if perturb_omega <= 0.0 or not math.isfinite(perturb_omega):
         raise ValueError(f"perturb_omega must be positive and finite, got {perturb_omega!r}")
@@ -326,10 +295,7 @@ def verify_solution(
     claim = solution.zeta_sq
     k = solution.node_count
     if rho_max is None:
-        rho_max = max(
-            default_rho_max(prob.mass, omega, prob.eta, claim + TARGET_MARGIN * prob.mass * omega),
-            suggested_rho_max(solution),
-        )
+        rho_max = suggested_rho_max(solution)
     coarse_spec = RadialOperatorSpec(
         m=prob.mass,
         omega=omega,

@@ -19,11 +19,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import series
-from .errors import QuadratureFailure
+from .errors import OverflowGuard, QuadratureFailure
 
 if TYPE_CHECKING:  # runtime import would be circular; quantize imports this module
     from .quantize import SpectralSolution
 
+# suggested_rho_max cuts where the modelled density has fallen this many decades below its peak.
+BOX_DECADES = 24
 # Normalization quadrature: composite Simpson, doubled until the norm constant
 # is stable to NORM_RTOL, starting coarse and refusing to refine forever.
 NORM_RTOL = 1e-8
@@ -62,23 +64,42 @@ def evaluate_R(solution: SpectralSolution, rho):
 
 
 def suggested_rho_max(solution: SpectralSolution) -> float:
-    """Radius beyond which the state is numerically dead.
+    """The state's box: the radius where its density R^2 rho has died.
 
-    The integrand of the norm peaks near xi_peak = sqrt(|l| + n); the Gaussian
-    exp(-xi^2) has suppressed that peak by 1e-16 at
-    xi = sqrt(xi_peak^2 + 16 ln 10), and a further factor 1.5 pads the
-    polynomial prefactors. The envelope is exp(-xi*(xi + alpha)), so the cut
-    moves with alpha: for alpha < 0 it is the same Gaussian centred at
-    xi = -alpha/2, and the cut moves out by that much; for alpha > 0 it dies
-    sooner, where xi*(xi + alpha) reaches the Gaussian's xi_cut^2.
+    normalize, the wavefunction command and verify all cut here. The density
+    is xi^(2|l|+1) H(xi)^2 exp(-xi (xi + alpha)) with H of degree n, modelled
+    as t^k exp(-t^2 - a t), k = 2(n + |l|) + 1, a = max(alpha, 0). t is
+    measured from the envelope's Gaussian centre xi = -alpha/2 when
+    alpha < 0, and from xi = 0 otherwise. The model peaks at
+    t_p = 2k / (a + sqrt(a^2 + 8k)), a form without cancellation at any
+    alpha, and the cut is the t > t_p where k ln t - t (t + a) has fallen
+    BOX_DECADES decades below its peak. Past t_p that function falls at least
+    like -(t - t_p)^2, so Newton from t_p + sqrt(drop) starts beyond the cut
+    and descends to it monotonically; it stops when a step no longer descends.
+
+    Raises:
+        OverflowGuard: the box is zero or not finite.
     """
-    xi_cut = math.sqrt(solution.problem.abs_l + solution.n + 16.0 * math.log(10.0))
-    half_alpha = 0.5 * solution.alpha
-    if half_alpha < 0.0:
-        xi_cut -= half_alpha
-    else:
-        xi_cut = math.sqrt(xi_cut**2 + half_alpha**2) - half_alpha
-    return 1.5 * xi_cut / math.sqrt(solution.problem.mass * solution.omega)
+    k = 2 * (solution.n + solution.problem.abs_l) + 1
+    a = max(solution.alpha, 0.0)
+    drop = BOX_DECADES * math.log(10.0)
+    peak = 2.0 * k / (a + math.hypot(a, math.sqrt(8.0 * k)))
+    cut = math.nan  # stays so where alpha leaves the double range and peak underflows to 0
+    if peak > 0.0:
+        cut = peak + math.sqrt(drop)
+        while True:
+            excess = k * math.log(cut / peak) - (cut - peak) * (cut + peak + a) + drop
+            step = excess / (k / cut - 2.0 * cut - a)
+            if not cut - step < cut:
+                break
+            cut -= step
+    rho_max = (cut + max(0.0, -0.5 * solution.alpha)) / math.sqrt(solution.problem.mass * solution.omega)
+    if not 0.0 < rho_max < math.inf:
+        raise OverflowGuard(
+            f"state box is {rho_max!r} (alpha = {solution.alpha:.6g}, "
+            f"m*omega = {solution.problem.mass * solution.omega:.3e})"
+        )
+    return rho_max
 
 
 def _simpson_norm_sq(solution: SpectralSolution, rho_max: float, intervals: int) -> float:

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from heunqes.errors import OverflowGuard
 from heunqes.oracle import build_operator
 from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL
 
@@ -89,6 +90,29 @@ def oscillator_level(m, omega, abs_l, k):
     return 2.0 * m * omega * (2 * k + abs_l + 1)
 
 
+def turning_point_box(m, omega, eta, zeta_sq_target):
+    """Box edge for a bare oracle channel: 1.5 times the outer classical turning point.
+
+    The turning point solves m^2 w^2 rho^2 + 2 m eta rho = zeta_t for the
+    largest eigenvalue the caller intends to resolve; zeta_t is floored at
+    m*omega so a positive root always exists. It sizes the bare channels that
+    have no solved state, whose box wavefunction.suggested_rho_max would give.
+    """
+    zeta_t = max(zeta_sq_target, m * omega)
+    try:
+        a = (m * omega) ** 2
+        b = m * eta
+        rho_t = (-b + math.sqrt(b * b + a * zeta_t)) / a
+    except (OverflowError, ZeroDivisionError):
+        rho_t = math.inf
+    if not math.isfinite(1.5 * rho_t):
+        raise OverflowGuard(
+            f"oracle box overflows (m*omega = {m * omega:.3e}, eta = {eta:.6g}, "
+            f"target zeta^2 = {zeta_sq_target:.6g})"
+        )
+    return 1.5 * rho_t
+
+
 def lowest_eigenvalues(spec, count, first=0):
     """Eigenvalues of indices first..count-1 of an oracle channel through scipy.linalg.
 
@@ -101,6 +125,20 @@ def lowest_eigenvalues(spec, count, first=0):
     d, e = build_operator(spec)
     values = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(first, count - 1), tol=1e-14)
     return tuple(float(v) for v in values)
+
+
+def probability_outside(spec, k, radius):
+    """Share of the probability of an oracle channel's eigenvector k that lies beyond radius.
+
+    The unit eigenvector comes from scipy.linalg's eigh_tridiagonal, the
+    index route of lowest_eigenvalues.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    _, vectors = eigh_tridiagonal(*build_operator(spec), select="i", select_range=(k, k))
+    u_sq = vectors[:, 0] ** 2
+    rho = spec.step * np.arange(1, spec.n_grid + 1)
+    return float(u_sq[rho > radius].sum() / u_sq.sum())
 
 
 def rel_err(value, reference):

@@ -15,12 +15,7 @@ import pytest
 import oracles
 from heunqes.cli import CONFIG_ENV_VAR, main
 from heunqes.model import PhysicalParams
-from heunqes.oracle import (
-    RadialOperatorSpec,
-    default_rho_max,
-    eigenvalues,
-    verify_solution,
-)
+from heunqes.oracle import RadialOperatorSpec, eigenvalues, verify_solution
 from heunqes.quantize import ReducedProblem, solve_cubic, solve_frequency
 from heunqes.series import _raw_coefficients, evaluate_H
 
@@ -187,7 +182,7 @@ def test_criterion_4_negative_control(reference_states):
 
 def test_criterion_5_oscillator_regression():
     failures = []
-    rho_max = default_rho_max(1.0, 1.0, 0.0, oracles.oscillator_level(1.0, 1.0, 1, 2) + 10.0)
+    rho_max = oracles.turning_point_box(1.0, 1.0, 0.0, oracles.oscillator_level(1.0, 1.0, 1, 2) + 10.0)
     channel = RadialOperatorSpec(
         m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
     )

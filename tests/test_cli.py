@@ -23,6 +23,10 @@ def _isolated_env(monkeypatch):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
 
 
+# n = 2, l = -1 at a tiny eta: three states with omega 3e-16..7e-16 and alpha about 1e9
+LARGE_ALPHA_CELL = ("--n", "2", "--l", "-1", "--mass", "0.01", "--quad", "10", "--eta", "1e-15")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -411,6 +415,16 @@ class TestWavefunction:
         values = [float(line.split(",")[1]) for line in split_output(out)[1][1:]]
         assert len(values) == 512 and values[1:] == [0.0] * 511
 
+    def test_large_alpha_box_is_finite(self, capsys):
+        # alpha is about 1e9 for these states, where a box of the form sqrt(x^2 + a^2) - a rounds to 0
+        code, out, err = run_cli(capsys, "wavefunction", *LARGE_ALPHA_CELL)
+        assert (code, err) == (0, "")
+        header, data = split_output(out)
+        (rho_max,) = [float(line.split(" = ")[1]) for line in header if line.startswith("# rho-max = ")]
+        assert 0.0 < rho_max < math.inf
+        samples = [float(value) for line in data[1:] for value in line.split(",")]
+        assert len(samples) == 2 * 512 and all(math.isfinite(v) for v in samples)
+
     def test_non_finite_sample_is_one_error_line(self, capsys, monkeypatch):
         sample = lambda *_: [(0.0, 0.0), (1.0, math.inf)]
         monkeypatch.setattr(heunqes.wavefunction.RadialWavefunction, "sample", sample)
@@ -448,6 +462,11 @@ class TestVerify:
         _, tokens = verify_tokens(split_output(out)[1][0])
         assert 3.0 < float(tokens["ratio"]) < 5.0
 
+    def test_large_alpha_states_pass(self, capsys):
+        code, out, err = run_cli(capsys, "verify", *LARGE_ALPHA_CELL)
+        assert (code, err) == (0, "")
+        assert out.rstrip("\n").endswith("# summary: 3 passed, 0 failed")
+
     def test_range_mode(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n-max", "1", "--l-list", "1,2", "--grid", "1000"
@@ -480,8 +499,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("--perturb-omega", "1e200"), "oracle box overflows"),
-            (("--perturb-omega", "3e153"), "oracle box overflows"),
+            # the box is the claimed state's, so the perturbed operator is what overflows
+            (("--perturb-omega", "1e200"), "finite-difference operator overflows"),
+            (("--perturb-omega", "3e153"), "finite-difference operator overflows"),
             (("--rho-max", "5", "--perturb-omega", "3e153"), "finite-difference operator overflows"),
             (("--rho-max", "1e-200"), "finite-difference operator overflows"),
         ],

@@ -13,11 +13,9 @@ from heunqes import oracle
 from heunqes.errors import ConvergenceFailure, InvalidGrid, OverflowGuard
 from heunqes.model import PhysicalParams
 from heunqes.oracle import (
-    BOX_PADDING,
     PASS_TOL,
     RadialOperatorSpec,
     build_operator,
-    default_rho_max,
     eigenvalues,
     verify_solution,
 )
@@ -140,7 +138,7 @@ class TestEigenvalues:
     def test_oscillator_ladder(self):
         # eta = coulomb = 0 collapses the channel to the radial oscillator,
         # whose zeta^2 ladder is known in closed form
-        rho_max = default_rho_max(1.0, 1.0, 0.0, oracles.oscillator_level(1.0, 1.0, 1, 2) + 10.0)
+        rho_max = oracles.turning_point_box(1.0, 1.0, 0.0, oracles.oscillator_level(1.0, 1.0, 1, 2) + 10.0)
         spec = RadialOperatorSpec(
             m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
         )
@@ -149,7 +147,7 @@ class TestEigenvalues:
 
     def test_oscillator_ladder_scaled(self):
         m, omega, abs_l = 0.5, 3.0, 2
-        rho_max = default_rho_max(
+        rho_max = oracles.turning_point_box(
             m, omega, 0.0, oracles.oscillator_level(m, omega, abs_l, 2) + 10.0 * m * omega
         )
         spec = RadialOperatorSpec(
@@ -160,39 +158,20 @@ class TestEigenvalues:
 
     def test_reference_state_sits_at_ground_index(self):
         sol = reference_solution()
-        rho_max = default_rho_max(1.0, sol.omega, 1.0, sol.zeta_sq + 10.0 * sol.omega)
+        rho_max = oracles.turning_point_box(1.0, sol.omega, 1.0, sol.zeta_sq + 10.0 * sol.omega)
         spec = reference_channel(omega=sol.omega, rho_max=rho_max, n_grid=4000)
         lowest = eigenvalues(spec, 0)
         assert lowest == pytest.approx(oracles.FROZEN_ZETA_SQ, rel=1e-3)
         assert lowest == pytest.approx(oracles.DISPLAY_ZETA_SQ, rel=oracles.DISPLAY_TOL)
 
 
-class TestDefaultRhoMax:
-    def test_zero_eta_closed_form(self):
-        # m^2 w^2 rho^2 = zeta_t  =>  rho_t = sqrt(zeta_t) / (m w)
-        assert default_rho_max(2.0, 3.0, 0.0, 9.0) == pytest.approx(BOX_PADDING * 3.0 / 6.0, rel=1e-15)
-
-    def test_monotone_in_target(self):
-        lo = default_rho_max(1.0, 1.0, 1.0, 5.0)
-        hi = default_rho_max(1.0, 1.0, 1.0, 50.0)
-        assert 0.0 < lo < hi
-
-    def test_floor_keeps_root_positive(self):
-        assert default_rho_max(1.0, 1.0, 1.0, -100.0) > 0.0
-
-    @pytest.mark.parametrize("omega", [1e200, 3e153, 1e-200])
-    def test_box_overflow_is_typed(self, omega):
-        # (m w)^2 raises OverflowError, a * zeta_t overflows to inf, (m w)^2 underflows to 0
-        with pytest.raises(OverflowGuard, match="oracle box overflows"):
-            default_rho_max(1.0, omega, 1.0, 10.0 * omega)
-
-
 class TestDefaultBox:
-    """The default box also covers the state's own envelope (wavefunction.suggested_rho_max)."""
+    """The default box is the state's own (wavefunction.suggested_rho_max)."""
 
     @pytest.mark.parametrize("n", range(8, 13))
     def test_negative_l_ground_state_passes(self, n):
-        # default_rho_max alone gives rho_max ~ 4.8, where these fail at the box-error floor
+        # a turning-point box (oracles.turning_point_box) gives rho_max ~ 4.8, where these fail
+        # at the box-error floor
         problem = ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, -1), n)
         (ground,) = [s for s in solve_frequency(problem) if s.node_count == 0]
         report = verify_solution(ground)
@@ -200,7 +179,7 @@ class TestDefaultBox:
         assert report.rho_max == suggested_rho_max(ground)
 
     def test_negative_zeta_sq_states_pass(self):
-        # default_rho_max floors its target at m*omega: rho_max = 0.197 for the lowest root
+        # a turning-point box floored at m*omega gives rho_max = 0.197 for the lowest root
         params = PhysicalParams(mass=0.453, quad=8.76, lam=1.0, eta=0.16, kz=0.0, l=-3)
         states = solve_frequency(ReducedProblem.from_params(params, 9))
         assert sum(s.zeta_sq < 0.0 for s in states) == 7
@@ -217,11 +196,41 @@ class TestDefaultBox:
         assert [(s.omega, s.node_count) for s in states if not verify_solution(s).passed] == []
 
 
+class TestHighNodeCell:
+    """A cell of 40 states at n = 26, l = -5, alpha from 441 down to 6e-5.
+
+    Past the roots of H the density grows like xi^(2n + 2|l| + 1), which moves
+    the tail out where alpha > 0 slows the envelope. A box from the Gaussian
+    alone ends inside the states of node count 16..26 at alpha 57..29: their
+    eigenvectors leave up to 0.42 of their probability beyond it, and all 11
+    fail.
+    """
+
+    @staticmethod
+    def states():
+        params = PhysicalParams(mass=0.535365, quad=42.8981, lam=1.0, eta=0.285521, kz=0.0, l=-5)
+        states = solve_frequency(ReducedProblem.from_params(params, 26))
+        assert len(states) == 40
+        return states
+
+    def test_every_state_passes(self):
+        assert [(s.omega, s.node_count) for s in self.states() if not verify_solution(s).passed] == []
+
+    def test_eigenvector_dies_inside_the_box(self):
+        for s in self.states():
+            box = suggested_rho_max(s)
+            spec = RadialOperatorSpec(
+                m=s.problem.mass, omega=s.omega, eta=s.problem.eta, coulomb_strength=s.problem.coupling,
+                abs_l=5, rho_max=3.0 * box, n_grid=12000,
+            )
+            assert oracles.probability_outside(spec, s.node_count, box) < 1e-10, (s.omega, s.node_count)
+
+
 class TestGridConvergence:
     def test_second_order_richardson(self):
         """Deviation from the analytic zeta^2 shrinks ~4x per grid doubling."""
         sol = reference_solution()
-        rho_max = default_rho_max(1.0, sol.omega, 1.0, sol.zeta_sq + 10.0 * sol.omega)
+        rho_max = oracles.turning_point_box(1.0, sol.omega, 1.0, sol.zeta_sq + 10.0 * sol.omega)
         devs = []
         for n_grid in (2000, 4000, 8000):
             spec = reference_channel(omega=sol.omega, rho_max=rho_max, n_grid=n_grid)
@@ -450,7 +459,8 @@ class TestOverflow:
 
     @pytest.mark.parametrize("perturb", [1e200, 3e153])
     def test_verify_overflow_is_typed(self, perturb):
-        with pytest.raises(OverflowGuard, match="oracle box overflows"):
+        # the box is the claimed state's, so the perturbed operator is what overflows
+        with pytest.raises(OverflowGuard, match="finite-difference operator overflows"):
             verify_solution(reference_solution(), perturb_omega=perturb)
 
 

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 import oracles
-from heunqes.errors import QuadratureFailure
+from heunqes.errors import OverflowGuard, QuadratureFailure
 from heunqes.model import PhysicalParams
 from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
 from heunqes.wavefunction import (
@@ -207,6 +207,47 @@ class TestSuggestedRhoMax:
         rho = np.linspace(1e-3, suggested_rho_max(sol), 2000)
         values = np.abs(evaluate_R(sol, rho))
         assert values[-1] < 1e-12 * values.max()
+
+
+    @pytest.mark.parametrize(
+        "alpha, omega",
+        [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (-1e300, 1e-20)],
+        ids=["peak-underflows", "infinite-centre", "nan", "centre-overflows"],
+    )
+    def test_box_overflow_is_typed(self, alpha, omega):
+        with pytest.raises(OverflowGuard, match="state box is"):
+            suggested_rho_max(replace(reference_solution(), alpha=alpha, omega=omega))
+
+    def test_large_alpha_box_is_finite(self):
+        # sqrt(x^2 + (alpha/2)^2) - alpha/2 rounds to 0 here
+        sol = replace(reference_solution(), alpha=4e9, omega=5e-16)
+        rho = np.linspace(0.0, suggested_rho_max(sol), 2000)[1:]
+        values = np.abs(evaluate_R(sol, rho))
+        assert 0.0 < values.max() and values[-1] < 1e-12 * values.max()
+
+
+class TestHighNodeCell:
+    """n = 26, l = -5: the normalized profile integrates to 1 over 4x the box, or normalize refuses it."""
+
+    def test_norm_is_right_or_refused(self):
+        params = PhysicalParams(mass=0.535365, quad=42.8981, lam=1.0, eta=0.285521, kz=0.0, l=-5)
+        # the branch of alpha 57..29, whose densities reach past a Gaussian box
+        states = [s for s in solve_frequency(ReducedProblem.from_params(params, 26)) if s.alpha > 1.0][16:]
+        assert [s.node_count for s in states] == list(range(16, 27))
+        for sol in states:
+            try:
+                wf = normalize(sol)
+            except QuadratureFailure:
+                # H loses its digits to cancellation here, and the Simpson sums never settle
+                assert sol.node_count >= 23
+                continue
+            rho = np.linspace(0.0, suggested_rho_max(sol), 4001)
+            peak = rho[np.argmax(wf.evaluate(rho) ** 2 * rho)]
+            with warnings.catch_warnings():
+                # from node 19 the rounding noise of H keeps quad's error estimate above its tolerance
+                warnings.simplefilter("ignore", IntegrationWarning)
+                integral, _ = quad(lambda r: wf.evaluate(r) ** 2 * r, 0.0, 4.0 * rho[-1], points=[peak], limit=500)
+            assert integral == pytest.approx(1.0, abs=1e-6), sol.node_count
 
 
 class TestNegativeAlpha:
