@@ -11,8 +11,8 @@ to scientific notation below 1e-4 and at or above 1e+6.
 
 Exit codes: 0 success (verify: all states PASS), 1 verification failure or
 internal numerical failure, 2 configuration/validation error (an n-max of
-scan or verify outside 1..MAX_DEGREE, an unwritable --output), 3 no frequency
-root found.
+scan or verify outside 1..MAX_DEGREE, a verify given both one cell and a
+range, an unwritable --output), 3 no frequency root found.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ _CONVERTERS = {
     "samples": int,
     "jobs": int,
     "l_list": _parse_int_list,
-    "grid": _parse_int_list,
+    "grid": int,
     "format": str,
     "output": str,
 }
@@ -94,7 +94,7 @@ class RunConfig:
     """Merged effective configuration: field defaults < config file < CLI flags.
 
     explicit records which keys were set by the file or the command line,
-    letting verify distinguish single-state mode from range mode.
+    letting verify tell single-state mode from range mode and refuse a mix.
     """
 
     command: str
@@ -109,7 +109,7 @@ class RunConfig:
     l_list: tuple[int, ...] = (1,)
     samples: int = 512
     rho_max: float | None = None
-    grid: tuple[int, ...] = ()
+    grid: int = DEFAULT_GRID_N
     perturb_omega: float = 1.0
     format: str | None = None
     output: str | None = None
@@ -130,8 +130,8 @@ class RunConfig:
             raise ConfigError(f"format must be 'csv' or 'table', got {self.format!r}")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if len(self.grid) > 2:
-            raise ConfigError(f"at most two --grid values (coarse, refined), got {len(self.grid)}")
+        if self.grid < 100:
+            raise ConfigError(f"grid must have at least 100 points, got {self.grid}")
 
 
 def fmt12(value) -> str:
@@ -214,7 +214,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in _CONVERTERS:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = tuple(value) if key == "grid" else value
+            merged[key] = value
     return RunConfig(command=args.command, explicit=frozenset(merged), **merged)
 
 
@@ -378,21 +378,7 @@ def cmd_wavefunction(config: RunConfig) -> tuple[int, list[str]]:
     return 0, lines
 
 
-def _verify_grids(config: RunConfig) -> tuple[int, int]:
-    if len(config.grid) == 0:
-        coarse, refined = DEFAULT_GRID_N, 2 * DEFAULT_GRID_N
-    elif len(config.grid) == 1:
-        coarse, refined = config.grid[0], 2 * config.grid[0]
-    else:
-        coarse, refined = config.grid
-    if coarse < 100:
-        raise ConfigError(f"grid must have at least 100 points, got {coarse}")
-    if refined <= coarse:
-        raise ConfigError(f"refined grid must exceed coarse grid, got {coarse},{refined}")
-    return coarse, refined
-
-
-def _verify_cell(problem: ReducedProblem, config: RunConfig, grids: tuple[int, int]) -> list[tuple]:
+def _verify_cell(problem: ReducedProblem, config: RunConfig) -> list[tuple]:
     """(passed, line) of each state of one verify cell, or (None, its no-root line)."""
     n, l = problem.n, problem.physical.l
     try:
@@ -401,8 +387,7 @@ def _verify_cell(problem: ReducedProblem, config: RunConfig, grids: tuple[int, i
         return [(None, f"# no frequency root for n = {n}, l = {l}")]
     verdicts = []
     for i, state in enumerate(states):
-        report = verify_solution(state, grid_n=grids[0], grid_n_refined=grids[1],
-                                 rho_max=config.rho_max, perturb_omega=config.perturb_omega)
+        report = verify_solution(state, grid_n=config.grid, perturb_omega=config.perturb_omega)
         verdicts.append((report.passed, (
             f"{'PASS' if report.passed else 'FAIL'} "
             f"n={n} l={l} root={i} omega={fmt12(state.omega)} "
@@ -414,16 +399,16 @@ def _verify_cell(problem: ReducedProblem, config: RunConfig, grids: tuple[int, i
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
-    grids = _verify_grids(config)
     if {"n_max", "l_list"} & config.explicit:
+        if {"n", "l"} & config.explicit:
+            raise ConfigError("verify takes one cell (--n/--l) or a range (--n-max/--l-list), not both")
         cell_pairs, cells = _select_cells(config)
     else:
         cell_pairs, cells = [("l", config.l), ("n", config.n)], [(config.n, config.l)]
-    pairs = _physics_pairs(config) + cell_pairs + [("grid", grids), ("perturb_omega", config.perturb_omega)]
-    if config.rho_max is not None:
-        pairs.append(("rho_max", config.rho_max))
+    pairs = _physics_pairs(config) + cell_pairs
+    pairs += [("grid", config.grid), ("perturb_omega", config.perturb_omega)]
     problems = [_make_problem(config, n, l) for n, l in cells]
-    per_cell = _run_cells(lambda problem: _verify_cell(problem, config, grids), problems, config.jobs)
+    per_cell = _run_cells(lambda problem: _verify_cell(problem, config), problems, config.jobs)
     verdicts = [verdict for cell in per_cell for verdict in cell]
     passed = [ok for ok, _ in verdicts if ok is not None]
     failed = passed.count(False)
@@ -456,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--kz", type=float, help="axial wavenumber k")
     shared.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
     shared.add_argument("--output", help="write output to this file instead of stdout")
-    shared.add_argument("--format", choices=("csv", "table"), help="data stream format")
+
+    table = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    table.add_argument("--format", choices=("csv", "table"), help="data stream format")
 
     cell = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     cell.add_argument("--n", type=int, help="polynomial degree n >= 1")
@@ -480,11 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("solve", parents=[shared, cell], help="quantized frequencies for one (n, l)")
-    sub.add_parser("scan", parents=[shared, cell_range], help="sweep (n, l) cells to CSV")
+    sub.add_parser("solve", parents=[shared, table, cell], help="quantized frequencies for one (n, l)")
+    sub.add_parser("scan", parents=[shared, table, cell_range], help="sweep (n, l) cells to CSV")
 
     wavefunction = sub.add_parser(
-        "wavefunction", parents=[shared, cell], help="sampled normalized radial profile"
+        "wavefunction", parents=[shared, table, cell], help="sampled normalized radial profile"
     )
     wavefunction.add_argument("--samples", type=int, help="number of radial samples")
     wavefunction.add_argument("--rho-max", dest="rho_max", type=float, help="sampling radius")
@@ -496,11 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--grid",
-        action="append",
         type=int,
-        help="grid points; repeat for (coarse, refined), single value doubles",
+        help=f"coarse grid points N >= 100, the refined grid is 2N (default {DEFAULT_GRID_N})",
     )
-    verify.add_argument("--rho-max", dest="rho_max", type=float, help="override box radius")
     verify.add_argument(
         "--perturb-omega",
         dest="perturb_omega",

@@ -15,8 +15,9 @@ inverse-iteration steps (dgttrf, dgttrs) at the shift give; the three
 routines come from scipy's compiled _flapack alone (see _flapack).
 A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
 this spectrum at the index k equal to the state's radial node count (Sturm
-oscillation ordering), with the residual deviation shrinking like h^2 under
-grid doubling.
+oscillation ordering), with the residual deviation shrinking like h^2 from
+the coarse grid of N interior points to the refined grid, always 2N
+(verify_solution).
 
 Dirichlet at rho = 0 is exact for |l| >= 1 because u ~ rho^(|l|+1/2) there;
 the first grid node sits at h > 0, so |l| = 0 regression channels never touch
@@ -257,14 +258,13 @@ def verify_solution(
     solution: SpectralSolution,
     *,
     grid_n: int = DEFAULT_GRID_N,
-    grid_n_refined: int | None = None,
     rho_max: float | None = None,
     perturb_omega: float = 1.0,
 ) -> VerificationReport:
     """Check one solved state against the finite-difference spectrum.
 
-    The channel is discretized at grid_n and grid_n_refined (default 2x)
-    interior points with a shared rho_max, by default the claimed state's
+    The channel is discretized at grid_n and at 2 * grid_n interior points
+    (grid_n_refined) with a shared rho_max, by default the claimed state's
     box (suggested_rho_max), and on each grid one oracle call,
     eigenvalues(spec, node_count, near=shift), gives the eigenvalue at index
     node_count to compare with the claimed zeta^2. The shift is the claim on
@@ -305,10 +305,8 @@ def verify_solution(
         rho_max=rho_max,
         n_grid=grid_n,
     )
-    if grid_n_refined is None:
-        grid_n_refined = 2 * grid_n
     zeta_oracle = eigenvalues(coarse_spec, k, near=claim)
-    zeta_oracle_refined = eigenvalues(replace(coarse_spec, n_grid=grid_n_refined), k, near=zeta_oracle)
+    zeta_oracle_refined = eigenvalues(replace(coarse_spec, n_grid=2 * grid_n), k, near=zeta_oracle)
     scale = max(abs(claim), 1e-300)
     deviation = abs(zeta_oracle - claim) / scale
     deviation_refined = abs(zeta_oracle_refined - claim) / scale
@@ -323,7 +321,7 @@ def verify_solution(
         zeta_oracle=zeta_oracle,
         zeta_oracle_refined=zeta_oracle_refined,
         grid_n=grid_n,
-        grid_n_refined=grid_n_refined,
+        grid_n_refined=2 * grid_n,
         rho_max=rho_max,
         omega=omega,
     )

@@ -438,7 +438,7 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify")
         assert code == 0 and err == ""
         header, data = split_output(out)
-        assert "# grid = 4000,8000" in header
+        assert "# grid = 4000" in header
         assert "# perturb-omega = 1.0" in header
         assert len(data) == 1
         status, tokens = verify_tokens(data[0])
@@ -457,9 +457,12 @@ class TestVerify:
         assert "# summary: 0 passed, 1 failed" in out
 
     def test_richardson_ratio_reported(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--grid", "2000", "--grid", "4000")
+        # one --grid value is the coarse grid; the refined grid is twice it
+        code, out, _ = run_cli(capsys, "verify", "--grid", "2000")
         assert code == 0
-        _, tokens = verify_tokens(split_output(out)[1][0])
+        header, data = split_output(out)
+        assert "# grid = 2000" in header
+        _, tokens = verify_tokens(data[0])
         assert 3.0 < float(tokens["ratio"]) < 5.0
 
     def test_large_alpha_states_pass(self, capsys):
@@ -477,13 +480,44 @@ class TestVerify:
         assert [verify_tokens(line)[1]["l"] for line in data] == ["1", "2"]
         assert "# summary: 2 passed, 0 failed" in out
 
+    # the last --grid wins, so a too-coarse final value is rejected either way
     @pytest.mark.parametrize(
-        "grids",
-        [("--grid", "100", "--grid", "50"), ("--grid", "50"),
-         ("--grid", "1000", "--grid", "2000", "--grid", "3000")],
+        "grids", [("--grid", "100", "--grid", "50"), ("--grid", "50")]
     )
     def test_bad_grids_rejected(self, capsys, grids):
         assert run_cli(capsys, "verify", *grids)[0] == 2
+
+    @pytest.mark.parametrize("args", [("--rho-max", "5"), ("--format", "csv")])
+    def test_removed_inputs_rejected(self, capsys, args):
+        # the box is always the state's own, and verify prints no table
+        code, out, _ = run_cli(capsys, "verify", *args)
+        assert (code, out) == (2, "")
+
+    def test_last_grid_wins_and_file_rho_max_ignored(self, capsys, tmp_path):
+        path = tmp_path / "box.cfg"
+        path.write_text("rho-max = 5\n")
+        expected = run_cli(capsys, "verify", "--grid", "500")
+        assert expected[0] == 0
+        assert run_cli(capsys, "verify", "--grid", "100", "--grid", "500") == expected
+        assert run_cli(capsys, "verify", "--config", str(path), "--grid", "500") == expected
+
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (("--n", "3", "--l-list", "1"), None),
+            (("--l", "2", "--n-max", "3"), None),
+            (("--n", "3"), "l-list = 1\n"),
+        ],
+        ids=["n-with-l-list", "l-with-n-max", "n-with-file-l-list"],
+    )
+    def test_cell_and_range_do_not_mix(self, capsys, tmp_path, args, config):
+        if config is not None:
+            path = tmp_path / "range.cfg"
+            path.write_text(config)
+            args += ("--config", str(path))
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert (code, out) == (2, "")
+        assert err == "error: verify takes one cell (--n/--l) or a range (--n-max/--l-list), not both\n"
 
     @pytest.mark.parametrize(
         "n_max, message",
@@ -502,8 +536,6 @@ class TestVerify:
             # the box is the claimed state's, so the perturbed operator is what overflows
             (("--perturb-omega", "1e200"), "finite-difference operator overflows"),
             (("--perturb-omega", "3e153"), "finite-difference operator overflows"),
-            (("--rho-max", "5", "--perturb-omega", "3e153"), "finite-difference operator overflows"),
-            (("--rho-max", "1e-200"), "finite-difference operator overflows"),
         ],
     )
     def test_overflow_is_one_error_line(self, capsys, args, message):
@@ -624,9 +656,17 @@ class TestConfigFiles:
 
     def test_load_config_parses_types(self, tmp_path):
         path = tmp_path / "typed.cfg"
-        path.write_text("l-list = 1, -2 ,3\ngrid = 2000,4000\nsamples = 64\nkz = 2.0\n")
+        path.write_text("l-list = 1, -2 ,3\ngrid = 2000\nsamples = 64\nkz = 2.0\n")
         values = load_config(str(path))
-        assert values == {"l_list": (1, -2, 3), "grid": (2000, 4000), "samples": 64, "kz": 2.0}
+        assert values == {"l_list": (1, -2, 3), "grid": 2000, "samples": 64, "kz": 2.0}
+
+    def test_grid_pair_rejected(self, capsys, tmp_path):
+        # the header of an older verify recorded a coarse,refined pair; the refined grid is now 2N
+        path = tmp_path / "old.cfg"
+        path.write_text("grid = 4000,8000\n")
+        code, out, err = run_cli(capsys, "verify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:1: bad value for grid:") and err.count("\n") == 1
 
 
 class TestExitCodes:
@@ -700,8 +740,7 @@ class TestOutputFile:
         assert err.startswith("error: cannot write output file") and err.count("\n") == 1
 
 
-SHARED_FLAGS = {"-h", "--help", "--mass", "--quad", "--lambda", "--eta", "--kz", "--config",
-                "--output", "--format"}
+SHARED_FLAGS = {"-h", "--help", "--mass", "--quad", "--lambda", "--eta", "--kz", "--config", "--output"}
 
 
 class TestParserSurface:
@@ -715,11 +754,11 @@ class TestParserSurface:
             for name, sub in commands.choices.items()
         }
         assert accepted == {
-            "solve": SHARED_FLAGS | {"--n", "--l"},
-            "scan": SHARED_FLAGS | {"--n-max", "--l-list", "--jobs"},
-            "wavefunction": SHARED_FLAGS | {"--n", "--l", "--samples", "--rho-max"},
+            "solve": SHARED_FLAGS | {"--format", "--n", "--l"},
+            "scan": SHARED_FLAGS | {"--format", "--n-max", "--l-list", "--jobs"},
+            "wavefunction": SHARED_FLAGS | {"--format", "--n", "--l", "--samples", "--rho-max"},
             "verify": SHARED_FLAGS
-            | {"--n", "--l", "--n-max", "--l-list", "--jobs", "--grid", "--rho-max", "--perturb-omega"},
+            | {"--n", "--l", "--n-max", "--l-list", "--jobs", "--grid", "--perturb-omega"},
         }
 
     @pytest.mark.parametrize("command", ["solve", "wavefunction"])
