@@ -13,16 +13,10 @@ script exposes solve/scan/wavefunction/verify workflows.
 from .errors import (
     ConvergenceFailure,
     HeunQESError,
-    InvalidGrid,
     NonPositiveFrequency,
-    NonPositiveMass,
-    NoPositiveRoot,
     NoRootInRange,
     OverflowGuard,
     QuadratureFailure,
-    VanishingCoupling,
-    WrongDegree,
-    ZeroAngularMomentum,
 )
 from .model import PhysicalParams
 from .quantize import (
@@ -38,16 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceFailure",
     "HeunQESError",
-    "InvalidGrid",
     "NonPositiveFrequency",
-    "NonPositiveMass",
-    "NoPositiveRoot",
     "NoRootInRange",
     "OverflowGuard",
     "QuadratureFailure",
-    "VanishingCoupling",
-    "WrongDegree",
-    "ZeroAngularMomentum",
     "PhysicalParams",
     "ReducedProblem",
     "SpectralSolution",

@@ -10,9 +10,10 @@ plain-text tables; numbers are printed with 12 significant digits, switching
 to scientific notation below 1e-4 and at or above 1e+6.
 
 Exit codes: 0 success (verify: all states PASS), 1 verification failure or
-internal numerical failure, 2 configuration/validation error (an n-max of
-scan or verify outside 1..MAX_DEGREE, a verify given both one cell and a
-range, an unwritable --output), 3 no frequency root found.
+internal numerical failure, 2 bad input, any ValueError (a bad flag, config
+value or parameter, an n-max of scan or verify outside 1..MAX_DEGREE, a
+verify given both one cell and a range, an unwritable --output), 3 no
+frequency root found. Every error is one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    HeunQESError,
-    NonPositiveMass,
-    NoRootInRange,
-    OverflowGuard,
-    VanishingCoupling,
-    ZeroAngularMomentum,
-)
+from .errors import HeunQESError, NoRootInRange, OverflowGuard
 from .model import PhysicalParams
 from .oracle import DEFAULT_GRID_N, verify_solution
 from .quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
@@ -54,10 +48,6 @@ _SCAN_COLUMNS = (
     "status",
 )
 _WAVEFUNCTION_COLUMNS = ("rho", "R")
-
-
-class ConfigError(Exception):
-    """Unusable configuration: bad file, unknown key, or out-of-range value."""
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -95,6 +85,8 @@ class RunConfig:
 
     explicit records which keys were set by the file or the command line,
     letting verify tell single-state mode from range mode and refuse a mix.
+    It checks only the keys no record downstream owns; PhysicalParams and
+    ReducedProblem.from_params check the physics, l and n.
     """
 
     command: str
@@ -117,21 +109,20 @@ class RunConfig:
     explicit: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        for key in ("mass", "quad", "lam", "eta", "kz", "perturb_omega"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
+        if not (math.isfinite(self.perturb_omega) and self.perturb_omega > 0.0):
+            raise ValueError(f"perturb_omega must be positive and finite, got {self.perturb_omega!r}")
         if self.rho_max is not None and not (
             math.isfinite(self.rho_max) and self.rho_max > 0.0
         ):
-            raise ConfigError(f"rho-max must be positive and finite, got {self.rho_max!r}")
+            raise ValueError(f"rho-max must be positive and finite, got {self.rho_max!r}")
         if self.samples < 2:
-            raise ConfigError(f"samples must be >= 2, got {self.samples}")
+            raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.format not in (None, "csv", "table"):
-            raise ConfigError(f"format must be 'csv' or 'table', got {self.format!r}")
+            raise ValueError(f"format must be 'csv' or 'table', got {self.format!r}")
         if self.jobs is not None and self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.grid < 100:
-            raise ConfigError(f"grid must have at least 100 points, got {self.grid}")
+            raise ValueError(f"grid must have at least 100 points, got {self.grid}")
 
 
 def fmt12(value) -> str:
@@ -185,7 +176,7 @@ def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -193,17 +184,17 @@ def load_config(path: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
         key = key.strip().replace("-", "_")
         if key == "lambda":
             key = "lam"
         converter = _CONVERTERS.get(key)
         if converter is None:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = converter(value.strip())
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -243,11 +234,9 @@ def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
 def _select_cells(config: RunConfig) -> tuple[list[tuple[str, object]], list[tuple[int, int]]]:
     """Validate the n-max / l-list range; return its header pairs and its n-major (n, l) cells."""
     if config.n_max < 1:
-        raise ConfigError(f"n-max must be >= 1, got {config.n_max}")
+        raise ValueError(f"n-max must be >= 1, got {config.n_max}")
     if config.n_max > MAX_DEGREE:
-        raise ConfigError(f"n-max must be <= {MAX_DEGREE}, got {config.n_max}")
-    if any(l == 0 for l in config.l_list):
-        raise ZeroAngularMomentum("l must be nonzero: l-list contains 0")
+        raise ValueError(f"n-max must be <= {MAX_DEGREE}, got {config.n_max}")
     l_values = tuple(sorted(set(config.l_list)))
     pairs = [("n_max", config.n_max), ("l_list", l_values)]
     return pairs, [(n, l) for n in range(1, config.n_max + 1) for l in l_values]
@@ -401,7 +390,7 @@ def _verify_cell(problem: ReducedProblem, config: RunConfig) -> list[tuple]:
 def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
     if {"n_max", "l_list"} & config.explicit:
         if {"n", "l"} & config.explicit:
-            raise ConfigError("verify takes one cell (--n/--l) or a range (--n-max/--l-list), not both")
+            raise ValueError("verify takes one cell (--n/--l) or a range (--n-max/--l-list), not both")
         cell_pairs, cells = _select_cells(config)
     else:
         cell_pairs, cells = [("l", config.l), ("n", config.n)], [(config.n, config.l)]
@@ -417,12 +406,8 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
     return (3 if not passed else 1 if failed else 0), lines
 
 
-# Exit code main returns for each error it reports; the first matching group wins.
-_EXIT_CODES = (
-    ((ConfigError, NonPositiveMass, ZeroAngularMomentum, VanishingCoupling, ValueError), 2),
-    (NoRootInRange, 3),
-    (HeunQESError, 1),
-)
+# Exit code main returns for each error it reports; the first matching class wins.
+_EXIT_CODES = ((ValueError, 2), (NoRootInRange, 3), (HeunQESError, 1))
 
 _HANDLERS = {
     "solve": cmd_solve,
@@ -430,6 +415,16 @@ _HANDLERS = {
     "wavefunction": cmd_wavefunction,
     "verify": cmd_verify,
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so main prints them as one error line.
+
+    add_subparsers builds each command's parser with this class too.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes that share the cells, this one included (default and cap: CPU count)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heunqes",
         description="Quasi-exactly-solvable spectra of a trapped magnetic-quadrupole atom.",
         allow_abbrev=False,
@@ -519,22 +514,18 @@ def _emit(lines: list[str], output: str | None) -> None:
             with open(output, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output file {output!r}: {exc}") from exc
+            raise ValueError(f"cannot write output file {output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
         config = build_config(args)
         code, lines = _HANDLERS[config.command](config)
         _emit(lines, config.output)
         return code
-    except (ConfigError, ValueError, HeunQESError) as exc:
+    except (ValueError, HeunQESError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

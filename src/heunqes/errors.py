@@ -1,26 +1,15 @@
 """Exception hierarchy for the quasi-exactly-solvable spectrum engine.
 
-Every error raised by this package derives from HeunQESError so callers can
-catch one base class; the concrete subclasses map one-to-one onto the
-failure modes of the physics pipeline (invalid configuration, series
-overflow, missing frequency roots, quadrature or eigensolver breakdown).
+Each class names one numerical outcome of the physics pipeline (series
+overflow, a frequency out of range, no frequency root, quadrature or
+eigensolver breakdown), and all derive from HeunQESError so callers can
+catch them with one base class. Bad input is not among them: the record that
+owns a value raises ValueError for it.
 """
 
 
 class HeunQESError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class NonPositiveMass(HeunQESError):
-    """Mass must be strictly positive."""
-
-
-class ZeroAngularMomentum(HeunQESError):
-    """l = 0 removes the Coulomb-type term; frequency quantization is undefined."""
-
-
-class VanishingCoupling(HeunQESError):
-    """M*lambda = 0 removes the Coulomb-type term required for quantization."""
+    """Base class for the numerical failures raised by this package."""
 
 
 class OverflowGuard(HeunQESError):
@@ -35,20 +24,8 @@ class NoRootInRange(HeunQESError):
     """c_{n+1}(omega) has no positive real root: the cell has no quantized frequency."""
 
 
-class NoPositiveRoot(NoRootInRange):
-    """No root of the ground-state (n = 1) cubic passes the sign test on c_2."""
-
-
-class WrongDegree(HeunQESError):
-    """Operation requires a specific polynomial degree n."""
-
-
 class QuadratureFailure(HeunQESError):
     """Normalization quadrature did not converge under grid refinement."""
-
-
-class InvalidGrid(HeunQESError):
-    """Discretization grid violates its constraints (too coarse or empty box)."""
 
 
 class ConvergenceFailure(HeunQESError):

@@ -22,8 +22,6 @@ that system and no unit conversion layer exists.
 from dataclasses import dataclass
 import math
 
-from .errors import NonPositiveMass
-
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -42,9 +40,8 @@ class PhysicalParams:
         l: azimuthal quantum number, integer, may be negative.
 
     Raises:
-        NonPositiveMass: mass <= 0.
-        ValueError: non-finite entries, negative quadrupole magnitude, or a
-            non-integral l.
+        ValueError: a non-finite entry, named by its field, a mass <= 0, a
+            negative quadrupole magnitude or a non-integral l.
     """
 
     mass: float
@@ -55,10 +52,11 @@ class PhysicalParams:
     l: int = 1
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.mass, self.quad, self.lam, self.eta, self.kz)):
-            raise ValueError(f"non-finite physical parameter in {self}")
+        for name in ("mass", "quad", "lam", "eta", "kz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.mass <= 0:
-            raise NonPositiveMass(f"mass must be > 0, got {self.mass}")
+            raise ValueError(f"mass must be > 0, got {self.mass}")
         if self.quad < 0:
             raise ValueError(f"quadrupole magnitude must be >= 0, got {self.quad}")
         if self.l != int(self.l):

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidGrid, OverflowGuard
+from .errors import ConvergenceFailure, OverflowGuard
 from .wavefunction import suggested_rho_max
 
 if TYPE_CHECKING:
@@ -63,7 +63,8 @@ class RadialOperatorSpec:
     coulomb_strength carries the signed product M*lambda*l; abs_l enters only
     through the centrifugal term. The grid has n_grid interior nodes at
     rho_i = i * h, h = rho_max / (n_grid + 1), with u = 0 enforced at rho = 0
-    and rho = rho_max.
+    and rho = rho_max. Raises ValueError for a field out of its range, the
+    grid's included (n_grid < 100, rho_max not positive and finite).
     """
 
     m: float
@@ -84,9 +85,9 @@ class RadialOperatorSpec:
         if self.abs_l < 0 or self.abs_l != int(self.abs_l):
             raise ValueError(f"abs_l must be a nonnegative integer, got {self.abs_l!r}")
         if self.n_grid < 100:
-            raise InvalidGrid(f"need at least 100 grid points, got {self.n_grid}")
+            raise ValueError(f"need at least 100 grid points, got {self.n_grid}")
         if not (self.rho_max > 0.0 and math.isfinite(self.rho_max)):
-            raise InvalidGrid(f"rho_max must be positive and finite, got {self.rho_max!r}")
+            raise ValueError(f"rho_max must be positive and finite, got {self.rho_max!r}")
 
     @property
     def step(self) -> float:

@@ -39,15 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import (
-    NonPositiveFrequency,
-    NoPositiveRoot,
-    NoRootInRange,
-    OverflowGuard,
-    VanishingCoupling,
-    WrongDegree,
-    ZeroAngularMomentum,
-)
+from .errors import NonPositiveFrequency, NoRootInRange, OverflowGuard
 from .model import PhysicalParams
 
 # Eigenvalues u = s^2 kept as real positive roots: |Im| <= EIG_IMAG_RTOL*|u|, and
@@ -98,13 +90,14 @@ class ReducedProblem:
 
     @classmethod
     def from_params(cls, physical: PhysicalParams, n: int) -> "ReducedProblem":
+        """Raises ValueError if l = 0, M*lambda = 0 or n is not an integer in 1..MAX_DEGREE."""
         if physical.l == 0:
-            raise ZeroAngularMomentum(
+            raise ValueError(
                 "l must be nonzero: the Coulomb-type term M*lambda*l/rho vanishes "
                 "at l = 0 and the frequency quantization is undefined"
             )
         if physical.quad * physical.lam == 0.0:
-            raise VanishingCoupling("M*lambda must be nonzero for the quantized problem")
+            raise ValueError("M*lambda must be nonzero for the quantized problem")
         if n != int(n) or n < 1:
             raise ValueError(f"polynomial degree n must be an integer >= 1, got {n!r}")
         if n > series.MAX_DEGREE:
@@ -174,9 +167,11 @@ def cubic_coefficients(problem: ReducedProblem) -> tuple[float, float, float]:
         a2 = -(M lambda l)^2 / (2 m theta)
         a1 = -eta M lambda l (1 + theta) / (m theta)
         a0 = -(2 + theta) eta^2 / (2 m)
+
+    Raises ValueError if problem.n is not 1.
     """
     if problem.n != 1:
-        raise WrongDegree(f"the closed-form cubic exists for n = 1 only, got n = {problem.n}")
+        raise ValueError(f"the closed-form cubic exists for n = 1 only, got n = {problem.n}")
     m, eta, coup, theta = problem.mass, problem.eta, problem.coupling, problem.theta
     a2 = -(coup * coup) / (2.0 * m * theta)
     a1 = -eta * coup * (1 + theta) / (m * theta)
@@ -260,14 +255,12 @@ def _merge_close(roots: list[float]) -> list[float]:
 def solve_cubic(problem: ReducedProblem) -> list["SpectralSolution"]:
     """The n = 1 states, ascending: the cubic's real roots, each Newton-polished, are candidates
     for quantize, the root test of solve_frequency too. Each state's residuals add 'cubic', the
-    absolute cubic residual at omega. Raises NoPositiveRoot if no candidate passes.
+    absolute cubic residual at omega. Raises ValueError if problem.n is not 1 (cubic_coefficients)
+    and NoRootInRange if no candidate passes.
     """
     a2, a1, a0 = cubic_coefficients(problem)
     candidates = np.sort([_polish_newton(w, a2, a1, a0) for w in _cubic_real_roots(a2, a1, a0)])
-    try:
-        solutions = quantize(problem, candidates)
-    except NoRootInRange as exc:
-        raise NoPositiveRoot(f"ground-state cubic: {exc}") from None
+    solutions = quantize(problem, candidates)
     for s in solutions:
         s.residuals["cubic"] = abs(((s.omega + a2) * s.omega + a1) * s.omega + a0)
     return solutions

@@ -14,7 +14,7 @@ import pytest
 import oracles
 import heunqes
 from heunqes import cli, errors
-from heunqes.cli import CONFIG_ENV_VAR, ConfigError, fmt12, load_config, main
+from heunqes.cli import CONFIG_ENV_VAR, fmt12, load_config, main
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +31,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(result, message=None):
+    """(code, out, err) of a refused input: exit 2, no stdout, one 'error: ' line on stderr."""
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 def split_output(out):
@@ -146,10 +155,10 @@ class TestSolve:
         assert code == 2 and "n" in err
 
     def test_unknown_flag_rejected(self, capsys):
-        assert run_cli(capsys, "solve", "--n-max", "2")[0] == 2
+        assert_one_error_line(run_cli(capsys, "solve", "--n-max", "2"), "unrecognized arguments: --n-max 2")
 
     def test_missing_command_rejected(self, capsys):
-        assert run_cli(capsys)[0] == 2
+        assert_one_error_line(run_cli(capsys), "the following arguments are required: command")
 
     def test_cubic_overflow_is_one_error_line(self, capsys):
         # a mass of 1e-200 puts the cubic's coefficients near 1e200, past what its closed form can cube
@@ -348,9 +357,10 @@ class TestScan:
         assert_no_child_processes()
 
     def test_zero_in_l_list_rejected(self, capsys):
+        # from_params refuses l = 0 while every cell's problem is built, before any cell runs
         code, out, err = run_cli(capsys, "scan", "--l-list", "1,0")
         assert code == 2 and out == ""
-        assert "l must be nonzero" in err
+        assert err.startswith("error: l must be nonzero") and err.count("\n") == 1
 
     def test_bad_n_max_rejected(self, capsys):
         assert run_cli(capsys, "scan", "--n-max", "0")[0] == 2
@@ -490,8 +500,18 @@ class TestVerify:
     @pytest.mark.parametrize("args", [("--rho-max", "5"), ("--format", "csv")])
     def test_removed_inputs_rejected(self, capsys, args):
         # the box is always the state's own, and verify prints no table
-        code, out, _ = run_cli(capsys, "verify", *args)
-        assert (code, out) == (2, "")
+        assert_one_error_line(run_cli(capsys, "verify", *args), f"unrecognized arguments: {' '.join(args)}")
+
+    @pytest.mark.parametrize("factor", ["-1", "0"])
+    def test_non_positive_perturbation_rejected_before_any_cell(self, capsys, monkeypatch, factor):
+        def never(problem):
+            raise AssertionError("a cell was solved")
+
+        monkeypatch.setattr(cli, "_solve_states", never)
+        assert_one_error_line(
+            run_cli(capsys, "verify", "--perturb-omega", factor),
+            f"perturb_omega must be positive and finite, got {float(factor)!r}",
+        )
 
     def test_last_grid_wins_and_file_rho_max_ignored(self, capsys, tmp_path):
         path = tmp_path / "box.cfg"
@@ -669,23 +689,27 @@ class TestConfigFiles:
         assert err.startswith(f"error: {path}:1: bad value for grid:") and err.count("\n") == 1
 
 
+ERROR_CLASSES = [
+    value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, Exception)
+]
+# the documented exit code of each error main reports; a class missing here fails its case
+EXIT_CODES = {
+    "ValueError": 2,
+    "NoRootInRange": 3,
+    "HeunQESError": 1,
+    "OverflowGuard": 1,
+    "NonPositiveFrequency": 1,
+    "QuadratureFailure": 1,
+    "ConvergenceFailure": 1,
+}
+
+
 class TestExitCodes:
     """Every error class main reports maps to the documented exit code."""
 
     @pytest.mark.parametrize(
         "error, expected",
-        [
-            (ConfigError, 2),
-            (errors.NonPositiveMass, 2),
-            (errors.ZeroAngularMomentum, 2),
-            (errors.VanishingCoupling, 2),
-            (ValueError, 2),
-            (errors.NoRootInRange, 3),
-            (errors.NoPositiveRoot, 3),
-            (errors.QuadratureFailure, 1),
-            (errors.OverflowGuard, 1),
-            (errors.HeunQESError, 1),
-        ],
+        [(error, EXIT_CODES.get(error.__name__)) for error in ERROR_CLASSES + [ValueError]],
     )
     def test_error_class_sets_exit_code(self, capsys, monkeypatch, error, expected):
         def fail(config):
@@ -694,6 +718,15 @@ class TestExitCodes:
         monkeypatch.setitem(cli._HANDLERS, "solve", fail)
         code, out, err = run_cli(capsys, "solve")
         assert (code, out, err) == (expected, "", "error: injected\n")
+
+    def test_package_exports_exactly_the_error_classes(self):
+        exported = {
+            name: getattr(heunqes, name)
+            for name in heunqes.__all__
+            if isinstance(getattr(heunqes, name), type) and issubclass(getattr(heunqes, name), Exception)
+        }
+        assert exported == {error.__name__: error for error in ERROR_CLASSES}
+        assert set(EXIT_CODES) == set(exported) | {"ValueError"}
 
 
 class TestHeaderRoundTrip:
@@ -767,6 +800,33 @@ class TestParserSurface:
         path = tmp_path / "jobs.cfg"
         path.write_text("jobs = 2\n")
         assert run_cli(capsys, command, "--config", str(path)) == run_cli(capsys, command)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--grid", "abc"), "argument --grid: invalid int value: 'abc'"),
+            (("scan", "--l-list", "x"), "argument --l-list: invalid _parse_int_list value: 'x'"),
+            (
+                ("solve", "--format", "xml"),
+                "argument --format: invalid choice: 'xml' (choose from 'csv', 'table')",
+            ),
+            (
+                ("bogus",),
+                "argument command: invalid choice: 'bogus' "
+                "(choose from 'solve', 'scan', 'wavefunction', 'verify')",
+            ),
+        ],
+        ids=["grid", "l-list", "format", "command"],
+    )
+    def test_parser_error_is_one_error_line(self, capsys, argv, message):
+        assert_one_error_line(run_cli(capsys, *argv), message)
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["solve", "--help"])
+        captured = capsys.readouterr()
+        assert caught.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: heunqes solve ")
 
     def test_config_keys_are_the_run_config_fields(self):
         fields = {field.name for field in dataclasses.fields(cli.RunConfig)}
