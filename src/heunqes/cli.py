@@ -9,11 +9,12 @@ streams are CSV (comma separator, LF endings, mandatory header row) or aligned
 plain-text tables; numbers are printed with 12 significant digits, switching
 to scientific notation below 1e-4 and at or above 1e+6.
 
-Exit codes: 0 success (verify: all states PASS), 1 verification failure or
-internal numerical failure, 2 bad input, any ValueError (a bad flag, config
-value or parameter, an n-max of scan or verify outside 1..MAX_DEGREE, a
-verify given both one cell and a range, an unwritable --output), 3 no
-frequency root found. Every error is one `error:` line on stderr.
+Exit codes: 0 success (verify: all states PASS), 1 verification failure,
+internal numerical failure or MemoryError, 2 bad input, any ValueError (a bad
+flag, config key or value, or parameter, an n-max of scan or verify outside
+1..MAX_DEGREE, a verify given both one cell and a range, an unwritable
+--output), 3 no frequency root found. Every error is one `error:` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -58,35 +59,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-# Config-file and header key set; 'lambda' is accepted as an alias for lam.
-_CONVERTERS = {
-    "mass": float,
-    "quad": float,
-    "lam": float,
-    "eta": float,
-    "kz": float,
-    "rho_max": float,
-    "perturb_omega": float,
-    "l": int,
-    "n": int,
-    "n_max": int,
-    "samples": int,
-    "jobs": int,
-    "l_list": _parse_int_list,
-    "grid": int,
-    "format": str,
-    "output": str,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Merged effective configuration: field defaults < config file < CLI flags.
 
     explicit records which keys were set by the file or the command line,
     letting verify tell single-state mode from range mode and refuse a mix.
-    It checks only the keys no record downstream owns; PhysicalParams and
-    ReducedProblem.from_params check the physics, l and n.
+    The parser, which reads config files too, checks each value's type and
+    choices. This checks the ranges of only the keys no record downstream owns;
+    PhysicalParams and ReducedProblem.from_params check the physics, l and n.
     """
 
     command: str
@@ -117,8 +98,6 @@ class RunConfig:
             raise ValueError(f"rho-max must be positive and finite, got {self.rho_max!r}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
-        if self.format not in (None, "csv", "table"):
-            raise ValueError(f"format must be 'csv' or 'table', got {self.format!r}")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.grid < 100:
@@ -172,11 +151,18 @@ def _render(columns: tuple[str, ...], rows: list[tuple], fmt: str) -> list[str]:
 
 
 def load_config(path: str) -> dict:
-    """Parse a flat `key = value` config file; `#` starts a comment."""
+    """Parse a flat `key = value` config file; `#` starts a comment.
+
+    Each line is read as the flag --key=value, the key hyphenated and lam read
+    as lambda, by one parser that holds the value flags of every command. So a
+    key has its flag's type and choices, and a key only another command takes
+    is still checked. A refused line is a ValueError that names path and line.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
+    keys = _Parser(add_help=False, allow_abbrev=False, parents=_value_flags())
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -185,16 +171,12 @@ def load_config(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
-        key = key.strip().replace("-", "_")
-        if key == "lambda":
-            key = "lam"
-        converter = _CONVERTERS.get(key)
-        if converter is None:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        key = key.strip().replace("_", "-")
         try:
-            values[key] = converter(value.strip())
+            parsed = keys.parse_args([f"--{'lambda' if key == 'lam' else key}={value.strip()}"])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        values.update((dest, v) for dest, v in vars(parsed).items() if v is not None)
     return values
 
 
@@ -202,10 +184,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional config file, and CLI flags into a RunConfig."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     merged = load_config(path) if path else {}
-    for key in _CONVERTERS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update((k, v) for k, v in vars(args).items() if v is not None and k not in ("command", "config"))
     return RunConfig(command=args.command, explicit=frozenset(merged), **merged)
 
 
@@ -407,7 +386,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
 
 
 # Exit code main returns for each error it reports; the first matching class wins.
-_EXIT_CODES = ((ValueError, 2), (NoRootInRange, 3), (HeunQESError, 1))
+_EXIT_CODES = ((ValueError, 2), (NoRootInRange, 3), ((HeunQESError, MemoryError), 1))
 
 _HANDLERS = {
     "solve": cmd_solve,
@@ -427,33 +406,52 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+def _value_flags() -> list[argparse.ArgumentParser]:
+    """Every command's value flags, in parent groups; each flag is also a config-file key.
+
+    The groups are shared, table, cell, cell_range, profile and oracle, in that order.
+    """
+    shared, table, cell, cell_range, profile, oracle = (
+        argparse.ArgumentParser(add_help=False, allow_abbrev=False) for _ in range(6)
+    )
     shared.add_argument("--mass", type=float, help="atom mass m")
     shared.add_argument("--quad", type=float, help="magnetic quadrupole magnitude M")
     shared.add_argument("--lambda", dest="lam", type=float, help="field gradient lambda")
     shared.add_argument("--eta", type=float, help="linear confinement strength eta")
     shared.add_argument("--kz", type=float, help="axial wavenumber k")
-    shared.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
     shared.add_argument("--output", help="write output to this file instead of stdout")
 
-    table = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     table.add_argument("--format", choices=("csv", "table"), help="data stream format")
 
-    cell = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     cell.add_argument("--n", type=int, help="polynomial degree n >= 1")
     cell.add_argument("--l", type=int, help="angular momentum quantum number, l != 0")
 
-    cell_range = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    cell_range.add_argument(
-        "--n-max", dest="n_max", type=int, help=f"cells n = 1..n_max, n_max <= {MAX_DEGREE}"
-    )
-    cell_range.add_argument("--l-list", dest="l_list", type=_parse_int_list, help="e.g. 1,2,-1")
+    cell_range.add_argument("--n-max", type=int, help=f"cells n = 1..n_max, n_max <= {MAX_DEGREE}")
+    cell_range.add_argument("--l-list", type=_parse_int_list, help="e.g. 1,2,-1")
     cell_range.add_argument(
         "--jobs",
         type=int,
         help="processes that share the cells, this one included (default and cap: CPU count)",
     )
+
+    profile.add_argument("--samples", type=int, help="number of radial samples")
+    profile.add_argument("--rho-max", type=float, help="sampling radius")
+
+    oracle.add_argument(
+        "--grid",
+        type=int,
+        help=f"coarse grid points N >= 100, the refined grid is 2N (default {DEFAULT_GRID_N})",
+    )
+    oracle.add_argument(
+        "--perturb-omega", type=float, help="multiply the verified frequency (negative control)"
+    )
+    return [shared, table, cell, cell_range, profile, oracle]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    shared, table, cell, cell_range, profile, oracle = _value_flags()
+    config = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    config.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
 
     parser = _Parser(
         prog="heunqes",
@@ -461,31 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("solve", parents=[shared, table, cell], help="quantized frequencies for one (n, l)")
-    sub.add_parser("scan", parents=[shared, table, cell_range], help="sweep (n, l) cells to CSV")
-
-    wavefunction = sub.add_parser(
-        "wavefunction", parents=[shared, table, cell], help="sampled normalized radial profile"
+    common = [shared, config]
+    sub.add_parser("solve", parents=common + [table, cell], help="quantized frequencies for one (n, l)")
+    sub.add_parser("scan", parents=common + [table, cell_range], help="sweep (n, l) cells to CSV")
+    sub.add_parser(
+        "wavefunction", parents=common + [table, cell, profile], help="sampled normalized radial profile"
     )
-    wavefunction.add_argument("--samples", type=int, help="number of radial samples")
-    wavefunction.add_argument("--rho-max", dest="rho_max", type=float, help="sampling radius")
-
-    verify = sub.add_parser(
+    sub.add_parser(
         "verify",
-        parents=[shared, cell, cell_range],
+        parents=common + [cell, cell_range, oracle],
         help="cross-check states against the finite-difference oracle",
-    )
-    verify.add_argument(
-        "--grid",
-        type=int,
-        help=f"coarse grid points N >= 100, the refined grid is 2N (default {DEFAULT_GRID_N})",
-    )
-    verify.add_argument(
-        "--perturb-omega",
-        dest="perturb_omega",
-        type=float,
-        help="multiply the verified frequency (negative control)",
     )
     return parser
 
@@ -526,6 +509,7 @@ def main(argv=None) -> int:
         code, lines = _HANDLERS[config.command](config)
         _emit(lines, config.output)
         return code
-    except (ValueError, HeunQESError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, HeunQESError, MemoryError) as exc:
+        # a MemoryError raised by Python itself carries no text
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -13,11 +13,16 @@ class HeunQESError(Exception):
 
 
 class OverflowGuard(HeunQESError):
-    """A series coefficient exceeded the overflow threshold (pathological input)."""
+    """A computed quantity left the double range (pathological input).
+
+    Raised for a series coefficient, the frequency companion's scale, the
+    n = 1 cubic, (m*omega)^1.5, the energy, the box, the radial envelope, the
+    finite-difference operator and a sampled radial profile.
+    """
 
 
 class NonPositiveFrequency(HeunQESError):
-    """Oscillator frequency must be strictly positive."""
+    """An oscillator frequency that is not positive and finite."""
 
 
 class NoRootInRange(HeunQESError):

@@ -626,6 +626,27 @@ class TestVerifyCells:
         assert_no_child_processes()
 
 
+# a value of every config-file key, and what it parses to
+FILE_VALUES = {
+    "mass": ("2.5", 2.5),
+    "quad": ("3", 3.0),
+    "lam": ("1.5", 1.5),
+    "eta": ("-1e-3", -1e-3),
+    "kz": ("0.25", 0.25),
+    "l": ("-2", -2),
+    "n": ("3", 3),
+    "n_max": ("4", 4),
+    "l_list": ("-1,2", (-1, 2)),
+    "samples": ("64", 64),
+    "rho_max": ("5.5", 5.5),
+    "grid": ("500", 500),
+    "perturb_omega": ("1.05", 1.05),
+    "format": ("csv", "csv"),
+    "output": ("out.csv", "out.csv"),
+    "jobs": ("2", 2),
+}
+
+
 class TestConfigFiles:
     def test_file_values_applied(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
@@ -663,16 +684,21 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "content, message",
         [
-            ("bogus = 1\n", "unknown key"),
+            ("bogus = 1\n", "unrecognized arguments: --bogus=1"),
             ("mass 2\n", "expected 'key = value'"),
-            ("mass = abc\n", "bad value"),
+            ("mass = abc\n", "argument --mass: invalid float value: 'abc'"),
+            ("format = xml\n", "argument --format: invalid choice: 'xml' (choose from 'csv', 'table')"),
+            # --config and --help are flags but not keys
+            ("config = x.cfg\n", "unrecognized arguments: --config=x.cfg"),
+            ("help = 1\n", "unrecognized arguments: --help=1"),
         ],
     )
     def test_malformed_files_rejected(self, capsys, tmp_path, content, message):
         path = tmp_path / "bad.cfg"
         path.write_text(content)
-        code, _, err = run_cli(capsys, "solve", "--config", str(path))
-        assert code == 2 and message in err
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:1: {message}") and err.count("\n") == 1
 
     def test_load_config_parses_types(self, tmp_path):
         path = tmp_path / "typed.cfg"
@@ -680,21 +706,44 @@ class TestConfigFiles:
         values = load_config(str(path))
         assert values == {"l_list": (1, -2, 3), "grid": 2000, "samples": 64, "kz": 2.0}
 
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [
+            (spelling, text, value)
+            for dest, (text, value) in FILE_VALUES.items()
+            for spelling in sorted({dest, dest.replace("_", "-"), "lambda" if dest == "lam" else dest})
+        ],
+    )
+    def test_every_key_read_in_each_spelling(self, tmp_path, key, text, value):
+        path = tmp_path / "key.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert load_config(str(path)) == {"lam" if key == "lambda" else key.replace("-", "_"): value}
+
     def test_grid_pair_rejected(self, capsys, tmp_path):
         # the header of an older verify recorded a coarse,refined pair; the refined grid is now 2N
         path = tmp_path / "old.cfg"
         path.write_text("grid = 4000,8000\n")
         code, out, err = run_cli(capsys, "verify", "--config", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {path}:1: bad value for grid:") and err.count("\n") == 1
+        assert err == f"error: {path}:1: argument --grid: invalid int value: '4000,8000'\n"
+
+    def test_keys_of_other_commands_ignored(self, capsys, tmp_path):
+        path = tmp_path / "other.cfg"
+        path.write_text("jobs = 2\ngrid = 8000\nsamples = 64\n")
+        expected = run_cli(capsys, "solve")
+        assert expected[0] == 0
+        assert run_cli(capsys, "solve", "--config", str(path)) == expected
 
 
 ERROR_CLASSES = [
     value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, Exception)
 ]
+# the errors main reports that are not the package's own
+BUILTIN_ERRORS = [ValueError, MemoryError]
 # the documented exit code of each error main reports; a class missing here fails its case
 EXIT_CODES = {
     "ValueError": 2,
+    "MemoryError": 1,
     "NoRootInRange": 3,
     "HeunQESError": 1,
     "OverflowGuard": 1,
@@ -709,7 +758,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "error, expected",
-        [(error, EXIT_CODES.get(error.__name__)) for error in ERROR_CLASSES + [ValueError]],
+        [(error, EXIT_CODES.get(error.__name__)) for error in ERROR_CLASSES + BUILTIN_ERRORS],
     )
     def test_error_class_sets_exit_code(self, capsys, monkeypatch, error, expected):
         def fail(config):
@@ -726,7 +775,15 @@ class TestExitCodes:
             if isinstance(getattr(heunqes, name), type) and issubclass(getattr(heunqes, name), Exception)
         }
         assert exported == {error.__name__: error for error in ERROR_CLASSES}
-        assert set(EXIT_CODES) == set(exported) | {"ValueError"}
+        assert set(EXIT_CODES) == set(exported) | {error.__name__ for error in BUILTIN_ERRORS}
+
+    def test_error_without_text_names_its_class(self, capsys, monkeypatch):
+        # as a MemoryError that Python itself raises; no test allocates for real
+        def fail(config):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "solve", fail)
+        assert run_cli(capsys, "solve") == (1, "", "error: MemoryError\n")
 
 
 class TestHeaderRoundTrip:
@@ -829,8 +886,12 @@ class TestParserSurface:
         assert captured.out.startswith("usage: heunqes solve ")
 
     def test_config_keys_are_the_run_config_fields(self):
+        # the keys parser's parents are every command's value flags, and each has a field
+        keys = {action.dest for group in cli._value_flags() for action in group._actions}
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {action.dest for sub in commands.choices.values() for action in sub._actions}
         fields = {field.name for field in dataclasses.fields(cli.RunConfig)}
-        assert set(cli._CONVERTERS) == fields - {"command", "explicit"}
+        assert keys == flags - {"help", "config"} == fields - {"command", "explicit"} == set(FILE_VALUES)
 
 
 def child_env():
