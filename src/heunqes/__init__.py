@@ -22,6 +22,7 @@ from .model import PhysicalParams
 from .quantize import (
     ReducedProblem,
     SpectralSolution,
+    solve,
     solve_cubic,
     solve_frequency,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "PhysicalParams",
     "ReducedProblem",
     "SpectralSolution",
+    "solve",
     "solve_cubic",
     "solve_frequency",
     "RadialWavefunction",

@@ -24,15 +24,16 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import HeunQESError, NoRootInRange, OverflowGuard
+from .errors import HeunQESError, NoRootInRange
 from .model import PhysicalParams
-from .oracle import DEFAULT_GRID_N, verify_solution
-from .quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
+from .oracle import DEFAULT_GRID_N, MIN_GRID_N, verify_solution
+from .quantize import ReducedProblem, solve
 from .series import MAX_DEGREE
-from .wavefunction import normalize, suggested_rho_max
+from .wavefunction import normalize
 
 CONFIG_ENV_VAR = "HEUNQES_CONFIG"
 
@@ -100,8 +101,8 @@ class RunConfig:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.grid < 100:
-            raise ValueError(f"grid must have at least 100 points, got {self.grid}")
+        if self.grid < MIN_GRID_N:
+            raise ValueError(f"grid must have at least {MIN_GRID_N} points, got {self.grid}")
 
 
 def fmt12(value) -> str:
@@ -140,7 +141,7 @@ def _physics_pairs(config: RunConfig) -> list[tuple[str, object]]:
     return [(key, getattr(config, key)) for key in ("mass", "quad", "lam", "eta", "kz")]
 
 
-def _render(columns: tuple[str, ...], rows: list[tuple], fmt: str) -> list[str]:
+def _render(columns: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> list[str]:
     cells = [list(columns)]
     for row in rows:
         cells.append(["" if x is None else fmt12(x) if not isinstance(x, str) else x for x in row])
@@ -159,7 +160,7 @@ def load_config(path: str) -> dict:
     is still checked. A refused line is a ValueError that names path and line.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
     keys = _Parser(add_help=False, allow_abbrev=False, parents=_value_flags())
@@ -193,13 +194,8 @@ def _make_problem(config: RunConfig, n: int, l: int) -> ReducedProblem:
     return ReducedProblem.from_params(params, n)
 
 
-def _solve_states(problem: ReducedProblem) -> list[SpectralSolution]:
-    """All quantized states for one (n, l) cell, ascending in omega."""
-    return solve_cubic(problem) if problem.n == 1 else solve_frequency(problem)
-
-
 def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
-    states = _solve_states(_make_problem(config, config.n, config.l))
+    states = solve(_make_problem(config, config.n, config.l))
     rows = [
         (s.n, s.l, s.omega, s.energy, s.zeta_sq, s.node_count, s.residuals["truncation"])
         for s in states
@@ -226,7 +222,7 @@ def _scan_cell(problem: ReducedProblem) -> list[tuple]:
     n, l = problem.n, problem.physical.l
     blank = (None, None, None, None, None)
     try:
-        states = _solve_states(problem)
+        states = solve(problem)
     except NoRootInRange:
         return [(n, l, None) + blank + ("no_root",)]
     except HeunQESError as exc:
@@ -325,16 +321,9 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
 
 
 def cmd_wavefunction(config: RunConfig) -> tuple[int, list[str]]:
-    states = _solve_states(_make_problem(config, config.n, config.l))
-    state = states[0]  # lowest quantized frequency
-    wavefunction = normalize(state)
-    rho_max = config.rho_max if config.rho_max is not None else suggested_rho_max(state)
-    rows = wavefunction.sample(config.samples, rho_max)
-    unresolved = [rho for rho, amplitude in rows if not math.isfinite(amplitude)]
-    if unresolved:
-        raise OverflowGuard(
-            f"radial profile overflows at rho = {unresolved[0]:.6g} (rho_max = {rho_max:.6g})"
-        )
+    wavefunction = normalize(solve(_make_problem(config, config.n, config.l))[0])  # lowest omega
+    rho_max = wavefunction.rho_max if config.rho_max is None else config.rho_max
+    rho, amplitude = wavefunction.sample(config.samples, rho_max)
     pairs = _physics_pairs(config) + [
         ("l", config.l),
         ("n", config.n),
@@ -342,7 +331,7 @@ def cmd_wavefunction(config: RunConfig) -> tuple[int, list[str]]:
         ("rho_max", rho_max),
     ]
     lines = _header_lines(config, pairs)
-    lines += _render(_WAVEFUNCTION_COLUMNS, rows, config.format or "csv")
+    lines += _render(_WAVEFUNCTION_COLUMNS, zip(rho, amplitude), config.format or "csv")
     return 0, lines
 
 
@@ -350,7 +339,7 @@ def _verify_cell(problem: ReducedProblem, config: RunConfig) -> list[tuple]:
     """(passed, line) of each state of one verify cell, or (None, its no-root line)."""
     n, l = problem.n, problem.physical.l
     try:
-        states = _solve_states(problem)
+        states = solve(problem)
     except NoRootInRange:
         return [(None, f"# no frequency root for n = {n}, l = {l}")]
     verdicts = []
@@ -440,7 +429,7 @@ def _value_flags() -> list[argparse.ArgumentParser]:
     oracle.add_argument(
         "--grid",
         type=int,
-        help=f"coarse grid points N >= 100, the refined grid is 2N (default {DEFAULT_GRID_N})",
+        help=f"coarse grid points N >= {MIN_GRID_N}, the refined grid is 2N (default {DEFAULT_GRID_N})",
     )
     oracle.add_argument(
         "--perturb-omega", type=float, help="multiply the verified frequency (negative control)"

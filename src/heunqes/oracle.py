@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     from .quantize import SpectralSolution
 
 DEFAULT_GRID_N = 4000
+MIN_GRID_N = 100  # least grid a RadialOperatorSpec, and so verify's --grid, accepts
 PASS_TOL = 1e-3  # relative, acknowledges O(h^2) discretization error
 # Absolute bisection tolerance for the tridiagonal eigensolver. The LAPACK
 # default scales with the matrix norm (~1/h^2), which at large N is far looser
@@ -64,7 +65,7 @@ class RadialOperatorSpec:
     through the centrifugal term. The grid has n_grid interior nodes at
     rho_i = i * h, h = rho_max / (n_grid + 1), with u = 0 enforced at rho = 0
     and rho = rho_max. Raises ValueError for a field out of its range, the
-    grid's included (n_grid < 100, rho_max not positive and finite).
+    grid's included (n_grid < MIN_GRID_N, rho_max not positive and finite).
     """
 
     m: float
@@ -84,8 +85,8 @@ class RadialOperatorSpec:
             raise ValueError("eta and coulomb_strength must be finite")
         if self.abs_l < 0 or self.abs_l != int(self.abs_l):
             raise ValueError(f"abs_l must be a nonnegative integer, got {self.abs_l!r}")
-        if self.n_grid < 100:
-            raise ValueError(f"need at least 100 grid points, got {self.n_grid}")
+        if self.n_grid < MIN_GRID_N:
+            raise ValueError(f"need at least {MIN_GRID_N} grid points, got {self.n_grid}")
         if not (self.rho_max > 0.0 and math.isfinite(self.rho_max)):
             raise ValueError(f"rho_max must be positive and finite, got {self.rho_max!r}")
 

@@ -2,7 +2,7 @@
 
 Separating the azimuthal and axial parts of the wave equation leaves a radial
 problem that maps, after xi = sqrt(m*omega)*rho and the ansatz of
-series.radial_ansatz, onto the biconfluent Heun equation with
+wavefunction.evaluate_R, onto the biconfluent Heun equation with
 
     alpha = 2*m*eta / (m*omega)^(3/2),
     delta = M*lambda*l / (m*omega)^(1/2),
@@ -25,7 +25,8 @@ off-diagonal of K0 (_candidate_frequencies). Both only propose candidates and
 quantize decides: it takes one array recurrence at every candidate and just
 below and above it (_cell_rows): c_{n+1} below and above tests the root, the
 sign changes of c_0..c_{n+1} there are Sturm counts that give the node count
-(_node_counts), and the row at it gives the coefficients.
+(_node_counts), and the row at it gives the coefficients. solve is the one
+place that picks a cell's route: the cubic at n = 1, the companion otherwise.
 
 Energies follow as
 
@@ -401,6 +402,11 @@ def solve_frequency(problem: ReducedProblem) -> list["SpectralSolution"]:
     and quantize decides which are roots.
     """
     return quantize(problem, _candidate_frequencies(problem))
+
+
+def solve(problem: ReducedProblem) -> list["SpectralSolution"]:
+    """All quantized states of the cell, ascending in omega: solve_cubic at n = 1, solve_frequency otherwise."""
+    return solve_cubic(problem) if problem.n == 1 else solve_frequency(problem)
 
 
 def quantize(problem: ReducedProblem, candidates: np.ndarray) -> list["SpectralSolution"]:

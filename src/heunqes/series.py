@@ -23,8 +23,9 @@ each element bit-identical to a scalar call, which is how quantize treats
 all frequencies of a cell at once. The numerators and denominators of every
 step are computed before the loop, so a step costs one multiply, one divide
 and one subtract over the whole batch.
-This module only manipulates the series; it knows nothing about physical
-parameters.
+This module holds only the series: the coefficients and their polynomial
+H. It knows nothing about physical parameters; the radial profile built on
+H is wavefunction.evaluate_R.
 """
 
 import numpy as np
@@ -93,33 +94,3 @@ def evaluate_H(coeffs, xi):
         acc = acc * xi + c
     return acc
 
-
-def radial_ansatz(coeffs, alpha: float, abs_l: int, xi):
-    """Unnormalized radial profile R(xi) = exp(-xi^2/2) exp(-alpha*xi/2) xi^|l| H(xi).
-
-    The Gaussian factor comes from the harmonic term, the plain exponential
-    from the linear term, and xi^|l| enforces regularity at the origin. Both
-    exponentials are taken as one, exp(-xi*(xi + alpha)/2), so a large
-    negative alpha cannot make them overflow to inf * 0 = nan. For alpha < 0
-    that is a Gaussian centred at xi = -alpha/2, written exp(-(xi + alpha/2)^2/2):
-    the dropped constant exp(alpha^2/8) passes the double range once
-    alpha < -75, and it cancels in any normalized profile.
-    Accepts a scalar or an ndarray; xi must be >= 0 for the result to be the
-    physical profile. Where the envelope underflows to 0 the profile is 0,
-    even where xi^|l| H(xi) overflows; elsewhere an overflow comes back as a
-    non-finite value, without a warning, for the caller to report.
-
-    Raises:
-        OverflowGuard: the exponent is not finite, as for xi past about
-            1e154, where xi^2 leaves the double range.
-    """
-    # a numpy scalar rounds as a float does, but overflows to inf where float ** raises
-    xi = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else np.float64(xi)
-    with np.errstate(over="ignore"):
-        exponent = -0.5 * (xi + 0.5 * alpha) ** 2 if alpha < 0.0 else -0.5 * xi * (xi + alpha)
-    if not np.isfinite(exponent).all():
-        raise OverflowGuard(f"radial envelope overflows (xi up to {np.max(xi):.3e}, alpha = {alpha:.6g})")
-    envelope = np.exp(exponent)
-    with np.errstate(over="ignore", invalid="ignore"):
-        profile = envelope * xi**abs_l * evaluate_H(coeffs, xi)
-    return np.where(envelope > 0.0, profile, 0.0)[()]

@@ -1,13 +1,13 @@
-"""Bound-state radial wavefunctions assembled from solved frequency roots.
+"""Bound-state radial wavefunctions: this module owns the radial profile R(rho) of a state.
 
-A SpectralSolution fixes the polynomial H and the exponential envelope; this
-module turns that into the physical radial profile R(rho) and normalizes it
-against the two-dimensional radial measure rho d(rho) (the z plane wave is
-delta-normalized and excluded). The solver takes each state's node count
-from Sturm counts on the Jacobi matrix of its recurrence (quantize._node_counts).
-count_positive_roots, the positive real roots of H, stays as the independent
-count the tests cross-check it against, and as the node-count layer the
-benchmark traces by name.
+evaluate_R builds the paper's ansatz on the polynomial H of a SpectralSolution,
+suggested_rho_max gives the box where its density has died, normalize sets its
+norm over that box against the two-dimensional radial measure rho d(rho) (the
+z plane wave is delta-normalized and excluded), and RadialWavefunction carries
+that box and samples the profile. The solver takes each state's node count
+from Sturm counts on its recurrence (quantize._node_counts); count_positive_roots,
+the positive real roots of H, is the independent count the tests check it
+against, and the node-count layer the benchmark traces by name.
 """
 
 from __future__ import annotations
@@ -35,32 +35,61 @@ _SIMPSON_MAX = 2**20
 
 @dataclass(frozen=True)
 class RadialWavefunction:
-    """Normalized radial state: integral of |N*R|^2 rho d(rho) equals one."""
+    """Normalized state: |N*R|^2 rho d(rho) integrates to one over [0, rho_max], the box of normalize."""
 
     solution: SpectralSolution
     norm_constant: float
+    rho_max: float
 
     def evaluate(self, rho):
         """Normalized amplitude N*R at rho (scalar or array)."""
         return self.norm_constant * evaluate_R(self.solution, rho)
 
-    def sample(self, n_samples: int, rho_max: float) -> list[tuple[float, float]]:
-        """(rho, N*R) pairs on n_samples uniform points covering [0, rho_max]."""
+    def sample(self, n_samples: int, rho_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays rho and N*R on n_samples uniform points covering [0, rho_max].
+
+        Raises:
+            OverflowGuard: a sample is not finite; the message names the first such rho.
+        """
         rho = np.linspace(0.0, rho_max, n_samples)
-        amp = self.evaluate(rho)
-        return list(zip(rho.tolist(), np.asarray(amp).tolist()))
+        amplitude = self.evaluate(rho)
+        bad = np.flatnonzero(~np.isfinite(amplitude))
+        if bad.size:
+            raise OverflowGuard(
+                f"radial profile overflows at rho = {rho[bad[0]]:.6g} (rho_max = {rho_max:.6g})"
+            )
+        return rho, amplitude
 
 
 def evaluate_R(solution: SpectralSolution, rho):
-    """Unnormalized radial amplitude at rho >= 0 (scalar or array).
+    """Unnormalized radial profile at rho >= 0 (scalar or array): the paper's ansatz
 
-    Converts rho to the dimensionless radius xi = sqrt(m*omega)*rho and
-    evaluates the full ansatz envelope times the polynomial H.
+        R(xi) = exp(-xi^2/2) exp(-alpha*xi/2) xi^|l| H(xi),   xi = sqrt(m*omega)*rho.
+
+    The Gaussian factor comes from the harmonic term, the plain exponential
+    from the linear term, and xi^|l| enforces regularity at the origin. Both
+    exponentials are taken as one, exp(-xi*(xi + alpha)/2), so a large
+    negative alpha cannot make them overflow to inf * 0 = nan. For alpha < 0
+    that is a Gaussian centred at xi = -alpha/2, written exp(-(xi + alpha/2)^2/2):
+    the dropped constant exp(alpha^2/8) passes the double range once
+    alpha < -75, and it cancels in any normalized profile. Where the envelope
+    underflows to 0 the profile is 0, even where xi^|l| H(xi) overflows;
+    elsewhere an overflow comes back as a non-finite value, without a
+    warning, which normalize and sample report. Raises OverflowGuard where the
+    exponent is not finite, as for xi past about 1e154, where xi^2 leaves the double range.
     """
-    xi_scale = math.sqrt(solution.problem.mass * solution.omega)
-    return series.radial_ansatz(
-        solution.coefficients, solution.alpha, solution.problem.abs_l, xi_scale * rho
-    )
+    alpha = solution.alpha
+    xi = math.sqrt(solution.problem.mass * solution.omega) * rho
+    # a numpy scalar rounds as a float does, but overflows to inf where float ** raises
+    xi = np.asarray(xi, dtype=float) if isinstance(xi, np.ndarray) else np.float64(xi)
+    with np.errstate(over="ignore"):
+        exponent = -0.5 * (xi + 0.5 * alpha) ** 2 if alpha < 0.0 else -0.5 * xi * (xi + alpha)
+    if not np.isfinite(exponent).all():
+        raise OverflowGuard(f"radial envelope overflows (xi up to {np.max(xi):.3e}, alpha = {alpha:.6g})")
+    envelope = np.exp(exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = envelope * xi**solution.problem.abs_l * series.evaluate_H(solution.coefficients, xi)
+    return np.where(envelope > 0.0, profile, 0.0)[()]
 
 
 def suggested_rho_max(solution: SpectralSolution) -> float:
@@ -135,7 +164,7 @@ def normalize(solution: SpectralSolution) -> RadialWavefunction:
             )
         norm = 1.0 / math.sqrt(integral)
         if previous is not None and abs(norm - previous) <= NORM_RTOL * abs(norm):
-            return RadialWavefunction(solution, norm)
+            return RadialWavefunction(solution, norm, rho_max)
         previous = norm
         intervals *= 2
     raise QuadratureFailure(

@@ -6,7 +6,8 @@ companion of the frequency condition, scipy.linalg's index route to the
 oracle's spectrum) so the tests never compare the package
 against itself. The straightforward forms of the solver's array glue (dense
 companion, list recurrence, per-probe alpha_delta) are the reference its
-optimized forms must match bit for bit. The FROZEN_* constants were produced by
+optimized forms must match bit for bit. synthetic_solution hand-assembles a
+state record without quantize, for the profile formulas. The FROZEN_* constants were produced by
 these same routines in a standalone session before the package was written
 and are pinned verbatim as regression anchors; DISPLAY_* values are the
 coarser hand-rounded figures quoted in documentation.
@@ -17,8 +18,10 @@ import math
 import numpy as np
 
 from heunqes.errors import OverflowGuard
+from heunqes.model import PhysicalParams
 from heunqes.oracle import build_operator
-from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL
+from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL, ReducedProblem, SpectralSolution
+from heunqes.wavefunction import count_positive_roots
 
 # Reference system m = M = lambda = l = eta = 1, k = 0, n = 1.
 FROZEN_OMEGA = 1.747847765739618
@@ -44,6 +47,28 @@ DISPLAY_ENERGY = 5.2051
 DISPLAY_ZETA_SQ = 10.1601
 DISPLAY_C1 = 0.6849
 DISPLAY_TOL = 2.5e-3
+
+
+def synthetic_solution(coeffs, *, l=1, n=None, omega=1.0, mass=1.0, alpha=0.0, delta=0.0):
+    """Hand-assembled state for cases quantize cannot produce (formula-level)."""
+    degree = len(coeffs) - 1 if n is None else n
+    physical = PhysicalParams(mass=mass, quad=0.0, lam=0.0, eta=alpha * (mass * omega) ** 1.5 / (2 * mass), kz=0.0, l=l)
+    problem = ReducedProblem(
+        physical=physical, n=degree, abs_l=abs(l), theta=2 * abs(l) + 1, coupling=delta * (mass * omega) ** 0.5
+    )
+    return SpectralSolution(
+        n=degree,
+        l=l,
+        omega=omega,
+        energy=0.0,
+        zeta_sq=2.0 * mass * omega * (abs(l) + 1),
+        coefficients=tuple(coeffs),
+        node_count=count_positive_roots(coeffs),
+        residuals={},
+        problem=problem,
+        alpha=alpha,
+        delta=delta,
+    )
 
 
 def heun_series(alpha, delta, theta, g, j_max):

@@ -16,7 +16,7 @@ import oracles
 from heunqes.cli import CONFIG_ENV_VAR, main
 from heunqes.model import PhysicalParams
 from heunqes.oracle import RadialOperatorSpec, eigenvalues, verify_solution
-from heunqes.quantize import ReducedProblem, solve_cubic, solve_frequency
+from heunqes.quantize import ReducedProblem, solve, solve_cubic, solve_frequency
 from heunqes.series import _raw_coefficients, evaluate_H
 
 
@@ -39,7 +39,7 @@ def _rel(a: float, b: float) -> float:
 def _solve_states(mass, quad, lam, eta, l, n, kz=0.0):
     params = PhysicalParams(mass=mass, quad=quad, lam=lam, eta=eta, kz=kz, l=l)
     problem = ReducedProblem.from_params(params, n)
-    states = solve_cubic(problem) if n == 1 else solve_frequency(problem)
+    states = solve(problem)
     return sorted(states, key=lambda s: s.omega)
 
 

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oracles
@@ -436,9 +437,10 @@ class TestWavefunction:
         assert len(samples) == 2 * 512 and all(math.isfinite(v) for v in samples)
 
     def test_non_finite_sample_is_one_error_line(self, capsys, monkeypatch):
-        sample = lambda *_: [(0.0, 0.0), (1.0, math.inf)]
-        monkeypatch.setattr(heunqes.wavefunction.RadialWavefunction, "sample", sample)
-        code, out, err = run_cli(capsys, "wavefunction")
+        # normalize takes evaluate_R itself, so only the samples see the injected inf
+        evaluate = lambda self, rho: np.where(rho < 1.0, 0.0, math.inf)
+        monkeypatch.setattr(heunqes.wavefunction.RadialWavefunction, "evaluate", evaluate)
+        code, out, err = run_cli(capsys, "wavefunction", "--samples", "3", "--rho-max", "2")
         assert (code, out) == (1, "")
         assert err.startswith("error: radial profile overflows at rho = 1 ") and err.count("\n") == 1
 
@@ -507,7 +509,7 @@ class TestVerify:
         def never(problem):
             raise AssertionError("a cell was solved")
 
-        monkeypatch.setattr(cli, "_solve_states", never)
+        monkeypatch.setattr(cli, "solve", never)
         assert_one_error_line(
             run_cli(capsys, "verify", "--perturb-omega", factor),
             f"perturb_omega must be positive and finite, got {float(factor)!r}",
@@ -570,14 +572,14 @@ class TestVerifyCells:
 
     def test_deterministic_across_jobs(self, capsys, monkeypatch):
         # cell (2, -1) is made rootless; --perturb-omega 1.05 turns every PASS into a FAIL
-        solve = cli._solve_states
+        solve = cli.solve
 
         def rootless_at_2_m1(problem):
             if (problem.n, problem.physical.l) == (2, -1):
                 raise errors.NoRootInRange("injected")
             return solve(problem)
 
-        monkeypatch.setattr(cli, "_solve_states", rootless_at_2_m1)
+        monkeypatch.setattr(cli, "solve", rootless_at_2_m1)
         cells = ("--n-max", "3", "--l-list", "1,-1", "--grid", "500")
         for extra, code, status in [((), 0, "PASS"), (("--perturb-omega", "1.05"), 1, "FAIL")]:
             first = run_cli(capsys, "verify", *cells, *extra, "--jobs", "1")
@@ -593,7 +595,7 @@ class TestVerifyCells:
     def test_cell_error_raised_as_serially(self, capsys, monkeypatch, jobs):
         # cells run (1,1), (1,2), (2,1), (2,2): under --jobs 2 the child fails at (1,2) and
         # this process at (2,1), and the earlier cell's error is the one reported
-        solve = cli._solve_states
+        solve = cli.solve
 
         def failing(problem):
             n, l = problem.n, problem.physical.l
@@ -601,7 +603,7 @@ class TestVerifyCells:
                 raise ValueError(f"injected at n = {n}, l = {l}")
             return solve(problem)
 
-        monkeypatch.setattr(cli, "_solve_states", failing)
+        monkeypatch.setattr(cli, "solve", failing)
         code, out, err = run_cli(
             capsys, "verify", "--n-max", "2", "--l-list", "1,2", "--grid", "500", "--jobs", jobs
         )
@@ -609,14 +611,14 @@ class TestVerifyCells:
         assert_no_child_processes()
 
     def test_child_exit_without_rows_is_one_error_line(self, capsys, monkeypatch):
-        solve, parent = cli._solve_states, os.getpid()
+        solve, parent = cli.solve, os.getpid()
 
         def dying(problem):
             if os.getpid() != parent:
                 os._exit(3)
             return solve(problem)
 
-        monkeypatch.setattr(cli, "_solve_states", dying)
+        monkeypatch.setattr(cli, "solve", dying)
         code, out, err = run_cli(
             capsys, "verify", "--n-max", "2", "--l-list", "1,2", "--grid", "500", "--jobs", "2"
         )
@@ -668,6 +670,14 @@ class TestConfigFiles:
         path.write_text("mass = 2.0\n")
         _, out, _ = run_cli(capsys, "solve", "--config", str(path), "--mass", "1")
         assert "# mass = 1.0" in split_output(out)[0]
+
+    def test_byte_order_mark_is_read_as_plain_file(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"mass = 2.0\n")
+        marked.write_bytes(b"\xef\xbb\xbfmass = 2.0\n")
+        expected = run_cli(capsys, "solve", "--config", str(plain))
+        assert expected[0] == 0 and "# mass = 2.0" in expected[1]
+        assert run_cli(capsys, "solve", "--config", str(marked)) == expected
 
     def test_environment_variable_supplies_config(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env.cfg"

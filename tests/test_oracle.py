@@ -19,7 +19,7 @@ from heunqes.oracle import (
     eigenvalues,
     verify_solution,
 )
-from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
+from heunqes.quantize import ReducedProblem, SpectralSolution, solve, solve_cubic, solve_frequency
 from heunqes.wavefunction import suggested_rho_max
 
 
@@ -249,7 +249,7 @@ def states_to_degree_twelve():
     for l in (1, 2, 3, -1, -2, -3):
         for n in range(1, 13 if l > 0 else 8):
             problem = ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, l), n)
-            states += solve_cubic(problem) if n == 1 else solve_frequency(problem)
+            states += solve(problem)
     return states
 
 
@@ -367,7 +367,7 @@ class TestWindow:
             l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
             n = int(rng.integers(1, 13))
             problem = ReducedProblem.from_params(PhysicalParams(m, quad, 1.0, eta, 0.0, l), n)
-            states = solve_cubic(problem) if n == 1 else solve_frequency(problem)
+            states = solve(problem)
             reports += [(state, verify_solution(state)) for state in states]
             reports.append((states[0], verify_solution(states[0], perturb_omega=1.05)))
         assert any(s.zeta_sq < 0.0 for s, _ in reports)
@@ -382,7 +382,7 @@ def verify_workload_cells():
     for n in range(1, 13):
         for l in (1, -1, 2):
             problem = ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, l), n)
-            cells.append(solve_cubic(problem) if n == 1 else solve_frequency(problem))
+            cells.append(solve(problem))
     return cells
 
 

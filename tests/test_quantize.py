@@ -25,6 +25,7 @@ from heunqes.quantize import (
     _polish_newton,
     _zeta_squares,
     cubic_coefficients,
+    solve,
     solve_cubic,
     solve_frequency,
 )
@@ -287,6 +288,19 @@ class TestSolveFrequency:
             assert solve_cubic(problem(mass=m, quad=x, eta=eta, l=l))
 
 
+class TestSolve:
+    """solve picks a cell's route: the closed-form cubic at n = 1, the companion otherwise."""
+
+    @pytest.mark.parametrize("n, route", [(1, solve_cubic), (2, solve_frequency)])
+    def test_returns_the_states_of_its_route(self, n, route):
+        p = problem(n=n, quad=10.0, l=-1)
+        states = solve(p)
+        # the records compare whole: omega, node_count, coefficients and every other field
+        assert len(states) > 1 and states == route(p)
+        # only the cubic route adds its residual
+        assert all(("cubic" in s.residuals) == (n == 1) for s in states)
+
+
 class TestCompleteness:
     """The eigenproblem finds every root that a dense independent scan brackets."""
 
@@ -387,7 +401,7 @@ class TestNodeCount:
     def test_matches_sampled_sign_changes(self, l):
         for n in range(1, 13):
             p = problem(n=n, l=l)
-            for sol in solve_cubic(p) if n == 1 else solve_frequency(p):
+            for sol in solve(p):
                 rho = np.linspace(0.0, suggested_rho_max(sol), 100_001)[1:]
                 assert oracles.sign_changes(evaluate_R(sol, rho)) == sol.node_count, (n, sol.omega)
 
@@ -428,7 +442,7 @@ class TestNodeCount:
             eta = float(rng.choice([-1.0, 0.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
             l = int(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
             p = problem(n=n, mass=m, quad=coupling, eta=eta, l=l)
-            states += solve_cubic(p) if n == 1 else solve_frequency(p)
+            states += solve(p)
         assert not dense
         assert len(states) > 1000
         for sol in states:

@@ -1,4 +1,4 @@
-"""Frobenius engine: recurrence, truncation, evaluation, and the ODE check."""
+"""Frobenius engine: recurrence, truncation, evaluation, the radial ansatz on H, and the ODE check."""
 
 import math
 import warnings
@@ -15,8 +15,8 @@ from heunqes.series import (
     OVERFLOW_LIMIT,
     _raw_coefficients,
     evaluate_H,
-    radial_ansatz,
 )
+from heunqes.wavefunction import evaluate_R
 
 finite_alpha = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 finite_delta = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -144,28 +144,33 @@ class TestEvaluateH:
 
 
 class TestRadialAnsatz:
+    """The ansatz exp(-xi^2/2 - alpha xi/2) xi^|l| H(xi) on H, as wavefunction.evaluate_R builds it.
+
+    The states are synthetic with m*omega = 1, so xi = rho.
+    """
+
     def test_centrifugal_zero_at_origin(self):
-        assert radial_ansatz((1.0, 0.5), 1.0, 1, 0.0) == 0.0
+        assert evaluate_R(oracles.synthetic_solution((1.0, 0.5), alpha=1.0), 0.0) == 0.0
 
     def test_s_wave_origin_value_is_c0(self):
-        assert radial_ansatz((1.0, 0.5), 1.0, 0, 0.0) == 1.0
+        assert evaluate_R(oracles.synthetic_solution((1.0, 0.5), l=0, alpha=1.0), 0.0) == 1.0
 
     def test_pure_gaussian_envelope(self):
-        assert radial_ansatz((1.0,), 0.0, 1, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert evaluate_R(oracles.synthetic_solution((1.0,)), 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_vectorized_matches_scalar(self):
-        coeffs = _raw_coefficients(0.9, -0.2, 3, 2.0, 3)
+        sol = oracles.synthetic_solution(_raw_coefficients(0.9, -0.2, 3, 2.0, 3), l=2, alpha=0.9)
         xi = np.linspace(0.0, 4.0, 9)
-        vector = radial_ansatz(coeffs, 0.9, 2, xi)
+        vector = evaluate_R(sol, xi)
         for x, v in zip(xi, vector):
-            assert v == radial_ansatz(coeffs, 0.9, 2, float(x))
+            assert v == evaluate_R(sol, float(x))
 
     @pytest.mark.parametrize("alpha", [0.9, -0.9])
     @pytest.mark.parametrize("xi", [1e200, np.array([0.0, 1.0, 1e200])], ids=["scalar", "array"])
     def test_overflow_is_typed(self, alpha, xi):
         # both branches of the exponent square xi; a leaked RuntimeWarning would fail the suite
         with pytest.raises(OverflowGuard, match="radial envelope overflows"):
-            radial_ansatz((1.0, 0.5), alpha, 1, xi)
+            evaluate_R(oracles.synthetic_solution((1.0, 0.5), alpha=alpha), xi)
 
 
 class TestDefiningEquation:

@@ -11,8 +11,9 @@ from scipy.integrate import IntegrationWarning, quad
 import oracles
 from heunqes.errors import OverflowGuard, QuadratureFailure
 from heunqes.model import PhysicalParams
-from heunqes.quantize import ReducedProblem, SpectralSolution, solve_cubic, solve_frequency
+from heunqes.quantize import ReducedProblem, solve, solve_cubic, solve_frequency
 from heunqes.wavefunction import (
+    RadialWavefunction,
     count_positive_roots,
     evaluate_R,
     normalize,
@@ -27,28 +28,6 @@ def reference_solution(**overrides):
     return sol
 
 
-def synthetic_solution(coeffs, *, l=1, n=None, omega=1.0, mass=1.0, alpha=0.0, delta=0.0):
-    """Hand-assembled state for cases quantize cannot produce (formula-level)."""
-    degree = len(coeffs) - 1 if n is None else n
-    physical = PhysicalParams(mass=mass, quad=0.0, lam=0.0, eta=alpha * (mass * omega) ** 1.5 / (2 * mass), kz=0.0, l=l)
-    problem = ReducedProblem(
-        physical=physical, n=degree, abs_l=abs(l), theta=2 * abs(l) + 1, coupling=delta * (mass * omega) ** 0.5
-    )
-    return SpectralSolution(
-        n=degree,
-        l=l,
-        omega=omega,
-        energy=0.0,
-        zeta_sq=2.0 * mass * omega * (abs(l) + 1),
-        coefficients=tuple(coeffs),
-        node_count=count_positive_roots(coeffs),
-        residuals={},
-        problem=problem,
-        alpha=alpha,
-        delta=delta,
-    )
-
-
 @pytest.fixture(scope="module")
 def reference_states():
     """All quantized states for m=M=lambda=eta=1, l in {1,2}, n in {1,2,3}."""
@@ -57,8 +36,7 @@ def reference_states():
         for n in (1, 2, 3):
             params = PhysicalParams(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=l)
             problem = ReducedProblem.from_params(params, n)
-            found = solve_cubic(problem) if n == 1 else solve_frequency(problem)
-            states.extend(sorted(found, key=lambda s: s.omega))
+            states.extend(sorted(solve(problem), key=lambda s: s.omega))
     return states
 
 
@@ -131,7 +109,7 @@ class TestNormalize:
         assert np.allclose(base_values, scaled_values, rtol=1e-12, atol=0.0)
 
     def test_pure_oscillator_norm(self):
-        sol = synthetic_solution((1.0,), l=1, n=0)
+        sol = oracles.synthetic_solution((1.0,), l=1, n=0)
         wf = normalize(sol)
         assert wf.norm_constant == pytest.approx(oracles.FROZEN_OSC_NORM, rel=1e-8)
 
@@ -140,16 +118,26 @@ class TestNormalize:
             assert normalize(sol).norm_constant > 0.0
 
     def test_non_finite_coefficients_rejected(self):
-        sol = synthetic_solution((math.nan, 1.0))
+        sol = oracles.synthetic_solution((math.nan, 1.0))
         with pytest.raises(QuadratureFailure):
             normalize(sol)
 
     def test_sample_pairs(self):
         wf = normalize(reference_solution())
-        pairs = wf.sample(16, 4.0)
-        assert len(pairs) == 16
-        assert pairs[0] == (0.0, 0.0)
-        assert pairs[-1][0] == 4.0
+        rho, amplitude = wf.sample(16, 4.0)
+        assert rho.shape == amplitude.shape == (16,)
+        assert (rho[0], amplitude[0], rho[-1]) == (0.0, 0.0, 4.0)
+        assert np.array_equal(amplitude, wf.evaluate(rho))
+
+    def test_carries_the_box_it_integrated_over(self):
+        sol = reference_solution()
+        assert normalize(sol).rho_max == suggested_rho_max(sol)
+
+    def test_sample_names_the_first_non_finite_rho(self):
+        # H(1) = 2e308 overflows while the envelope is still positive; at rho = 0, xi^|l| is 0
+        wf = RadialWavefunction(oracles.synthetic_solution((1e308, 1e308)), 1.0, 4.0)
+        with pytest.raises(OverflowGuard, match=r"^radial profile overflows at rho = 1 \(rho_max = 4\)$"):
+            wf.sample(5, 4.0)
 
 
 class TestCountPositiveRoots:
