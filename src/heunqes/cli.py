@@ -20,11 +20,12 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,14 +142,21 @@ def _physics_pairs(config: RunConfig) -> list[tuple[str, object]]:
     return [(key, getattr(config, key)) for key in ("mass", "quad", "lam", "eta", "kz")]
 
 
-def _render(columns: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> list[str]:
-    cells = [list(columns)]
-    for row in rows:
-        cells.append(["" if x is None else fmt12(x) if not isinstance(x, str) else x for x in row])
+def _render(columns: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """The lines of a data stream, made as they are read.
+
+    csv renders each row when its line is read; a table renders all its rows
+    first, because it needs the column widths.
+    """
+    cells = itertools.chain(
+        [list(columns)],
+        (["" if x is None else fmt12(x) if not isinstance(x, str) else x for x in row] for row in rows),
+    )
     if fmt == "csv":
-        return [",".join(row) for row in cells]
+        return (",".join(row) for row in cells)
+    cells = list(cells)
     widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
-    return ["  ".join(row[i].ljust(widths[i]) for i in range(len(columns))).rstrip() for row in cells]
+    return ("  ".join(row[i].ljust(widths[i]) for i in range(len(columns))).rstrip() for row in cells)
 
 
 def load_config(path: str) -> dict:
@@ -270,8 +278,11 @@ def _run_cells(cell, tasks: list[ReducedProblem], jobs: int | None) -> list[list
     w = min(jobs, CPU count, len(tasks)) processes share the tasks, jobs defaulting
     to the CPU count. Process i solves tasks[i::w]: this one i = 0, and each of
     w - 1 forked children sends its rows back through one pipe. Fork suits a
-    command that runs no threads of its own, and the child starts with numpy
-    loaded where a spawned one would import it again. Without os.fork, w is 1.
+    process that runs no threads besides its own, and the child starts with
+    numpy loaded where a spawned one would import it again. The entry point
+    (heunqes.__main__) keeps OpenBLAS to one thread, so that holds for every
+    command; a caller of main in its own process, such as the tests, may still
+    fork a threaded process. Without os.fork, w is 1.
     The error raised is the one a serial run gives, that of the first failing
     task, or a HeunQESError for a child that exits without its rows. Every child
     is reaped before this returns or raises.
@@ -320,7 +331,7 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
     return 0, lines
 
 
-def cmd_wavefunction(config: RunConfig) -> tuple[int, list[str]]:
+def cmd_wavefunction(config: RunConfig) -> tuple[int, Iterable[str]]:
     wavefunction = normalize(solve(_make_problem(config, config.n, config.l))[0])  # lowest omega
     rho_max = wavefunction.rho_max if config.rho_max is None else config.rho_max
     rho, amplitude = wavefunction.sample(config.samples, rho_max)
@@ -330,9 +341,8 @@ def cmd_wavefunction(config: RunConfig) -> tuple[int, list[str]]:
         ("samples", config.samples),
         ("rho_max", rho_max),
     ]
-    lines = _header_lines(config, pairs)
-    lines += _render(_WAVEFUNCTION_COLUMNS, zip(rho, amplitude), config.format or "csv")
-    return 0, lines
+    samples = _render(_WAVEFUNCTION_COLUMNS, zip(rho, amplitude), config.format or "csv")
+    return 0, itertools.chain(_header_lines(config, pairs), samples)
 
 
 def _verify_cell(problem: ReducedProblem, config: RunConfig) -> list[tuple]:
@@ -479,16 +489,26 @@ def _attach_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _emit(lines: list[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+# Lines per write: few writes to an unbuffered stdout, and a bounded share of a long stream in memory.
+_EMIT_CHUNK = 4096
+
+
+def _write_lines(lines: Iterable[str], handle) -> None:
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _EMIT_CHUNK)):
+        handle.write("\n".join(chunk) + "\n")
+
+
+def _emit(lines: Iterable[str], output: str | None) -> None:
+    """Write lines, each ending in LF, to the output file or to stdout as they come."""
     if output:
         try:
             with open(output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                _write_lines(lines, handle)
         except OSError as exc:
             raise ValueError(f"cannot write output file {output!r}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write_lines(lines, sys.stdout)
 
 
 def main(argv=None) -> int:

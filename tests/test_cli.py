@@ -8,6 +8,8 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +437,21 @@ class TestWavefunction:
         assert 0.0 < rho_max < math.inf
         samples = [float(value) for line in data[1:] for value in line.split(",")]
         assert len(samples) == 2 * 512 and all(math.isfinite(v) for v in samples)
+
+    def test_samples_are_written_as_they_are_rendered(self, tmp_path):
+        # rendering every line before the first write took 62 MB here
+        target = tmp_path / "profile.csv"
+        tracemalloc.start()
+        try:
+            code = main(["wavefunction", "--samples", "200000", "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 25e6
+        data = split_output(target.read_text())[1]
+        rhos = [float(line.split(",")[0]) for line in data[1:]]
+        assert data[0] == "rho,R" and len(rhos) == 200000
+        assert all(a < b for a, b in zip(rhos, rhos[1:]))  # no line lost or repeated between writes
 
     def test_non_finite_sample_is_one_error_line(self, capsys, monkeypatch):
         # normalize takes evaluate_R itself, so only the samples see the injected inf
@@ -941,12 +958,69 @@ class TestModuleEntryPoint:
         assert proc.stdout.strip() == "False False"
 
 
-def run_python(code):
+def run_python(code, env=None):
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env or child_env()
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def env_without_blas_threads():
+    return {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+class TestPackageExports:
+    """import heunqes loads no numpy; its numpy-backed exports load at their first use."""
+
+    def test_import_loads_no_numpy_and_sets_nothing(self):
+        code = (
+            "import os, sys, heunqes\n"
+            "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+            "names = {}\n"
+            "exec('from heunqes import *', names)\n"
+            "print(sorted(set(heunqes.__all__) - set(names)), 'numpy' in sys.modules)\n"
+        )
+        assert run_python(code, env_without_blas_threads()) == ["False", "False", "[]", "True"]
+
+    @pytest.mark.parametrize("name", heunqes.__all__)
+    def test_every_export_resolves(self, name):
+        value = getattr(heunqes, name)
+        module = getattr(value, "__module__", None)
+        if module is not None and module.startswith("heunqes."):
+            assert getattr(sys.modules[module], name) is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+            heunqes.bogus
+
+
+# The entry point on verify, which loads numpy's OpenBLAS and then scipy's own copy.
+ENTRY_POINT_VERIFY = (
+    "import contextlib, io, os\n"
+    "from heunqes.__main__ import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(['verify'])\n"
+    "tasks = '/proc/self/task'\n"
+    "print(code, os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)\n"
+)
+
+
+class TestEntryPoint:
+    """heunqes.__main__.main runs a command with one OpenBLAS thread unless the caller chose."""
+
+    def test_command_runs_one_thread(self):
+        assert run_python(ENTRY_POINT_VERIFY, env_without_blas_threads()) == ["0", "1", "1"]
+
+    def test_callers_thread_count_wins(self):
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": "2"}
+        assert run_python(ENTRY_POINT_VERIFY, env)[:2] == ["0", "2"]
+
+    def test_console_script_is_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"heunqes": "heunqes.__main__:main"}
 
 
 # Both dstebz routines on one operator, index and value range, as comparable bytes.
