@@ -13,8 +13,8 @@ Exit codes: 0 success (verify: all states PASS), 1 verification failure,
 internal numerical failure or MemoryError, 2 bad input, any ValueError (a bad
 flag, config key or value, or parameter, an n-max of scan or verify outside
 1..MAX_DEGREE, a verify given both one cell and a range, an unwritable
---output), 3 no frequency root found. Every error is one `error:` line on
-stderr.
+--output), 3 no frequency root found. A reader that closes stdout before the
+output ends is exit 1 too. Every error is one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
 
 
 # Exit code main returns for each error it reports; the first matching class wins.
-_EXIT_CODES = ((ValueError, 2), (NoRootInRange, 3), ((HeunQESError, MemoryError), 1))
+_EXIT_CODES = ((ValueError, 2), (NoRootInRange, 3), ((HeunQESError, MemoryError, BrokenPipeError), 1))
 
 _HANDLERS = {
     "solve": cmd_solve,
@@ -508,7 +508,15 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write output file {output!r}: {exc}") from exc
     else:
-        _write_lines(lines, sys.stdout)
+        try:
+            _write_lines(lines, sys.stdout)
+            sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's shutdown flush
+        except BrokenPipeError:
+            # the reader is gone: what stays buffered goes to devnull at shutdown, and raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
 
 
 def main(argv=None) -> int:
@@ -518,7 +526,7 @@ def main(argv=None) -> int:
         code, lines = _HANDLERS[config.command](config)
         _emit(lines, config.output)
         return code
-    except (ValueError, HeunQESError, MemoryError) as exc:
+    except (ValueError, HeunQESError, MemoryError, BrokenPipeError) as exc:
         # a MemoryError raised by Python itself carries no text
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

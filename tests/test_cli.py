@@ -767,11 +767,12 @@ ERROR_CLASSES = [
     value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, Exception)
 ]
 # the errors main reports that are not the package's own
-BUILTIN_ERRORS = [ValueError, MemoryError]
+BUILTIN_ERRORS = [ValueError, MemoryError, BrokenPipeError]
 # the documented exit code of each error main reports; a class missing here fails its case
 EXIT_CODES = {
     "ValueError": 2,
     "MemoryError": 1,
+    "BrokenPipeError": 1,
     "NoRootInRange": 3,
     "HeunQESError": 1,
     "OverflowGuard": 1,
@@ -942,6 +943,21 @@ class TestModuleEntryPoint:
         fields = split_output(proc.stdout)[1][1].split(",")
         assert fields[2] == fmt12(oracles.FROZEN_OMEGA)
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_is_one_error_line(self, unbuffered):
+        # the reader takes one line and leaves while the command still writes
+        env = {**child_env(), "PYTHONUNBUFFERED": unbuffered}
+        argv = [sys.executable, "-m", "heunqes", "wavefunction", "--samples", "2000000"]
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        with subprocess.Popen(argv, env=env, **pipes) as proc:
+            assert proc.stdout.readline() == "# heunqes wavefunction\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert code == 1
+        # the whole of stderr is one error line: no traceback, no "Exception ignored" from the shutdown flush
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
     def test_cli_import_leaves_scipy_unloaded(self):
         # neither the oracle's scipy nor a process pool loads before it is used
         code = (
@@ -1007,7 +1023,10 @@ ENTRY_POINT_VERIFY = (
 
 
 class TestEntryPoint:
-    """heunqes.__main__.main runs a command with one OpenBLAS thread unless the caller chose."""
+    """heunqes.__main__.main runs a command with one OpenBLAS thread unless the caller chose.
+
+    After the command it freezes the heap; cli.main and a plain import do not.
+    """
 
     def test_command_runs_one_thread(self):
         assert run_python(ENTRY_POINT_VERIFY, env_without_blas_threads()) == ["0", "1", "1"]
@@ -1015,6 +1034,24 @@ class TestEntryPoint:
     def test_callers_thread_count_wins(self):
         env = {**child_env(), "OPENBLAS_NUM_THREADS": "2"}
         assert run_python(ENTRY_POINT_VERIFY, env)[:2] == ["0", "2"]
+
+    @pytest.mark.parametrize(
+        "call, frozen",
+        [
+            ("from heunqes.__main__ import main; code = main(['solve'])", True),
+            ("from heunqes.cli import main; code = main(['solve'])", False),
+            ("import heunqes; code = 0", False),
+        ],
+        ids=["entry-point", "cli-main", "import"],
+    )
+    def test_only_the_entry_point_freezes_the_heap(self, call, frozen):
+        code = (
+            "import contextlib, gc, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {call}\n"
+            "print(code, gc.get_freeze_count() > 0)\n"
+        )
+        assert run_python(code) == ["0", str(frozen)]
 
     def test_console_script_is_the_entry_point(self):
         tomllib = pytest.importorskip("tomllib")

@@ -301,6 +301,34 @@ class TestSolve:
         assert all(("cubic" in s.residuals) == (n == 1) for s in states)
 
 
+class TestScaleLaw:
+    """A cell's roots depend on n, |l|, sign(M lambda l) and gamma = 2 m eta / |M lambda l|^3 alone.
+
+    With m omega = (M lambda l)^2 X, the c_j depend on omega only through
+    alpha = gamma X^(-3/2) and delta = sign(M lambda l) X^(-1/2). So a cell and its image at
+    m = M lambda = 1, with eta = gamma |l|^3 / 2, have the same roots X = m omega / (M lambda l)^2.
+    """
+
+    def test_seeded_cells_match_the_unit_chart(self):
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(1, 31))
+            l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            m, quad = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-1, 1)
+            eta = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+            gamma = 2.0 * m * eta / abs(quad * l) ** 3
+            cell = solve(problem(n=n, mass=m, quad=quad, eta=eta, l=l))
+            # lam = 1 and quad > 0, so l carries the sign of M lambda l on both sides
+            chart = solve(problem(n=n, eta=gamma * abs(l) ** 3 / 2.0, l=l))
+            assert [s.node_count for s in cell] == [s.node_count for s in chart], (n, l, m, quad, eta)
+            for s, u in zip(cell, chart):
+                x, y = m * s.omega / (quad * l) ** 2, u.omega / l**2
+                worst = max(worst, abs(x - y) / y)
+        # 1.2e-12 measured at this seed
+        assert worst < 1e-10
+
+
 class TestCompleteness:
     """The eigenproblem finds every root that a dense independent scan brackets."""
 
