@@ -9,24 +9,26 @@ streams are CSV (comma separator, LF endings, mandatory header row) or aligned
 plain-text tables; numbers are printed with 12 significant digits, switching
 to scientific notation below 1e-4 and at or above 1e+6.
 
-Exit codes: 0 success (verify: all states PASS), 1 verification failure,
-internal numerical failure or MemoryError, 2 bad input, any ValueError (a bad
-flag, config key or value, or parameter, an n-max of scan or verify outside
-1..MAX_DEGREE, a verify given both one cell and a range, an unwritable
---output), 3 no frequency root found. A reader that closes stdout before the
-output ends is exit 1 too. Every error is one `error:` line on stderr.
+A command is one row of _COMMANDS. An input is a flag in a group of
+_value_flags plus a RunConfig field; its config-file key and header echo
+follow. Exit codes are the rows of _EXIT_CODES: 0 success (verify: all states
+PASS), 1 verification failure, internal numerical failure, MemoryError or an
+OSError such as a closed or full stdout, 2 bad input, any ValueError (a bad
+flag, config key or value, or parameter, an n-max outside 1..MAX_DEGREE, a
+verify given both one cell and a range, an unwritable --output), 3 no
+frequency root found. Every error is one `error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import HeunQESError, NoRootInRange
@@ -54,19 +56,23 @@ _WAVEFUNCTION_COLUMNS = ("rho", "R")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [piece.strip() for piece in text.split(",")]
-    values = tuple(int(piece) for piece in items if piece)
+    """'2,1,1,-2' -> (-2, 1, 2): the distinct values, sorted."""
+    try:
+        values = {int(piece) for piece in text.split(",") if piece.strip()}
+    except ValueError:
+        values = set()
     if not values:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+    return tuple(sorted(values))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Merged effective configuration: field defaults < config file < CLI flags.
 
     explicit records which keys were set by the file or the command line,
-    letting verify tell single-state mode from range mode and refuse a mix.
+    letting verify tell single-state mode from range mode and refuse a mix;
+    takes holds the keys of the command's own flags, which its header echoes.
     The parser, which reads config files too, checks each value's type and
     choices. This checks the ranges of only the keys no record downstream owns;
     PhysicalParams and ReducedProblem.from_params check the physics, l and n.
@@ -90,6 +96,7 @@ class RunConfig:
     output: str | None = None
     jobs: int | None = None
     explicit: frozenset[str] = frozenset()
+    takes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.perturb_omega) and self.perturb_omega > 0.0):
@@ -104,6 +111,10 @@ class RunConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.grid < MIN_GRID_N:
             raise ValueError(f"grid must have at least {MIN_GRID_N} points, got {self.grid}")
+        if self.n_max < 1:
+            raise ValueError(f"n-max must be >= 1, got {self.n_max}")
+        if self.n_max > MAX_DEGREE:
+            raise ValueError(f"n-max must be <= {MAX_DEGREE}, got {self.n_max}")
 
 
 def fmt12(value) -> str:
@@ -130,16 +141,18 @@ def _format_param(value) -> str:
     return str(value)
 
 
-def _header_lines(config: RunConfig, pairs: list[tuple[str, object]]) -> list[str]:
+def _header_lines(config: RunConfig, unused: Iterable[str] = ()) -> list[str]:
+    """'# heunqes <command>', then '# key = value' for each key the command takes, in field order.
+
+    format, output and jobs are left out: they choose where and how the output
+    is written, not what it holds.
+    """
+    echoed = config.takes.difference({"format", "output", "jobs"}, unused)
     lines = [f"# heunqes {config.command}"]
-    for key, value in pairs:
+    for key in (field.name for field in dataclasses.fields(config) if field.name in echoed):
         name = "lambda" if key == "lam" else key.replace("_", "-")
-        lines.append(f"# {name} = {_format_param(value)}")
+        lines.append(f"# {name} = {_format_param(getattr(config, key))}")
     return lines
-
-
-def _physics_pairs(config: RunConfig) -> list[tuple[str, object]]:
-    return [(key, getattr(config, key)) for key in ("mass", "quad", "lam", "eta", "kz")]
 
 
 def _render(columns: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> Iterator[str]:
@@ -165,13 +178,14 @@ def load_config(path: str) -> dict:
     Each line is read as the flag --key=value, the key hyphenated and lam read
     as lambda, by one parser that holds the value flags of every command. So a
     key has its flag's type and choices, and a key only another command takes
-    is still checked. A refused line is a ValueError that names path and line.
+    is still checked, and a RunConfig built from the line checks its range. A
+    refused line is a ValueError that names path and line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
-    keys = _Parser(add_help=False, allow_abbrev=False, parents=_value_flags())
+    keys = _Parser(add_help=False, allow_abbrev=False, parents=list(_value_flags().values()))
     values: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -183,9 +197,11 @@ def load_config(path: str) -> dict:
         key = key.strip().replace("_", "-")
         try:
             parsed = keys.parse_args([f"--{'lambda' if key == 'lam' else key}={value.strip()}"])
+            line_values = {dest: v for dest, v in vars(parsed).items() if v is not None}
+            RunConfig(command="", **line_values)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        values.update((dest, v) for dest, v in vars(parsed).items() if v is not None)
+        values.update(line_values)
     return values
 
 
@@ -193,8 +209,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional config file, and CLI flags into a RunConfig."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     merged = load_config(path) if path else {}
-    merged.update((k, v) for k, v in vars(args).items() if v is not None and k not in ("command", "config"))
-    return RunConfig(command=args.command, explicit=frozenset(merged), **merged)
+    # args holds every flag of the command, None where it was not given
+    takes = frozenset(vars(args)) - {"command", "config"}
+    merged.update((k, v) for k, v in vars(args).items() if v is not None and k in takes)
+    return RunConfig(command=args.command, explicit=frozenset(merged), takes=takes, **merged)
 
 
 def _make_problem(config: RunConfig, n: int, l: int) -> ReducedProblem:
@@ -208,21 +226,17 @@ def cmd_solve(config: RunConfig) -> tuple[int, list[str]]:
         (s.n, s.l, s.omega, s.energy, s.zeta_sq, s.node_count, s.residuals["truncation"])
         for s in states
     ]
-    pairs = _physics_pairs(config) + [("l", config.l), ("n", config.n)]
-    lines = _header_lines(config, pairs)
+    lines = _header_lines(config)
     lines += _render(_SOLVE_COLUMNS, rows, config.format or "table")
     return 0, lines
 
 
-def _select_cells(config: RunConfig) -> tuple[list[tuple[str, object]], list[tuple[int, int]]]:
-    """Validate the n-max / l-list range; return its header pairs and its n-major (n, l) cells."""
-    if config.n_max < 1:
-        raise ValueError(f"n-max must be >= 1, got {config.n_max}")
-    if config.n_max > MAX_DEGREE:
-        raise ValueError(f"n-max must be <= {MAX_DEGREE}, got {config.n_max}")
-    l_values = tuple(sorted(set(config.l_list)))
-    pairs = [("n_max", config.n_max), ("l_list", l_values)]
-    return pairs, [(n, l) for n in range(1, config.n_max + 1) for l in l_values]
+def _select_cells(config: RunConfig) -> list[ReducedProblem]:
+    """Each cell's problem, n = 1..n-max by l in l-list, n-major.
+
+    All are built before any cell is solved, so a bad input exits 2 and is never a cell row.
+    """
+    return [_make_problem(config, n, l) for n in range(1, config.n_max + 1) for l in config.l_list]
 
 
 def _scan_cell(problem: ReducedProblem) -> list[tuple]:
@@ -320,29 +334,21 @@ def _run_cells(cell, tasks: list[ReducedProblem], jobs: int | None) -> list[list
 
 
 def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
-    range_pairs, cells = _select_cells(config)
-    # built before any cell is solved, so a configuration error exits 2 and is never a cell row
-    problems = [_make_problem(config, n, l) for n, l in cells]
-    per_cell = _run_cells(_scan_cell, problems, config.jobs)
+    per_cell = _run_cells(_scan_cell, _select_cells(config), config.jobs)
     # each cell is ascending and the cells come in n-major task order, so rows need no sort
     rows = [row for cell in per_cell for row in cell]
-    lines = _header_lines(config, _physics_pairs(config) + range_pairs)
+    lines = _header_lines(config)
     lines += _render(_SCAN_COLUMNS, rows, config.format or "csv")
     return 0, lines
 
 
 def cmd_wavefunction(config: RunConfig) -> tuple[int, Iterable[str]]:
     wavefunction = normalize(solve(_make_problem(config, config.n, config.l))[0])  # lowest omega
-    rho_max = wavefunction.rho_max if config.rho_max is None else config.rho_max
-    rho, amplitude = wavefunction.sample(config.samples, rho_max)
-    pairs = _physics_pairs(config) + [
-        ("l", config.l),
-        ("n", config.n),
-        ("samples", config.samples),
-        ("rho_max", rho_max),
-    ]
+    # the header echoes the box sampled: the state's own unless --rho-max chose one
+    config = dataclasses.replace(config, rho_max=config.rho_max or wavefunction.rho_max)
+    rho, amplitude = wavefunction.sample(config.samples, config.rho_max)
     samples = _render(_WAVEFUNCTION_COLUMNS, zip(rho, amplitude), config.format or "csv")
-    return 0, itertools.chain(_header_lines(config, pairs), samples)
+    return 0, itertools.chain(_header_lines(config), samples)
 
 
 def _verify_cell(problem: ReducedProblem, config: RunConfig) -> list[tuple]:
@@ -366,33 +372,34 @@ def _verify_cell(problem: ReducedProblem, config: RunConfig) -> list[tuple]:
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
-    if {"n_max", "l_list"} & config.explicit:
-        if {"n", "l"} & config.explicit:
-            raise ValueError("verify takes one cell (--n/--l) or a range (--n-max/--l-list), not both")
-        cell_pairs, cells = _select_cells(config)
-    else:
-        cell_pairs, cells = [("l", config.l), ("n", config.n)], [(config.n, config.l)]
-    pairs = _physics_pairs(config) + cell_pairs
-    pairs += [("grid", config.grid), ("perturb_omega", config.perturb_omega)]
-    problems = [_make_problem(config, n, l) for n, l in cells]
+    ranged = bool({"n_max", "l_list"} & config.explicit)
+    if ranged and {"n", "l"} & config.explicit:
+        raise ValueError("verify takes one cell (--n/--l) or a range (--n-max/--l-list), not both")
+    problems = _select_cells(config) if ranged else [_make_problem(config, config.n, config.l)]
     per_cell = _run_cells(lambda problem: _verify_cell(problem, config), problems, config.jobs)
     verdicts = [verdict for cell in per_cell for verdict in cell]
     passed = [ok for ok, _ in verdicts if ok is not None]
     failed = passed.count(False)
-    lines = _header_lines(config, pairs) + [line for _, line in verdicts]
+    lines = _header_lines(config, {"n", "l"} if ranged else {"n_max", "l_list"})
+    lines += [line for _, line in verdicts]
     lines.append(f"# summary: {len(passed) - failed} passed, {failed} failed")
     return (3 if not passed else 1 if failed else 0), lines
 
 
-# Exit code main returns for each error it reports; the first matching class wins.
-_EXIT_CODES = ((ValueError, 2), (NoRootInRange, 3), ((HeunQESError, MemoryError, BrokenPipeError), 1))
-
-_HANDLERS = {
-    "solve": cmd_solve,
-    "scan": cmd_scan,
-    "wavefunction": cmd_wavefunction,
-    "verify": cmd_verify,
+# Each command's handler, flag groups (besides the shared flags and --config) and help.
+_COMMANDS = {
+    "solve": (cmd_solve, ("table", "cell"), "quantized frequencies for one (n, l)"),
+    "scan": (cmd_scan, ("table", "cell_range"), "sweep (n, l) cells to CSV"),
+    "wavefunction": (cmd_wavefunction, ("table", "cell", "profile"), "sampled normalized radial profile"),
+    "verify": (
+        cmd_verify,
+        ("cell", "cell_range", "oracle"),
+        "cross-check states against the finite-difference oracle",
+    ),
 }
+
+# The errors main reports and their exit codes; the first class that matches wins.
+_EXIT_CODES = {ValueError: 2, NoRootInRange: 3, HeunQESError: 1, MemoryError: 1, OSError: 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -405,14 +412,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _value_flags() -> list[argparse.ArgumentParser]:
-    """Every command's value flags, in parent groups; each flag is also a config-file key.
-
-    The groups are shared, table, cell, cell_range, profile and oracle, in that order.
-    """
-    shared, table, cell, cell_range, profile, oracle = (
-        argparse.ArgumentParser(add_help=False, allow_abbrev=False) for _ in range(6)
-    )
+def _value_flags() -> dict[str, argparse.ArgumentParser]:
+    """Every command's value flags, in parent groups by name; each flag is also a config-file key."""
+    groups = {
+        name: argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+        for name in ("shared", "table", "cell", "cell_range", "profile", "oracle")
+    }
+    shared, table, cell, cell_range, profile, oracle = groups.values()
     shared.add_argument("--mass", type=float, help="atom mass m")
     shared.add_argument("--quad", type=float, help="magnetic quadrupole magnitude M")
     shared.add_argument("--lambda", dest="lam", type=float, help="field gradient lambda")
@@ -444,11 +450,11 @@ def _value_flags() -> list[argparse.ArgumentParser]:
     oracle.add_argument(
         "--perturb-omega", type=float, help="multiply the verified frequency (negative control)"
     )
-    return [shared, table, cell, cell_range, profile, oracle]
+    return groups
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared, table, cell, cell_range, profile, oracle = _value_flags()
+    groups = _value_flags()
     config = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     config.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
 
@@ -458,17 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = [shared, config]
-    sub.add_parser("solve", parents=common + [table, cell], help="quantized frequencies for one (n, l)")
-    sub.add_parser("scan", parents=common + [table, cell_range], help="sweep (n, l) cells to CSV")
-    sub.add_parser(
-        "wavefunction", parents=common + [table, cell, profile], help="sampled normalized radial profile"
-    )
-    sub.add_parser(
-        "verify",
-        parents=common + [cell, cell_range, oracle],
-        help="cross-check states against the finite-difference oracle",
-    )
+    for name, (_, names, help_text) in _COMMANDS.items():
+        parents = [groups["shared"], config] + [groups[group] for group in names]
+        sub.add_parser(name, parents=parents, help=help_text)
     return parser
 
 
@@ -511,8 +509,8 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
         try:
             _write_lines(lines, sys.stdout)
             sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's shutdown flush
-        except BrokenPipeError:
-            # the reader is gone: what stays buffered goes to devnull at shutdown, and raises nothing
+        except OSError:
+            # the reader is gone or the disk is full: what stays buffered goes to devnull at exit
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
@@ -523,10 +521,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv)))
         config = build_config(args)
-        code, lines = _HANDLERS[config.command](config)
+        code, lines = _COMMANDS[config.command][0](config)
         _emit(lines, config.output)
         return code
-    except (ValueError, HeunQESError, MemoryError, BrokenPipeError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         # a MemoryError raised by Python itself carries no text
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -303,6 +303,21 @@ class TestScan:
         assert err.count("\n") == 1
         assert_no_child_processes()
 
+    def test_failed_fork_is_one_error_line(self, capsys, monkeypatch):
+        # the second fork fails: the first child is reaped and the OSError is exit 1
+        fork, forks = os.fork, []
+
+        def failing_fork():
+            if forks:
+                raise OSError(11, "Resource temporarily unavailable")
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        code, out, err = run_cli(capsys, "scan", "--n-max", "2", "--l-list", "1,2", "--jobs", "3")
+        assert (code, out, err) == (1, "", "error: [Errno 11] Resource temporarily unavailable\n")
+        assert_no_child_processes()
+
     def test_interrupt_reaps_children_blocked_on_their_pipes(self, capsys, monkeypatch):
         # each child writes more than a pipe holds and blocks until this process closes
         # its read ends; the alarm turns a deadlock into a failure
@@ -732,7 +747,25 @@ class TestConfigFiles:
         path = tmp_path / "typed.cfg"
         path.write_text("l-list = 1, -2 ,3\ngrid = 2000\nsamples = 64\nkz = 2.0\n")
         values = load_config(str(path))
-        assert values == {"l_list": (1, -2, 3), "grid": 2000, "samples": 64, "kz": 2.0}
+        assert values == {"l_list": (-2, 1, 3), "grid": 2000, "samples": 64, "kz": 2.0}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("samples = 1", "samples must be >= 2, got 1"),
+            ("grid = 50", "grid must have at least 100 points, got 50"),
+            ("perturb-omega = 0", "perturb_omega must be positive and finite, got 0.0"),
+            ("rho-max = -1", "rho-max must be positive and finite, got -1.0"),
+            ("jobs = 0", "jobs must be >= 1, got 0"),
+            ("n-max = 0", "n-max must be >= 1, got 0"),
+        ],
+        ids=["samples", "grid", "perturb-omega", "rho-max", "jobs", "n-max"],
+    )
+    def test_range_error_names_file_and_line(self, capsys, tmp_path, line, message):
+        # solve takes none of these keys: an unused key is ignored only once its value has passed its check
+        path = tmp_path / "range.cfg"
+        path.write_text(f"mass = 2\n{line}\n")
+        assert_one_error_line(run_cli(capsys, "solve", "--config", str(path)), f"{path}:2: {message}")
 
     @pytest.mark.parametrize(
         "key, text, value",
@@ -767,11 +800,12 @@ ERROR_CLASSES = [
     value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, Exception)
 ]
 # the errors main reports that are not the package's own
-BUILTIN_ERRORS = [ValueError, MemoryError, BrokenPipeError]
+BUILTIN_ERRORS = [ValueError, MemoryError, OSError, BrokenPipeError]
 # the documented exit code of each error main reports; a class missing here fails its case
 EXIT_CODES = {
     "ValueError": 2,
     "MemoryError": 1,
+    "OSError": 1,
     "BrokenPipeError": 1,
     "NoRootInRange": 3,
     "HeunQESError": 1,
@@ -782,6 +816,14 @@ EXIT_CODES = {
 }
 
 
+def make_solve_raise(monkeypatch, error):
+    """Replace solve's handler, keeping its flags, by one that raises error."""
+    def fail(config):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", (fail, *cli._COMMANDS["solve"][1:]))
+
+
 class TestExitCodes:
     """Every error class main reports maps to the documented exit code."""
 
@@ -790,12 +832,18 @@ class TestExitCodes:
         [(error, EXIT_CODES.get(error.__name__)) for error in ERROR_CLASSES + BUILTIN_ERRORS],
     )
     def test_error_class_sets_exit_code(self, capsys, monkeypatch, error, expected):
-        def fail(config):
-            raise error("injected")
-
-        monkeypatch.setitem(cli._HANDLERS, "solve", fail)
+        make_solve_raise(monkeypatch, error("injected"))
         code, out, err = run_cli(capsys, "solve")
         assert (code, out, err) == (expected, "", "error: injected\n")
+
+    def test_main_catches_what_the_table_lists(self, capsys, monkeypatch):
+        # one edit to the table is enough: main catches exactly its classes
+        class Injected(Exception):
+            pass
+
+        monkeypatch.setitem(cli._EXIT_CODES, Injected, 5)
+        make_solve_raise(monkeypatch, Injected("injected"))
+        assert run_cli(capsys, "solve") == (5, "", "error: injected\n")
 
     def test_package_exports_exactly_the_error_classes(self):
         exported = {
@@ -808,10 +856,7 @@ class TestExitCodes:
 
     def test_error_without_text_names_its_class(self, capsys, monkeypatch):
         # as a MemoryError that Python itself raises; no test allocates for real
-        def fail(config):
-            raise MemoryError
-
-        monkeypatch.setitem(cli._HANDLERS, "solve", fail)
+        make_solve_raise(monkeypatch, MemoryError)
         assert run_cli(capsys, "solve") == (1, "", "error: MemoryError\n")
 
 
@@ -862,6 +907,12 @@ class TestOutputFile:
 SHARED_FLAGS = {"-h", "--help", "--mass", "--quad", "--lambda", "--eta", "--kz", "--config", "--output"}
 
 
+def command_dests():
+    """Each command's flag dests, from the parser main uses."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {action.dest for action in sub._actions} for name, sub in commands.choices.items()}
+
+
 class TestParserSurface:
     """The flag set of each subcommand and the config key set stay what they are."""
 
@@ -891,7 +942,10 @@ class TestParserSurface:
         "argv, message",
         [
             (("verify", "--grid", "abc"), "argument --grid: invalid int value: 'abc'"),
-            (("scan", "--l-list", "x"), "argument --l-list: invalid _parse_int_list value: 'x'"),
+            (
+                ("scan", "--l-list", "1,x"),
+                "argument --l-list: expected a comma-separated integer list, got '1,x'",
+            ),
             (
                 ("solve", "--format", "xml"),
                 "argument --format: invalid choice: 'xml' (choose from 'csv', 'table')",
@@ -915,12 +969,34 @@ class TestParserSurface:
         assert captured.out.startswith("usage: heunqes solve ")
 
     def test_config_keys_are_the_run_config_fields(self):
-        # the keys parser's parents are every command's value flags, and each has a field
-        keys = {action.dest for group in cli._value_flags() for action in group._actions}
-        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        flags = {action.dest for sub in commands.choices.values() for action in sub._actions}
+        # the keys parser's parents are every command's value flags, and each has a field;
+        # command, explicit and takes are set by build_config, not by a flag
+        keys = {action.dest for group in cli._value_flags().values() for action in group._actions}
+        flags = {dest for dests in command_dests().values() for dest in dests}
         fields = {field.name for field in dataclasses.fields(cli.RunConfig)}
-        assert keys == flags - {"help", "config"} == fields - {"command", "explicit"} == set(FILE_VALUES)
+        assert keys == flags - {"help", "config"} == fields - {"command", "explicit", "takes"} == set(FILE_VALUES)
+
+    @pytest.mark.parametrize(
+        "argv, unused",
+        [
+            (("solve",), set()),
+            (("scan", "--n-max", "1"), set()),
+            (("wavefunction", "--samples", "8"), set()),
+            (("verify", "--grid", "500"), {"n_max", "l_list"}),
+            (("verify", "--n-max", "1", "--grid", "500"), {"n", "l"}),
+        ],
+        ids=["solve", "scan", "wavefunction", "verify-cell", "verify-range"],
+    )
+    def test_header_echoes_each_key_the_command_takes(self, capsys, argv, unused):
+        # in RunConfig field order; verify leaves out the cell group it did not use
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header = itertools.takewhile(lambda line: line.startswith("#"), out.split("\n"))
+        echoed = [line[2:].split(" = ")[0].replace("-", "_") for line in header if " = " in line]
+        echoed = ["lam" if key == "lambda" else key for key in echoed]
+        expected = command_dests()[argv[0]] - {"format", "output", "jobs", "config", "help"} - unused
+        order = [field.name for field in dataclasses.fields(cli.RunConfig)]
+        assert echoed == sorted(expected, key=order.index)
 
 
 def child_env():
@@ -957,6 +1033,20 @@ class TestModuleEntryPoint:
         assert code == 1
         # the whole of stderr is one error line: no traceback, no "Exception ignored" from the shutdown flush
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+    def test_full_stdout_is_one_error_line(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "heunqes", "wavefunction"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=child_env(),
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # neither the oracle's scipy nor a process pool loads before it is used
