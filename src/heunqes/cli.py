@@ -32,11 +32,9 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import HeunQESError, NoRootInRange
-from .model import PhysicalParams
-from .oracle import DEFAULT_GRID_N, MIN_GRID_N, verify_solution
+from .model import DEFAULT_GRID_N, MIN_GRID_N, PhysicalParams
 from .quantize import ReducedProblem, solve
 from .series import MAX_DEGREE
-from .wavefunction import normalize
 
 CONFIG_ENV_VAR = "HEUNQES_CONFIG"
 
@@ -178,8 +176,10 @@ def load_config(path: str) -> dict:
     Each line is read as the flag --key=value, the key hyphenated and lam read
     as lambda, by one parser that holds the value flags of every command. So a
     key has its flag's type and choices, and a key only another command takes
-    is still checked, and a RunConfig built from the line checks its range. A
-    refused line is a ValueError that names path and line.
+    is still checked. Over the defaults, the line's values give a RunConfig,
+    which checks their range, and a problem at degree n for l and for each
+    l-list entry, which checks the physics. A refused line is a ValueError
+    that names path and line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -198,7 +198,9 @@ def load_config(path: str) -> dict:
         try:
             parsed = keys.parse_args([f"--{'lambda' if key == 'lam' else key}={value.strip()}"])
             line_values = {dest: v for dest, v in vars(parsed).items() if v is not None}
-            RunConfig(command="", **line_values)
+            config = RunConfig(command="", **line_values)
+            for l in (config.l, *config.l_list):
+                _make_problem(config, config.n, l)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         values.update(line_values)
@@ -292,11 +294,13 @@ def _run_cells(cell, tasks: list[ReducedProblem], jobs: int | None) -> list[list
     w = min(jobs, CPU count, len(tasks)) processes share the tasks, jobs defaulting
     to the CPU count. Process i solves tasks[i::w]: this one i = 0, and each of
     w - 1 forked children sends its rows back through one pipe. Fork suits a
-    process that runs no threads besides its own, and the child starts with
-    numpy loaded where a spawned one would import it again. The entry point
+    process that runs no threads besides its own: the entry point
     (heunqes.__main__) keeps OpenBLAS to one thread, so that holds for every
-    command; a caller of main in its own process, such as the tests, may still
-    fork a threaded process. Without os.fork, w is 1.
+    command, while a caller of main in its own process, such as the tests, may
+    still fork a threaded process. A child starts with the modules this process
+    has loaded, numpy and for verify the oracle, where a spawned one would
+    import them again, and with its collector state: under the entry point no
+    worker runs the cyclic collector. Without os.fork, w is 1.
     The error raised is the one a serial run gives, that of the first failing
     task, or a HeunQESError for a child that exits without its rows. Every child
     is reaped before this returns or raises.
@@ -343,6 +347,8 @@ def cmd_scan(config: RunConfig) -> tuple[int, list[str]]:
 
 
 def cmd_wavefunction(config: RunConfig) -> tuple[int, Iterable[str]]:
+    from .wavefunction import normalize  # only this command and verify load the module
+
     wavefunction = normalize(solve(_make_problem(config, config.n, config.l))[0])  # lowest omega
     # the header echoes the box sampled: the state's own unless --rho-max chose one
     config = dataclasses.replace(config, rho_max=config.rho_max or wavefunction.rho_max)
@@ -351,7 +357,7 @@ def cmd_wavefunction(config: RunConfig) -> tuple[int, Iterable[str]]:
     return 0, itertools.chain(_header_lines(config), samples)
 
 
-def _verify_cell(problem: ReducedProblem, config: RunConfig) -> list[tuple]:
+def _verify_cell(problem: ReducedProblem, config: RunConfig, verify_solution) -> list[tuple]:
     """(passed, line) of each state of one verify cell, or (None, its no-root line)."""
     n, l = problem.n, problem.physical.l
     try:
@@ -376,7 +382,9 @@ def cmd_verify(config: RunConfig) -> tuple[int, list[str]]:
     if ranged and {"n", "l"} & config.explicit:
         raise ValueError("verify takes one cell (--n/--l) or a range (--n-max/--l-list), not both")
     problems = _select_cells(config) if ranged else [_make_problem(config, config.n, config.l)]
-    per_cell = _run_cells(lambda problem: _verify_cell(problem, config), problems, config.jobs)
+    from .oracle import verify_solution  # loaded before _run_cells forks, so every worker has it
+
+    per_cell = _run_cells(lambda problem: _verify_cell(problem, config, verify_solution), problems, config.jobs)
     verdicts = [verdict for cell in per_cell for verdict in cell]
     passed = [ok for ok, _ in verdicts if ok is not None]
     failed = passed.count(False)

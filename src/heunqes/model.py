@@ -22,6 +22,12 @@ that system and no unit conversion layer exists.
 from dataclasses import dataclass
 import math
 
+# The oracle's coarse grid in interior points (oracle.RadialOperatorSpec.n_grid), which is
+# verify's --grid: its default and least value. They live in this module, which every
+# command loads, so that the command line checks --grid without loading the oracle.
+DEFAULT_GRID_N = 4000
+MIN_GRID_N = 100
+
 
 @dataclass(frozen=True)
 class PhysicalParams:

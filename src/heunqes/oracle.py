@@ -38,13 +38,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConvergenceFailure, OverflowGuard
+from .model import DEFAULT_GRID_N, MIN_GRID_N
 from .wavefunction import suggested_rho_max
 
 if TYPE_CHECKING:
     from .quantize import SpectralSolution
 
-DEFAULT_GRID_N = 4000
-MIN_GRID_N = 100  # least grid a RadialOperatorSpec, and so verify's --grid, accepts
 PASS_TOL = 1e-3  # relative, acknowledges O(h^2) discretization error
 # Absolute bisection tolerance for the tridiagonal eigensolver. The LAPACK
 # default scales with the matrix norm (~1/h^2), which at large N is far looser

@@ -21,7 +21,7 @@ import numpy as np
 from . import series
 from .errors import OverflowGuard, QuadratureFailure
 
-if TYPE_CHECKING:  # runtime import would be circular; quantize imports this module
+if TYPE_CHECKING:  # annotations only: this module uses nothing of quantize at run time
     from .quantize import SpectralSolution
 
 # suggested_rho_max cuts where the modelled density has fallen this many decades below its peak.

@@ -734,14 +734,22 @@ class TestConfigFiles:
             # --config and --help are flags but not keys
             ("config = x.cfg\n", "unrecognized arguments: --config=x.cfg"),
             ("help = 1\n", "unrecognized arguments: --help=1"),
+            # a physics record checks these, over the defaults, also for a command that ignores the key
+            ("mass = -1\n", "mass must be > 0, got -1.0"),
+            ("l = 0\n", "l must be nonzero"),
+            ("l-list = 0,1\n", "l must be nonzero"),
+            ("n = 0\n", "polynomial degree n must be an integer >= 1, got 0"),
+            ("lambda = 0\n", "M*lambda must be nonzero"),
         ],
     )
     def test_malformed_files_rejected(self, capsys, tmp_path, content, message):
         path = tmp_path / "bad.cfg"
         path.write_text(content)
-        code, out, err = run_cli(capsys, "solve", "--config", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {path}:1: {message}") and err.count("\n") == 1
+        # solve ignores l-list and this scan ignores l and n
+        for command in (["solve"], ["scan", "--n-max", "1", "--l-list", "1"]):
+            code, out, err = run_cli(capsys, *command, "--config", str(path))
+            assert (code, out) == (2, ""), command
+            assert err.startswith(f"error: {path}:1: {message}") and err.count("\n") == 1, command
 
     def test_load_config_parses_types(self, tmp_path):
         path = tmp_path / "typed.cfg"
@@ -1115,7 +1123,8 @@ ENTRY_POINT_VERIFY = (
 class TestEntryPoint:
     """heunqes.__main__.main runs a command with one OpenBLAS thread unless the caller chose.
 
-    After the command it freezes the heap; cli.main and a plain import do not.
+    It runs the command with the cyclic collector off and freezes the heap
+    after it; cli.main and a plain import do neither.
     """
 
     def test_command_runs_one_thread(self):
@@ -1126,28 +1135,79 @@ class TestEntryPoint:
         assert run_python(ENTRY_POINT_VERIFY, env)[:2] == ["0", "2"]
 
     @pytest.mark.parametrize(
-        "call, frozen",
+        "load, call, owned",
         [
-            ("from heunqes.__main__ import main; code = main(['solve'])", True),
-            ("from heunqes.cli import main; code = main(['solve'])", False),
-            ("import heunqes; code = 0", False),
+            ("from heunqes.__main__ import main", "main(['solve'])", True),
+            ("from heunqes.cli import main", "main(['solve'])", False),
+            ("import heunqes", "0", False),
         ],
         ids=["entry-point", "cli-main", "import"],
     )
-    def test_only_the_entry_point_freezes_the_heap(self, call, frozen):
+    def test_only_the_entry_point_freezes_the_heap(self, load, call, owned):
         code = (
             "import contextlib, gc, io\n"
+            f"{load}\n"
+            "before = gc.get_stats()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    {call}\n"
-            "print(code, gc.get_freeze_count() > 0)\n"
+            f"    code = {call}\n"
+            "print(code, gc.get_freeze_count() > 0, gc.isenabled(), gc.get_stats() == before)\n"
         )
-        assert run_python(code) == ["0", str(frozen)]
+        code, frozen, enabled, uncollected = run_python(code)
+        assert (code, frozen, enabled) == ("0", str(owned), str(not owned))
+        if owned:  # the collector stays off for the whole command
+            assert uncollected == "True"
 
     def test_console_script_is_the_entry_point(self):
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
         assert scripts == {"heunqes": "heunqes.__main__:main"}
+
+
+# cli.main(sys.argv[1:]) in a fresh interpreter that counts four CPUs, so that --jobs forks on
+# any host; after the command's output, a last line gives its exit code and whether
+# heunqes.oracle and heunqes.wavefunction are loaded.
+CLI_MAIN_CHILD = (
+    "import os, sys\n"
+    "os.cpu_count = lambda: 4\n"
+    "from heunqes import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, *(name in sys.modules for name in ('heunqes.oracle', 'heunqes.wavefunction')))\n"
+)
+
+
+def run_cli_child(*argv):
+    """(output lines, [exit code, oracle loaded, wavefunction loaded]) of CLI_MAIN_CHILD on argv."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_MAIN_CHILD, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    return lines, last.split()
+
+
+class TestCommandModules:
+    """A command loads the oracle and the wavefunction module only if it calls them."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["solve"], ["False", "False"]),
+            (["scan", "--n-max", "2"], ["False", "False"]),
+            (["wavefunction"], ["False", "True"]),
+            (["verify"], ["True", "True"]),
+        ],
+        ids=["solve", "scan", "wavefunction", "verify"],
+    )
+    def test_each_command_loads_what_it_runs(self, argv, loaded):
+        assert run_cli_child(*argv)[1] == ["0", *loaded]
+
+    def test_forked_workers_verify_as_one_process(self):
+        # the oracle loads in cmd_verify before the workers fork
+        cells = ("verify", "--n-max", "2", "--l-list", "1,-1")
+        forked, serial = (run_cli_child(*cells, "--jobs", jobs) for jobs in ("2", "1"))
+        assert forked == serial
+        assert forked[1] == ["0", "True", "True"] and forked[0][-1].startswith("# summary: ")
 
 
 # Both dstebz routines on one operator, index and value range, as comparable bytes.
