@@ -9,9 +9,10 @@ self-adjoint form with u(rho) = sqrt(rho) * R(rho),
 discretized by central second differences on a uniform grid with Dirichlet
 ends at rho = 0 and at the edge of the claimed state's box
 (wavefunction.suggested_rho_max, where its density has died). The oracle
-answers one question, eigenvalue k near a shift (eigenvalues): LAPACK's
-dstebz bisects it by Sturm sequences, inside the window that two
-inverse-iteration steps (dgttrf, dgttrs) at the shift give; the three
+answers one question, eigenvalue k near a shift (eigenvalues): two
+inverse-iteration steps (LAPACK dgttrf, dgttrs) at the shift give a Rayleigh
+quotient, which is the answer when two dstebz Sturm counts certify it by the
+Kato-Temple inequality, and dstebz bisects index k otherwise; the three
 routines come from scipy's compiled _flapack alone (see _flapack).
 A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
 this spectrum at the index k equal to the state's radial node count (Sturm
@@ -45,14 +46,12 @@ if TYPE_CHECKING:
     from .quantize import SpectralSolution
 
 PASS_TOL = 1e-3  # relative, acknowledges O(h^2) discretization error
-# Absolute bisection tolerance for the tridiagonal eigensolver. The LAPACK
-# default scales with the matrix norm (~1/h^2), which at large N is far looser
-# than the 1e-10 relative contract; a fixed tiny value keeps every eigenvalue
-# refined to machine-level width.
+# Absolute error allowed to an eigenvalue: the Kato-Temple bound r^2/w of a
+# certified Rayleigh quotient, and the bisection tolerance of the fallback.
+# The LAPACK default scales with the matrix norm (~1/h^2), far looser at large N.
 _EIG_ABS_TOL = 1e-14
 # Least half-width of the window around a Rayleigh quotient. Its residual
-# norm is itself a rounding of T x, median 2.4e-10 at 8000 points, and a
-# window this narrow still costs only about 15 bisection halvings.
+# norm is itself a rounding of T x, median 2.4e-10 at 8000 points.
 _RESIDUAL_FLOOR = 1e-11
 
 
@@ -64,7 +63,7 @@ class RadialOperatorSpec:
     through the centrifugal term. The grid has n_grid interior nodes at
     rho_i = i * h, h = rho_max / (n_grid + 1), with u = 0 enforced at rho = 0
     and rho = rho_max. Raises ValueError for a field out of its range, the
-    grid's included (n_grid < MIN_GRID_N, rho_max not positive and finite).
+    grid's included (n_grid: an integer >= MIN_GRID_N; rho_max: positive, finite).
     """
 
     m: float
@@ -82,10 +81,10 @@ class RadialOperatorSpec:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if not (math.isfinite(self.eta) and math.isfinite(self.coulomb_strength)):
             raise ValueError("eta and coulomb_strength must be finite")
-        if self.abs_l < 0 or self.abs_l != int(self.abs_l):
+        if not (self.abs_l >= 0 and float(self.abs_l).is_integer()):
             raise ValueError(f"abs_l must be a nonnegative integer, got {self.abs_l!r}")
-        if self.n_grid < MIN_GRID_N:
-            raise ValueError(f"need at least {MIN_GRID_N} grid points, got {self.n_grid}")
+        if not (isinstance(self.n_grid, (int, np.integer)) and self.n_grid >= MIN_GRID_N):
+            raise ValueError(f"n_grid must be an integer of at least {MIN_GRID_N}, got {self.n_grid!r}")
         if not (self.rho_max > 0.0 and math.isfinite(self.rho_max)):
             raise ValueError(f"rho_max must be positive and finite, got {self.rho_max!r}")
 
@@ -128,27 +127,26 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalues(spec: RadialOperatorSpec, k: int, *, near: float | None = None) -> float:
-    """Eigenvalue zeta^2_k of the channel, index k counted from 0, by Sturm-sequence bisection.
+    """Eigenvalue zeta^2_k of the channel, index k counted from 0.
 
     With near = shift, two inverse-iteration steps at that shift give a
-    Rayleigh quotient theta and its residual norm r, and some eigenvalue lies
-    within r of theta. Only the window theta -/+ max(r, _RESIDUAL_FLOOR) is
-    bisected, and its value is used when Sturm counts certify that it holds
-    index k alone (_certified_window), as a shift nearest eigenvalue k gives.
-    Otherwise, as without near or when T - shift is singular, index k is
-    bisected from the Gershgorin bounds, so the result is eigenvalue k either
-    way. A narrow window costs fewer bisection sweeps: each halves the
-    interval down to _EIG_ABS_TOL. The value itself is exact only to the
-    rounding of the operator, about half an ulp of 2/h^2 (see
-    verify_solution).
+    Rayleigh quotient theta, its residual norm r and a half-width
+    w >= r^2/_EIG_ABS_TOL (_rayleigh_window). When Sturm counts show that
+    theta -/+ w holds index k alone (_certified_window), as a shift nearest
+    eigenvalue k gives, theta is the value: within r^2/w <= _EIG_ABS_TOL of
+    eigenvalue k (Kato-Temple), up to its rounding, about 1e-2 eps ||T||.
+    Otherwise, as without near or when T - shift is singular, dstebz
+    bisects index k from the Gershgorin bounds to _EIG_ABS_TOL, so the
+    result is eigenvalue k either way. The operator's own rounding, half an
+    ulp of 2/h^2, still moves it (see verify_solution).
 
     The name is plural for the benchmark tracer, which binds
     oracle.eigenvalues and reads spec.n_grid from the first argument.
 
     Raises:
         OverflowGuard: the operator is not finite (build_operator).
-        ConvergenceFailure: the bisection backend failed or returned a
-            non-finite value.
+        ConvergenceFailure: the bisection fallback failed, or the value is
+            not finite.
     """
     d, e = build_operator(spec)
     window = None if near is None else _rayleigh_window(d, e, near)
@@ -165,12 +163,12 @@ def eigenvalues(spec: RadialOperatorSpec, k: int, *, near: float | None = None) 
 
 
 def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float, float] | None:
-    """theta -/+ max(r, _RESIDUAL_FLOOR) around an eigenvalue near shift, None if T - shift is singular.
+    """(theta, w) for an eigenvalue near shift, None if T - shift is singular.
 
     dgttrf factors T - shift once; two dgttrs solves from the all-ones vector
     give a unit x, its Rayleigh quotient theta = x.T T x and residual
-    r = |T x - theta x|. A non-finite window is left to _certified_window,
-    which rejects it.
+    r = |T x - theta x|, and w = max(r, r^2/_EIG_ABS_TOL, _RESIDUAL_FLOOR).
+    A non-finite window is left to _certified_window, which rejects it.
     """
     lapack = _flapack()
     # in place where LAPACK allows: each 8000-point vector is 64 kB of peak RSS
@@ -187,27 +185,29 @@ def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float,
         tx[:-1] += e * x[1:]
         theta = float(x @ tx)
         tx -= theta * x
-        radius = max(float(np.linalg.norm(tx)), _RESIDUAL_FLOOR)
-    return theta - radius, theta + radius
+        r = float(np.linalg.norm(tx))
+    return theta, max(r, r * r / _EIG_ABS_TOL, _RESIDUAL_FLOOR)
 
 
-def _certified_window(d: np.ndarray, e: np.ndarray, k: int, lo: float, hi: float) -> float | None:
-    """The eigenvalue in (lo, hi] if it is index k alone, else None.
+def _certified_window(d: np.ndarray, e: np.ndarray, k: int, theta: float, w: float) -> float | None:
+    """theta if Sturm counts show that theta -/+ w holds index k alone, else None.
 
-    Two dstebz calls over a value range (range = 1): a Sturm count of
-    (floor, lo], with floor below the Gershgorin bound and a tolerance so wide
-    that nothing is bisected, then the bisection of (lo, hi] to _EIG_ABS_TOL.
+    Two count-only dstebz calls over a value range (range = 1, a tolerance so
+    wide that nothing is bisected): (floor, theta - w], with floor below the
+    Gershgorin bound, must hold k eigenvalues and (theta - w, theta + w] one.
+    Then |theta - lambda_k| <= r^2/w <= _EIG_ABS_TOL (Kato-Temple).
     """
     dstebz = _flapack().dstebz
+    lo, hi = theta - w, theta + w
     floor = min(float(d.min() - 2.0 * np.abs(e).max()), lo)
     floor -= 1.0 + abs(floor)
     if not -math.inf < floor < lo < hi < math.inf:
         return None
     below, _, _, _, info_below = dstebz(d, e, 1, floor, lo, 0, 0, 1e300, b"E")
-    found, vals, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, _EIG_ABS_TOL, b"E")
+    found, _, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, 1e300, b"E")
     if info_below != 0 or info != 0 or below != k or found != 1:
         return None
-    return vals[0]
+    return theta
 
 
 @functools.cache
@@ -269,20 +269,20 @@ def verify_solution(
     box (suggested_rho_max), and on each grid one oracle call,
     eigenvalues(spec, node_count, near=shift), gives the eigenvalue at index
     node_count to compare with the claimed zeta^2. The shift is the claim on
-    the coarse grid and the coarse value on the refined one. A window is used
-    only when Sturm counts certify that it holds this index alone, and the
-    index is bisected from the Gershgorin bounds when it does not, as when a
-    perturbed frequency puts the claim nearest another eigenvalue; either way
+    the coarse grid and the coarse value on the refined one. A Rayleigh
+    quotient is used only when Sturm counts certify that its window holds
+    this index alone, and the index is bisected when it does not, as when a
+    perturbed frequency puts the claim far from every eigenvalue; either way
     both oracle values are eigenvalue node_count. PASS requires relative
     deviation < PASS_TOL on the coarse grid and a strictly smaller deviation
     on the refined one.
 
     Every diagonal entry carries 2/h^2 (3.7e6 at 8000 points in the box of
-    5.9 of the m = M = lambda = eta = l = n = 1 state), so the oracle values
-    carry absolute rounding noise of about half an ulp of it, 2e-10 there: a
-    few ulps of rho_max move the refined value by that much, the coarse one
-    by a quarter of it. With refined deviations near 1e-7 relative,
-    deviation_refined and ratio hold only about 5 significant digits.
+    5.9 of the m = M = lambda = eta = l = n = 1 state) and rounds to half an
+    ulp of it. Moving omega, and with it the box, by 1e-15 relative moves
+    the refined value of the 132 states of n <= 12, l in {1, -1, 2} by a
+    median 2e-12 and at most 5e-11, and deviation_refined and ratio by at
+    most 2.3e-5 relative: they hold about 4 significant digits.
 
     perturb_omega multiplies the channel frequency while the claim keeps the
     solved state's zeta^2 and its box; values other than 1.0 turn this into

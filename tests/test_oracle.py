@@ -11,7 +11,7 @@ import pytest
 import oracles
 from heunqes import oracle
 from heunqes.errors import ConvergenceFailure, OverflowGuard
-from heunqes.model import PhysicalParams
+from heunqes.model import DEFAULT_GRID_N, PhysicalParams
 from heunqes.oracle import (
     PASS_TOL,
     RadialOperatorSpec,
@@ -78,18 +78,34 @@ class TestRadialOperatorSpec:
             dict(eta=math.nan),
             dict(coulomb_strength=math.inf),
             dict(abs_l=-1),
+            dict(abs_l=1.5),
+            dict(abs_l=math.inf),
+            dict(abs_l=math.nan),
         ],
     )
     def test_bad_physics_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # the message names the field (m as "mass")
+        (field,) = bad
+        with pytest.raises(ValueError, match={"m": "mass"}.get(field, field)):
             reference_channel(**bad)
 
     @pytest.mark.parametrize(
         "bad",
-        [dict(n_grid=99), dict(rho_max=0.0), dict(rho_max=-1.0), dict(rho_max=math.inf)],
+        [
+            dict(n_grid=99),
+            dict(rho_max=0.0),
+            dict(rho_max=-1.0),
+            dict(rho_max=math.inf),
+            dict(n_grid=4000.5),
+            dict(n_grid=4000.0),
+            dict(n_grid=math.nan),
+        ],
     )
     def test_bad_grid_rejected(self, bad):
-        message = "need at least 100 grid points" if "n_grid" in bad else "rho_max must be positive and finite"
+        if "n_grid" in bad:
+            message = "n_grid must be an integer of at least 100"
+        else:
+            message = "rho_max must be positive and finite"
         with pytest.raises(ValueError, match=message):
             reference_channel(**bad)
 
@@ -255,21 +271,17 @@ def states_to_degree_twelve():
 
 @pytest.fixture(scope="module")
 def high_index_reports():
-    return [(state, verify_solution(state)) for state in states_to_degree_twelve()]
+    return [verify_recording(state) for state in states_to_degree_twelve()]
 
 
 class TestHighIndexStates:
     def test_every_state_passes(self, high_index_reports):
         assert len(high_index_reports) == 183
-        failed = [(s.n, s.l, s.node_count) for s, report in high_index_reports if not report.passed]
+        failed = [(s.n, s.l, s.node_count) for s, report, _ in high_index_reports if not report.passed]
         assert failed == []
 
     def test_window_matches_full_request(self, high_index_reports):
-        for state, report in high_index_reports:
-            assert_oracle_values_are_index_k(state, report, full_request=False)
-        # index k alone is the same index bisection as the full request 0..k
-        for state, report in high_index_reports[::40]:
-            assert_oracle_values_are_index_k(state, report)
+        assert_oracle_values_are_index_k(high_index_reports, sample=4, seed=183)
 
 
 def report_channel(state, report, n_grid):
@@ -285,29 +297,70 @@ def report_channel(state, report, n_grid):
     )
 
 
-def assert_oracle_values_are_index_k(state, report, full_request=True):
-    """Both reported oracle values equal eigenvalue k = node_count bisected with no window.
+def verify_recording(state, **kwargs):
+    """(state, verify_solution(state, **kwargs), {grid points: whether its window was certified})."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_certified_window(patch)
+        report = verify_solution(state, **kwargs)
+    return state, report, {grid: certified for grid, _, _, certified in calls}
 
-    The reference (oracles.lowest_eigenvalues) bisects indices 0..k from the
-    Gershgorin bounds, or index k alone without full_request, which costs a
-    fraction of it at high k.
+
+def assert_oracle_values_are_index_k(recorded, sample=0, seed=0):
+    """Both oracle values of each verify_recording triple are eigenvalue k = node_count.
+
+    A value from the index fallback must equal index k bisected with no window
+    (oracles.lowest_eigenvalues) to rel 1e-14. A certified value must put
+    long-double Sturm counts of k and k + 1 at value -/+ CERTIFIED_TOL
+    eps ||T||_inf, so eigenvalue k lies that close (assert_within_certified_tol,
+    which also measures a seeded sample of `sample` values per grid).
     """
-    k = state.node_count
-    first = 0 if full_request else k
-    pairs = ((report.grid_n, report.zeta_oracle), (report.grid_n_refined, report.zeta_oracle_refined))
-    for grid, value in pairs:
-        reference = oracles.lowest_eigenvalues(report_channel(state, report, grid), k + 1, first)[-1]
-        assert value == pytest.approx(reference, rel=1e-14), (state.n, state.l, state.omega, grid)
+    certified = {}
+    for state, report, windows in recorded:
+        k = state.node_count
+        pairs = ((report.grid_n, report.zeta_oracle), (report.grid_n_refined, report.zeta_oracle_refined))
+        for grid, value in pairs:
+            spec = report_channel(state, report, grid)
+            if windows.get(grid, False):
+                certified.setdefault(grid, []).append((build_operator(spec), k, value))
+            else:
+                reference = oracles.lowest_eigenvalues(spec, k + 1, k)[0]
+                assert value == pytest.approx(reference, rel=1e-14), (state.n, state.l, state.omega, grid)
+    rng = np.random.default_rng(seed)
+    for rows in certified.values():
+        assert_within_certified_tol(rows, sample, rng)
+
+
+def assert_within_certified_tol(rows, sample, rng):
+    """Eigenvalue k of each (channel, k, value) row lies within oracles.CERTIFIED_TOL eps_norm of value.
+
+    The rows share one grid size. Long-double Sturm counts (oracles.sturm_counts)
+    at value -/+ that distance must read k and k + 1; a sample of rows drawn
+    by rng is also measured against the long-double multisection, started
+    from value -/+ eps_norm.
+    """
+    channels = [channel for channel, _, _ in rows]
+    ks = np.array([k for _, k, _ in rows])
+    values = np.array([value for *_, value in rows], dtype=np.longdouble)
+    scale = np.array([oracles.eps_norm(*channel) for channel in channels], dtype=np.longdouble)
+    tol = oracles.CERTIFIED_TOL * scale
+    counts = oracles.sturm_counts(channels, np.stack([values - tol, values + tol], axis=1))
+    assert np.flatnonzero((counts != np.stack([ks, ks + 1], axis=1)).any(axis=1)).tolist() == []
+    picked = rng.choice(len(rows), size=min(sample, len(rows)), replace=False)
+    if picked.size:
+        values, scale, tol = values[picked], scale[picked], tol[picked]
+        channels = [channels[i] for i in picked]
+        reference = oracles.long_double_eigenvalues(channels, ks[picked], values - scale, values + scale)
+        assert np.all(abs(values - reference) <= tol)
 
 
 def spy_certified_window(monkeypatch):
-    """Record (grid points, window width, certified) for every window eigenvalues tries."""
+    """Record (grid points, theta, w, certified) for every window eigenvalues tries."""
     calls = []
     certify = oracle._certified_window
 
-    def spy(d, e, k, lo, hi):
-        value = certify(d, e, k, lo, hi)
-        calls.append((d.size, hi - lo, value is not None))
+    def spy(d, e, k, theta, w):
+        value = certify(d, e, k, theta, w)
+        calls.append((d.size, theta, w, value is not None))
         return value
 
     monkeypatch.setattr(oracle, "_certified_window", spy)
@@ -338,21 +391,24 @@ class TestWindow:
     )
     def test_window_without_index_k_falls_back(self, full, window):
         d, e = build_operator(reference_channel())
-        assert oracle._certified_window(d, e, self.K, *window(full, self.K)) is None
+        lo, hi = window(full, self.K)
+        assert oracle._certified_window(d, e, self.K, (lo + hi) / 2, (hi - lo) / 2) is None
 
     def test_window_holding_the_indices_is_used(self, full):
+        # the Rayleigh window of a shift at eigenvalue k holds it alone, and its theta is the value
         k = self.K
-        lo, hi = (full[k - 1] + full[k]) / 2, (full[k] + full[k + 1]) / 2
-        value = oracle._certified_window(*build_operator(reference_channel()), k, lo, hi)
-        assert value == pytest.approx(full[k], rel=1e-14)
+        d, e = build_operator(reference_channel())
+        theta, w = oracle._rayleigh_window(d, e, full[k])
+        assert oracle._certified_window(d, e, k, theta, w) == theta
+        assert_within_certified_tol([((d, e), k, theta)], 1, np.random.default_rng(k))
 
     def test_negative_control_reports_index_k(self):
         # at 1.05 omega no eigenvalue lies within PASS_TOL of the claim
         params = PhysicalParams(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=1)
         state = [s for s in solve_frequency(ReducedProblem.from_params(params, 8)) if s.node_count == 3][0]
-        report = verify_solution(state, perturb_omega=1.05)
-        assert not report.passed
-        assert_oracle_values_are_index_k(state, report)
+        recorded = verify_recording(state, perturb_omega=1.05)
+        assert not recorded[1].passed
+        assert_oracle_values_are_index_k([recorded], sample=1, seed=8)
 
     def test_seeded_parity_sweep(self):
         """Random cells: both oracle values are index k, also for zeta^2 < 0 and alpha < 0.
@@ -368,12 +424,11 @@ class TestWindow:
             n = int(rng.integers(1, 13))
             problem = ReducedProblem.from_params(PhysicalParams(m, quad, 1.0, eta, 0.0, l), n)
             states = solve(problem)
-            reports += [(state, verify_solution(state)) for state in states]
-            reports.append((states[0], verify_solution(states[0], perturb_omega=1.05)))
-        assert any(s.zeta_sq < 0.0 for s, _ in reports)
-        assert any(s.alpha < 0.0 for s, _ in reports)
-        for state, report in reports:
-            assert_oracle_values_are_index_k(state, report, full_request=False)
+            reports += [verify_recording(state) for state in states]
+            reports.append(verify_recording(states[0], perturb_omega=1.05))
+        assert any(s.zeta_sq < 0.0 for s, _, _ in reports)
+        assert any(s.alpha < 0.0 for s, _, _ in reports)
+        assert_oracle_values_are_index_k(reports, sample=4, seed=2606)
 
 
 def verify_workload_cells():
@@ -387,7 +442,7 @@ def verify_workload_cells():
 
 
 class TestRayleighWindow:
-    """eigenvalues(..., near=shift) bisects a Rayleigh-quotient window, or falls back to index k."""
+    """eigenvalues(..., near=shift) returns a Rayleigh quotient that Sturm counts certify, or index k."""
 
     K = 3
 
@@ -400,8 +455,9 @@ class TestRayleighWindow:
         return oracles.lowest_eigenvalues(reference_channel(), self.K + 2)
 
     def test_every_window_is_certified(self, cells, monkeypatch):
-        # one certified window per grid, each a sliver of the values that can pass
-        # (at most 5.0e-7 of it on these states, 7.7e-4 on a 543-state random sweep)
+        # one certified window per grid, whose theta is the reported value; the half-width
+        # r^2/_EIG_ABS_TOL runs from 7e-8 to 1.2 on these states, at most 1.8 times the
+        # width 2 PASS_TOL |zeta^2| of the values that pass
         calls = spy_certified_window(monkeypatch)
         states = [state for cell in cells for state in cell]
         assert len(states) == 132
@@ -410,26 +466,46 @@ class TestRayleighWindow:
             report = verify_solution(state)
             assert report.passed
             pass_width = 2.0 * PASS_TOL * abs(state.zeta_sq)
-            assert [(grid, certified) for grid, _, certified in calls] == [
-                (report.grid_n, True),
-                (report.grid_n_refined, True),
+            assert [(grid, theta, certified) for grid, theta, _, certified in calls] == [
+                (report.grid_n, report.zeta_oracle, True),
+                (report.grid_n_refined, report.zeta_oracle_refined, True),
             ], (state.n, state.l, state.omega)
-            assert all(width < 1e-3 * pass_width for _, width, _ in calls)
+            assert all(oracle._RESIDUAL_FLOOR <= w < 3.0 * pass_width for _, _, w, _ in calls)
 
-    def test_negative_control_windows_certify_index_k(self, cells, monkeypatch):
-        # at 1.05 omega the claim is far from every eigenvalue, yet eigenvalue k is still nearest
-        calls = spy_certified_window(monkeypatch)
-        for state in [cell[0] for cell in cells]:
-            calls.clear()
-            report = verify_solution(state, perturb_omega=1.05)
+    def test_negative_control_windows_certify_index_k(self, cells):
+        # at 1.05 omega two inverse-iteration steps at the claim leave a residual whose window
+        # spans several eigenvalues, so the coarse value is the index bisection; the refined
+        # grid is shifted to that value, and its window holds index k alone
+        recorded = [verify_recording(cell[0], perturb_omega=1.05) for cell in cells]
+        for state, report, windows in recorded:
             assert not report.passed
-            assert [certified for *_, certified in calls] == [True, True]
-            assert_oracle_values_are_index_k(state, report)
+            assert windows == {report.grid_n: False, report.grid_n_refined: True}, (state.n, state.l)
+        assert_oracle_values_are_index_k(recorded, sample=4, seed=105)
+
+    def test_index_bisection_misses_the_certified_tol(self, cells):
+        # CERTIFIED_TOL is finer than the fallback's rounding: the index bisection of the
+        # coarse channels of the first 8 states strays past it
+        states = [state for cell in cells for state in cell][:8]
+        specs = [report_channel(s, verify_solution(s), DEFAULT_GRID_N) for s in states]
+        channels = [build_operator(spec) for spec in specs]
+        ks = [s.node_count for s in states]
+        bisected = np.array([oracles.lowest_eigenvalues(spec, k + 1, k)[0] for spec, k in zip(specs, ks)])
+        scale = np.array([oracles.eps_norm(*channel) for channel in channels])
+        reference = oracles.long_double_eigenvalues(channels, ks, bisected - scale, bisected + scale)
+        assert max(abs(bisected - reference) / scale) > oracles.CERTIFIED_TOL
 
     def test_shift_at_next_index_falls_back(self, full, monkeypatch):
         # inverse iteration finds eigenvalue k + 1; the count below the window rejects it
         calls = spy_certified_window(monkeypatch)
         value = eigenvalues(reference_channel(), self.K, near=full[self.K + 1])
+        assert [certified for *_, certified in calls] == [False]
+        assert value == pytest.approx(full[self.K], rel=1e-14)
+
+    def test_shift_between_indices_falls_back(self, full, monkeypatch):
+        # midway between eigenvalues k and k + 1 inverse iteration mixes both, and the
+        # residual's window holds more than index k
+        calls = spy_certified_window(monkeypatch)
+        value = eigenvalues(reference_channel(), self.K, near=(full[self.K] + full[self.K + 1]) / 2)
         assert [certified for *_, certified in calls] == [False]
         assert value == pytest.approx(full[self.K], rel=1e-14)
 
@@ -473,7 +549,7 @@ class TestConvergenceFailure:
     K = 3
 
     def stub_dstebz(self, monkeypatch, info, values):
-        """Replace dstebz alone; the Sturm count below a window always reports K values."""
+        """Replace dstebz alone; each count-only call (range 1, wide tolerance) reports K values."""
         calls = []
 
         def dstebz(d, e, select, vl, vu, il, iu, tol, order):
