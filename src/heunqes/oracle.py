@@ -195,7 +195,8 @@ def _certified_window(d: np.ndarray, e: np.ndarray, k: int, theta: float, w: flo
     Two count-only dstebz calls over a value range (range = 1, a tolerance so
     wide that nothing is bisected): (floor, theta - w], with floor below the
     Gershgorin bound, must hold k eigenvalues and (theta - w, theta + w] one.
-    Then |theta - lambda_k| <= r^2/w <= _EIG_ABS_TOL (Kato-Temple).
+    Then |theta - lambda_k| <= r^2/w <= _EIG_ABS_TOL (Kato-Temple). A first
+    count that fails ends the check: the second is not made.
     """
     dstebz = _flapack().dstebz
     lo, hi = theta - w, theta + w
@@ -203,9 +204,11 @@ def _certified_window(d: np.ndarray, e: np.ndarray, k: int, theta: float, w: flo
     floor -= 1.0 + abs(floor)
     if not -math.inf < floor < lo < hi < math.inf:
         return None
-    below, _, _, _, info_below = dstebz(d, e, 1, floor, lo, 0, 0, 1e300, b"E")
+    below, _, _, _, info = dstebz(d, e, 1, floor, lo, 0, 0, 1e300, b"E")
+    if info != 0 or below != k:
+        return None
     found, _, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, 1e300, b"E")
-    if info_below != 0 or info != 0 or below != k or found != 1:
+    if info != 0 or found != 1:
         return None
     return theta
 

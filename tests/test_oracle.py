@@ -410,6 +410,21 @@ class TestWindow:
         assert not recorded[1].passed
         assert_oracle_values_are_index_k([recorded], sample=1, seed=8)
 
+    def test_failed_first_count_is_the_only_count(self, monkeypatch):
+        # the coarse window of this 1.05 omega control has 0 eigenvalues below it, not 3
+        params = PhysicalParams(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=1)
+        state = [s for s in solve_frequency(ReducedProblem.from_params(params, 8)) if s.node_count == 3][0]
+        real, selects = oracle._flapack(), []
+
+        def dstebz(d, e, select, *args):
+            selects.append(select)
+            return real.dstebz(d, e, select, *args)
+
+        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=real.dgttrs)
+        monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
+        verify_solution(state, perturb_omega=1.05)
+        assert selects[:2] == [1, 2]  # one count, then the index route
+
     def test_seeded_parity_sweep(self):
         """Random cells: both oracle values are index k, also for zeta^2 < 0 and alpha < 0.
 
@@ -566,8 +581,8 @@ class TestConvergenceFailure:
         "near, info, values, calls, message",
         [
             (None, 1, (1.0,), [2], "dstebz failed on eigenvalue 3: info = 1"),
-            # a failed window falls back to the index route, which fails too
-            (1.5, 1, (1.0,), [1, 1, 2], "dstebz failed on eigenvalue 3: info = 1"),
+            # a failed first count ends the window, which falls back to the index route, which fails too
+            (1.5, 1, (1.0,), [1, 2], "dstebz failed on eigenvalue 3: info = 1"),
         ],
         ids=["index-info", "window-info"],
     )

@@ -346,12 +346,6 @@ class TestCompleteness:
             warnings.simplefilter("error")
             assert solve_frequency(problem(n=n))
 
-    def test_probe_values_near_the_overflow_limit_emit_no_warning(self):
-        # c_{n+1} nears OVERFLOW_LIMIT at both probes here, so their product overflowed
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert solve_frequency(problem(n=34, mass=6.13e-4, quad=1603.4, eta=-0.286, l=5))
-
     @pytest.mark.parametrize("eta", [1e-300, 1e-250, 1e-210, 5e-324, -5e-324])
     def test_tiny_eta_overflow_is_typed(self, eta):
         # the balancing scale sigma ~ (|M lambda l / (m eta)| / theta)^(1/2) has a cube past the
