@@ -11,8 +11,9 @@ ends at rho = 0 and at the edge of the claimed state's box
 (wavefunction.suggested_rho_max, where its density has died). The oracle
 answers one question, eigenvalue k near a shift (eigenvalues): two
 inverse-iteration steps (LAPACK dgttrf, dgttrs) at the shift give a Rayleigh
-quotient, which is the answer when two dstebz Sturm counts certify it by the
-Kato-Temple inequality, and dstebz bisects index k otherwise; the three
+quotient, which is the answer when two eigenvalue counts certify it by the
+Kato-Temple inequality, each read by Sylvester's law of inertia from one
+dgttrf factorization, and dstebz bisects index k otherwise; the three
 routines come from scipy's compiled _flapack alone (see _flapack).
 A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
 this spectrum at the index k equal to the state's radial node count (Sturm
@@ -131,8 +132,8 @@ def eigenvalues(spec: RadialOperatorSpec, k: int, *, near: float | None = None) 
 
     With near = shift, two inverse-iteration steps at that shift give a
     Rayleigh quotient theta, its residual norm r and a half-width
-    w >= r^2/_EIG_ABS_TOL (_rayleigh_window). When Sturm counts show that
-    theta -/+ w holds index k alone (_certified_window), as a shift nearest
+    w >= r^2/_EIG_ABS_TOL (_rayleigh_window). When eigenvalue counts show
+    that theta -/+ w holds index k alone (_certified_window), as a shift nearest
     eigenvalue k gives, theta is the value: within r^2/w <= _EIG_ABS_TOL of
     eigenvalue k (Kato-Temple), up to its rounding, about 1e-2 eps ||T||.
     Otherwise, as without near or when T - shift is singular, dstebz
@@ -176,41 +177,57 @@ def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float,
     if info != 0:
         return None
     x = np.ones(d.size)
+    # numpy's pairwise sums, not BLAS dot: OpenBLAS splits a long dot over its
+    # threads, so its rounding would depend on their number
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
             x, _ = lapack.dgttrs(*factors, x, overwrite_b=1)
-            x /= np.linalg.norm(x)
+            x /= np.sqrt(np.add.reduce(x * x))
         tx = d * x
         tx[1:] += e * x[:-1]
         tx[:-1] += e * x[1:]
-        theta = float(x @ tx)
+        theta = float(np.add.reduce(x * tx))
         tx -= theta * x
-        r = float(np.linalg.norm(tx))
+        r = math.sqrt(np.add.reduce(tx * tx))
     return theta, max(r, r * r / _EIG_ABS_TOL, _RESIDUAL_FLOOR)
 
 
 def _certified_window(d: np.ndarray, e: np.ndarray, k: int, theta: float, w: float) -> float | None:
-    """theta if Sturm counts show that theta -/+ w holds index k alone, else None.
+    """theta if eigenvalue counts show that theta -/+ w holds index k alone, else None.
 
-    Two count-only dstebz calls over a value range (range = 1, a tolerance so
-    wide that nothing is bisected): (floor, theta - w], with floor below the
-    Gershgorin bound, must hold k eigenvalues and (theta - w, theta + w] one.
-    Then |theta - lambda_k| <= r^2/w <= _EIG_ABS_TOL (Kato-Temple). A first
-    count that fails ends the check: the second is not made.
+    _count_below must read k at theta - w, then k + 1 at theta + w. Then
+    |theta - lambda_k| <= r^2/w <= _EIG_ABS_TOL (Kato-Temple). A first count
+    that fails ends the check: the second is not made.
     """
-    dstebz = _flapack().dstebz
     lo, hi = theta - w, theta + w
-    floor = min(float(d.min() - 2.0 * np.abs(e).max()), lo)
-    floor -= 1.0 + abs(floor)
-    if not -math.inf < floor < lo < hi < math.inf:
+    if not -math.inf < lo < hi < math.inf:
         return None
-    below, _, _, _, info = dstebz(d, e, 1, floor, lo, 0, 0, 1e300, b"E")
-    if info != 0 or below != k:
-        return None
-    found, _, _, _, info = dstebz(d, e, 1, lo, hi, 0, 0, 1e300, b"E")
-    if info != 0 or found != 1:
+    if _count_below(d, e, lo) != k or _count_below(d, e, hi) != k + 1:
         return None
     return theta
+
+
+def _count_below(d: np.ndarray, e: np.ndarray, x: float) -> int | None:
+    """Number of eigenvalues of tridiag(d, e) below x; None if a pivot of T - x is 0.
+
+    By Sylvester's law of inertia it is the number of negative pivots q_i of
+    the unpivoted LDL^T of T - x, read here from one dgttrf factorization
+    (LU with partial pivoting, stable on tridiagonals). Step i finds p_i on
+    the diagonal and either keeps row i, leaving upper[i] = p_i, or swaps
+    rows i and i + 1 (ipiv[i] = i + 2, 1-based), leaving upper[i] = e_i and
+    lower[i] = p_i/e_i.
+    Either way p_i = s_i q_i, where s_i is 1 after a keep and
+    -p_{i-1}/e_{i-1} = -lower[i-1] after a swap, so the signs of the factors
+    give the count, whatever the sign of e.
+    """
+    lower, upper, _, _, ipiv, info = _flapack().dgttrf(e, d - x, e, overwrite_d=1)
+    swap = ipiv[:-1] != np.arange(1, d.size)
+    if info != 0 or (swap & (lower == 0.0)).any():
+        return None
+    negative = upper < 0.0  # p_i < 0 on a keep
+    negative[:-1] ^= swap & (lower < 0.0)  # p_i < 0 on a swap: lower[i] and upper[i] = e_i differ in sign
+    negative[1:] ^= swap & (lower > 0.0)  # s_{i+1} < 0
+    return int(np.count_nonzero(negative))
 
 
 @functools.cache
@@ -219,7 +236,8 @@ def _flapack():
 
     Importing scipy.linalg takes about 0.3 s (scipy 1.17's array-API shim
     imports numpy.f2py and numpy.testing); the extension file alone, under
-    10 ms. The oracle calls its dstebz, dgttrf and dgttrs, the routines of
+    10 ms. The oracle calls its dgttrf (inverse iteration and eigenvalue
+    counts), dgttrs and dstebz (the index bisection), the routines of
     scipy.linalg.lapack by those names.
     """
     name = "scipy.linalg._flapack"
@@ -273,7 +291,7 @@ def verify_solution(
     eigenvalues(spec, node_count, near=shift), gives the eigenvalue at index
     node_count to compare with the claimed zeta^2. The shift is the claim on
     the coarse grid and the coarse value on the refined one. A Rayleigh
-    quotient is used only when Sturm counts certify that its window holds
+    quotient is used only when eigenvalue counts certify that its window holds
     this index alone, and the index is bisected when it does not, as when a
     perturbed frequency puts the claim far from every eigenvalue; either way
     both oracle values are eigenvalue node_count. PASS requires relative

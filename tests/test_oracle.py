@@ -414,16 +414,22 @@ class TestWindow:
         # the coarse window of this 1.05 omega control has 0 eigenvalues below it, not 3
         params = PhysicalParams(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=1)
         state = [s for s in solve_frequency(ReducedProblem.from_params(params, 8)) if s.node_count == 3][0]
-        real, selects = oracle._flapack(), []
+        count, real, calls = oracle._count_below, oracle._flapack(), []
 
-        def dstebz(d, e, select, *args):
-            selects.append(select)
-            return real.dstebz(d, e, select, *args)
+        def spy(d, e, x):
+            calls.append(("count", count(d, e, x)))
+            return calls[-1][1]
+
+        def dstebz(*args):
+            calls.append(("index",))
+            return real.dstebz(*args)
 
         lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=real.dgttrs)
+        monkeypatch.setattr(oracle, "_count_below", spy)
         monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
         verify_solution(state, perturb_omega=1.05)
-        assert selects[:2] == [1, 2]  # one count, then the index route
+        # coarse: one count, then the index route; refined: both counts certify the window
+        assert calls == [("count", 0), ("index",), ("count", 3), ("count", 4)]
 
     def test_seeded_parity_sweep(self):
         """Random cells: both oracle values are index k, also for zeta^2 < 0 and alpha < 0.
@@ -446,7 +452,8 @@ class TestWindow:
         assert_oracle_values_are_index_k(reports, sample=4, seed=2606)
 
 
-def verify_workload_cells():
+@pytest.fixture(scope="module")
+def cells():
     """The 36 cells of n <= 12, l in {1, -1, 2} at m = M = lambda = eta = 1: 132 states."""
     cells = []
     for n in range(1, 13):
@@ -460,10 +467,6 @@ class TestRayleighWindow:
     """eigenvalues(..., near=shift) returns a Rayleigh quotient that Sturm counts certify, or index k."""
 
     K = 3
-
-    @pytest.fixture(scope="class")
-    def cells(self):
-        return verify_workload_cells()
 
     @pytest.fixture(scope="class")
     def full(self):
@@ -536,6 +539,100 @@ class TestRayleighWindow:
         assert value == pytest.approx(full[self.K], rel=1e-14)
 
 
+@pytest.fixture(scope="module")
+def workload_windows(cells):
+    """{grid points: [(d, e, k, theta, w)]} of every window verify_solution tries.
+
+    The windows are those of the 132 states, then those of the 64 of n <= 8 at
+    1.05 omega, the verify workload's negative controls.
+    """
+    windows, certify = {}, oracle._certified_window
+
+    def spy(d, e, k, theta, w):
+        windows.setdefault(d.size, []).append((d, e, k, theta, w))
+        return certify(d, e, k, theta, w)
+
+    states = [state for cell in cells for state in cell]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_certified_window", spy)
+        for state in states:
+            verify_solution(state)
+        for state in states:
+            if state.n <= 8:
+                verify_solution(state, perturb_omega=1.05)
+    return windows
+
+
+class TestCountBelow:
+    """_count_below reads the long-double Sturm count (oracles.sturm_counts) from dgttrf's factors."""
+
+    def test_every_window_end(self, workload_windows):
+        # both ends of the 196 windows of each grid, also those a failed first count never reaches
+        kept = swapped = 0
+        for grid, rows in workload_windows.items():
+            assert len(rows) == 132 + 64
+            channels = [(d, e) for d, e, *_ in rows]
+            ends = np.array([[theta - w, theta + w] for *_, theta, w in rows])
+            counts = [[oracle._count_below(d, e, x) for x in pair] for (d, e), pair in zip(channels, ends)]
+            assert counts == oracles.sturm_counts(channels, ends).tolist(), grid
+            for (d, e), pair in zip(channels, ends):
+                for x in pair:
+                    ipiv = oracle._flapack().dgttrf(e, d - x, e)[4]
+                    swaps = np.count_nonzero(ipiv[:-1] != np.arange(1, grid))
+                    kept, swapped = kept + grid - 1 - swaps, swapped + swaps
+        # both kinds of pivot step, keep and swap, feed the counts
+        assert kept > 0 and swapped > 0
+
+    def test_seeded_shifts(self, workload_windows):
+        # on every channel of the 132 states, a seeded shift inside the Gershgorin bounds, one
+        # below them (count 0) and one above (count N); on a seeded 20 of each grid, the midpoint
+        # of eigenvalues j and j + 1 (count j + 1) for a seeded j <= k + 2
+        from scipy.linalg import eigh_tridiagonal
+
+        rng = np.random.default_rng(33)
+        for grid, rows in workload_windows.items():
+            channels = [(d, e) for d, e, *_ in rows[:132]]
+            bounds = [(d.min() - 2.0 * abs(e).max(), d.max() + 2.0 * abs(e).max()) for d, e in channels]
+            shifts = np.array([[rng.uniform(low, high), low - 1.0, high + 1.0] for low, high in bounds])
+            counts = [[oracle._count_below(d, e, x) for x in row] for (d, e), row in zip(channels, shifts)]
+            reference = oracles.sturm_counts(channels, shifts)
+            assert counts == reference.tolist(), grid
+            assert set(reference[:, 1]) == {0} and set(reference[:, 2]) == {grid}
+            sample = rng.choice(len(channels), size=20, replace=False)
+            picked = [channels[i] for i in sample]
+            js = [int(rng.integers(0, rows[i][2] + 3)) for i in sample]
+            midpoints = np.array([
+                [eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(j, j + 1), tol=1e-14).mean()]
+                for (d, e), j in zip(picked, js)
+            ])
+            counts = [[oracle._count_below(d, e, x)] for (d, e), (x,) in zip(picked, midpoints)]
+            assert counts == oracles.sturm_counts(picked, midpoints).tolist() == [[j + 1] for j in js], grid
+
+    def test_either_sign_of_e(self):
+        # tridiag(d, s e) is similar to tridiag(d, e) for any signs s, so it has the same counts
+        d, e = build_operator(reference_channel())
+        rng = np.random.default_rng(5)
+        shifts = rng.uniform(d.min() - 2.0 * abs(e).max(), d.max() + 2.0 * abs(e).max(), size=(1, 50))
+        (reference,) = oracles.sturm_counts([(d, e)], shifts).tolist()
+        for signs in (1.0, -1.0, rng.choice([-1.0, 1.0], e.size)):
+            assert [oracle._count_below(d, signs * e, x) for x in shifts[0]] == reference
+
+    def test_zero_pivot_is_no_count(self, monkeypatch):
+        # at x = d[0] the first pivot is 0: no count, so a window that ends there is not
+        # certified, and the index bisection still gives eigenvalue k
+        spec = reference_channel()
+        d, e = build_operator(spec)
+        assert oracle._count_below(d, e, d[0]) is None
+        k = int(oracles.sturm_counts([(d, e)], [[d[0]]])[0, 0])
+        (theta,) = oracles.lowest_eigenvalues(spec, k + 1, k)
+        w = theta - d[0]  # exact: theta < 2 d[0]
+        assert theta - w == d[0]
+        monkeypatch.setattr(oracle, "_rayleigh_window", lambda d, e, shift: (theta, w))
+        calls = spy_certified_window(monkeypatch)
+        assert eigenvalues(spec, k, near=theta) == theta
+        assert calls == [(spec.n_grid, theta, w, False)]
+
+
 class TestOverflow:
     """Overflow surfaces as OverflowGuard before any LAPACK call (a RuntimeWarning fails the suite)."""
 
@@ -551,12 +648,6 @@ class TestOverflow:
         with pytest.raises(OverflowGuard, match="finite-difference operator overflows"):
             eigenvalues(spec, 0, near=near)
 
-    @pytest.mark.parametrize("perturb", [1e200, 3e153])
-    def test_verify_overflow_is_typed(self, perturb):
-        # the box is the claimed state's, so the perturbed operator is what overflows
-        with pytest.raises(OverflowGuard, match="finite-difference operator overflows"):
-            verify_solution(reference_solution(), perturb_omega=perturb)
-
 
 class TestConvergenceFailure:
     """A failed or inconsistent dstebz result raises ConvergenceFailure on either route."""
@@ -564,25 +655,34 @@ class TestConvergenceFailure:
     K = 3
 
     def stub_dstebz(self, monkeypatch, info, values):
-        """Replace dstebz alone; each count-only call (range 1, wide tolerance) reports K values."""
-        calls = []
+        """Replace dstebz, the index route, and log its calls and dgttrf's by name.
+
+        dstebz reports info and values. dgttrf factors as usual for the
+        Rayleigh window, its first call, and reports info on every later
+        call, the window's eigenvalue counts.
+        """
+        real, calls = oracle._flapack(), []
 
         def dstebz(d, e, select, vl, vu, il, iu, tol, order):
-            calls.append(select)
-            found = self.K if select == 1 and tol > 1.0 else len(values)
-            return found, np.array(values + (0.0,) * (d.size - len(values))), None, None, info
+            calls.append("dstebz")
+            return len(values), np.array(values + (0.0,) * (d.size - len(values))), None, None, info
 
-        real = oracle._flapack()
-        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=real.dgttrs)
+        def dgttrf(*args, **kwargs):
+            calls.append("dgttrf")
+            *factors, factored = real.dgttrf(*args, **kwargs)
+            return (*factors, factored if calls.count("dgttrf") == 1 else info)
+
+        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=dgttrf, dgttrs=real.dgttrs)
         monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
         return calls
 
     @pytest.mark.parametrize(
         "near, info, values, calls, message",
         [
-            (None, 1, (1.0,), [2], "dstebz failed on eigenvalue 3: info = 1"),
-            # a failed first count ends the window, which falls back to the index route, which fails too
-            (1.5, 1, (1.0,), [1, 2], "dstebz failed on eigenvalue 3: info = 1"),
+            (None, 1, (1.0,), ["dstebz"], "dstebz failed on eigenvalue 3: info = 1"),
+            # a count whose factorization fails ends the window, which falls back to the index
+            # route, which fails too
+            (1.5, 1, (1.0,), ["dgttrf", "dgttrf", "dstebz"], "dstebz failed on eigenvalue 3: info = 1"),
         ],
         ids=["index-info", "window-info"],
     )
