@@ -9,12 +9,13 @@ self-adjoint form with u(rho) = sqrt(rho) * R(rho),
 discretized by central second differences on a uniform grid with Dirichlet
 ends at rho = 0 and at the edge of the claimed state's box
 (wavefunction.suggested_rho_max, where its density has died). The oracle
-answers one question, eigenvalue k near a shift (eigenvalues): two
-inverse-iteration steps (LAPACK dgttrf, dgttrs) at the shift give a Rayleigh
-quotient, which is the answer when two eigenvalue counts certify it by the
-Kato-Temple inequality, each read by Sylvester's law of inertia from one
-dgttrf factorization, and dstebz bisects index k otherwise; the three
-routines come from scipy's compiled _flapack alone (see _flapack).
+answers one question, eigenvalue k near a shift (eigenvalues): inverse
+iteration (LAPACK dgttrf, dgttrs) at the shift gives a Rayleigh quotient,
+which is the answer when the eigenvalue counts at both ends of its window
+certify it by the Kato-Temple inequality, each read by Sylvester's law of
+inertia from one dgttrf factorization (the shift's own closes an end it lies
+past), and dstebz bisects index k otherwise; the three routines come from
+scipy's compiled _flapack alone (see _flapack).
 A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
 this spectrum at the index k equal to the state's radial node count (Sturm
 oscillation ordering), with the residual deviation shrinking like h^2 from
@@ -35,7 +36,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -127,19 +128,27 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def eigenvalues(spec: RadialOperatorSpec, k: int, *, near: float | None = None) -> float:
-    """Eigenvalue zeta^2_k of the channel, index k counted from 0.
+def eigenvalues(
+    spec: RadialOperatorSpec, k: int, *, near: float | None = None, start: np.ndarray | None = None
+) -> tuple[float, np.ndarray | None]:
+    """Eigenvalue zeta^2_k of the channel, index k counted from 0, and its unit iterate.
 
-    With near = shift, two inverse-iteration steps at that shift give a
-    Rayleigh quotient theta, its residual norm r and a half-width
-    w >= r^2/_EIG_ABS_TOL (_rayleigh_window). When eigenvalue counts show
-    that theta -/+ w holds index k alone (_certified_window), as a shift nearest
+    With near = shift, inverse iteration at that shift gives a Rayleigh
+    quotient theta, its residual norm r and a half-width
+    w >= r^2/_EIG_ABS_TOL (_rayleigh_window): two steps from the all-ones
+    vector, or one in start, a unit iterate of the same eigenvalue on this
+    grid, which the step overwrites. When eigenvalue counts show that
+    theta -/+ w holds index k alone (_certified_window), as a shift nearest
     eigenvalue k gives, theta is the value: within r^2/w <= _EIG_ABS_TOL of
     eigenvalue k (Kato-Temple), up to its rounding, about 1e-2 eps ||T||.
     Otherwise, as without near or when T - shift is singular, dstebz
-    bisects index k from the Gershgorin bounds to _EIG_ABS_TOL, so the
-    result is eigenvalue k either way. The operator's own rounding, half an
-    ulp of 2/h^2, still moves it (see verify_solution).
+    bisects index k from the Gershgorin bounds to _EIG_ABS_TOL, so the value
+    is eigenvalue k either way. The operator's own rounding, half an ulp of
+    2/h^2, still moves it (see verify_solution).
+
+    Returns:
+        (value, x): x is the unit iterate whose Rayleigh quotient is the
+        certified value, None when the value was bisected.
 
     The name is plural for the benchmark tracer, which binds
     oracle.eigenvalues and reads spec.n_grid from the first argument.
@@ -150,24 +159,35 @@ def eigenvalues(spec: RadialOperatorSpec, k: int, *, near: float | None = None) 
             not finite.
     """
     d, e = build_operator(spec)
-    window = None if near is None else _rayleigh_window(d, e, near)
-    value = None if window is None else _certified_window(d, e, k, *window)
-    if value is None:
-        # range = 2: indices il..iu, 1-based
-        found, vals, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 0.0, k + 1, k + 1, _EIG_ABS_TOL, b"E")
-        if info != 0 or found != 1:
-            raise ConvergenceFailure(f"dstebz failed on eigenvalue {k}: info = {info}, {found} values")
-        value = vals[0]
-    if not math.isfinite(value):
+    window = None if near is None else _rayleigh_window(d, e, near, start)
+    if window is not None and _certified_window(d, e, k, window):
+        return window.theta, window.x
+    # range = 2: indices il..iu, 1-based
+    found, vals, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 0.0, k + 1, k + 1, _EIG_ABS_TOL, b"E")
+    if info != 0 or found != 1:
+        raise ConvergenceFailure(f"dstebz failed on eigenvalue {k}: info = {info}, {found} values")
+    if not math.isfinite(vals[0]):
         raise ConvergenceFailure(f"eigensolver returned a non-finite eigenvalue {k}")
-    return float(value)
+    return float(vals[0]), None
 
 
-def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float, float] | None:
-    """(theta, w) for an eigenvalue near shift, None if T - shift is singular.
+class _Window(NamedTuple):
+    """What inverse iteration at shift leaves: its window theta -/+ w, the
+    count below shift (None at a zero pivot) and the unit iterate x."""
 
-    dgttrf factors T - shift once; two dgttrs solves from the all-ones vector
-    give a unit x, its Rayleigh quotient theta = x.T T x and residual
+    theta: float
+    w: float
+    shift: float
+    below: int | None
+    x: np.ndarray
+
+
+def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float, start: np.ndarray | None = None) -> _Window | None:
+    """The window of an eigenvalue near shift, None if T - shift is singular.
+
+    dgttrf factors T - shift once, which also gives the count below shift.
+    dgttrs solves in start once, overwriting it, or from the all-ones vector
+    twice, for a unit x, its Rayleigh quotient theta = x.T T x and residual
     r = |T x - theta x|, and w = max(r, r^2/_EIG_ABS_TOL, _RESIDUAL_FLOOR).
     A non-finite window is left to _certified_window, which rejects it.
     """
@@ -176,11 +196,11 @@ def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float,
     *factors, info = lapack.dgttrf(e, d - shift, e, overwrite_d=1)
     if info != 0:
         return None
-    x = np.ones(d.size)
+    x, steps = (np.ones(d.size), 2) if start is None else (start, 1)
     # numpy's pairwise sums, not BLAS dot: OpenBLAS splits a long dot over its
     # threads, so its rounding would depend on their number
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
+        for _ in range(steps):
             x, _ = lapack.dgttrs(*factors, x, overwrite_b=1)
             x /= np.sqrt(np.add.reduce(x * x))
         tx = d * x
@@ -189,45 +209,76 @@ def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float) -> tuple[float,
         theta = float(np.add.reduce(x * tx))
         tx -= theta * x
         r = math.sqrt(np.add.reduce(tx * tx))
-    return theta, max(r, r * r / _EIG_ABS_TOL, _RESIDUAL_FLOOR)
+    w = max(r, r * r / _EIG_ABS_TOL, _RESIDUAL_FLOOR)
+    return _Window(theta, w, shift, _negative_pivots(*factors), x)
 
 
-def _certified_window(d: np.ndarray, e: np.ndarray, k: int, theta: float, w: float) -> float | None:
-    """theta if eigenvalue counts show that theta -/+ w holds index k alone, else None.
+def _certified_window(d: np.ndarray, e: np.ndarray, k: int, window: _Window) -> bool:
+    """Whether eigenvalue counts show that the window theta -/+ w holds index k alone.
 
-    _count_below must read k at theta - w, then k + 1 at theta + w. Then
-    |theta - lambda_k| <= r^2/w <= _EIG_ABS_TOL (Kato-Temple). A first count
-    that fails ends the check: the second is not made.
+    The count below theta - w must read k, then the count below theta + w
+    k + 1. Then |theta - lambda_k| <= r^2/w <= _EIG_ABS_TOL (Kato-Temple). A
+    shift at least w below theta whose count is k closes the lower end in
+    place of the count at theta - w, and one at least w above theta whose
+    count is k + 1 the upper end: the interval from the shift to the other end then holds index
+    k alone and reaches at least w past theta, so the bound is the same. The
+    first count that fails ends the check.
     """
-    lo, hi = theta - w, theta + w
+    lo, hi = window.theta - window.w, window.theta + window.w
     if not -math.inf < lo < hi < math.inf:
-        return None
-    if _count_below(d, e, lo) != k or _count_below(d, e, hi) != k + 1:
-        return None
-    return theta
+        return False
+    ends = ((lo, k), (hi, k + 1))
+    if window.shift <= lo and window.below == k:
+        ends = ends[1:]
+    elif window.shift >= hi and window.below == k + 1:
+        ends = ends[:1]
+    return all(_count_below(d, e, x) == count for x, count in ends)
 
 
 def _count_below(d: np.ndarray, e: np.ndarray, x: float) -> int | None:
-    """Number of eigenvalues of tridiag(d, e) below x; None if a pivot of T - x is 0.
+    """Number of eigenvalues of tridiag(d, e) below x; None if a pivot of T - x is 0."""
+    *factors, info = _flapack().dgttrf(e, d - x, e, overwrite_d=1)
+    return None if info != 0 else _negative_pivots(*factors)
+
+
+def _negative_pivots(lower, upper, _du, _du2, ipiv) -> int | None:
+    """Number of eigenvalues below x, read from dgttrf's factors of T - x; None if a pivot is 0.
 
     By Sylvester's law of inertia it is the number of negative pivots q_i of
-    the unpivoted LDL^T of T - x, read here from one dgttrf factorization
-    (LU with partial pivoting, stable on tridiagonals). Step i finds p_i on
-    the diagonal and either keeps row i, leaving upper[i] = p_i, or swaps
-    rows i and i + 1 (ipiv[i] = i + 2, 1-based), leaving upper[i] = e_i and
+    the unpivoted LDL^T of T - x, read here from the LU factorization with
+    partial pivoting (stable on tridiagonals). Step i finds p_i on the
+    diagonal and either keeps row i, leaving upper[i] = p_i, or swaps rows i
+    and i + 1 (ipiv[i] = i + 2, 1-based), leaving upper[i] = e_i and
     lower[i] = p_i/e_i.
     Either way p_i = s_i q_i, where s_i is 1 after a keep and
     -p_{i-1}/e_{i-1} = -lower[i-1] after a swap, so the signs of the factors
     give the count, whatever the sign of e.
     """
-    lower, upper, _, _, ipiv, info = _flapack().dgttrf(e, d - x, e, overwrite_d=1)
-    swap = ipiv[:-1] != np.arange(1, d.size)
-    if info != 0 or (swap & (lower == 0.0)).any():
+    swap = ipiv[:-1] != np.arange(1, upper.size, dtype=ipiv.dtype)
+    if (swap & (lower == 0.0)).any():
         return None
+    swap_negative = swap & (lower < 0.0)
     negative = upper < 0.0  # p_i < 0 on a keep
-    negative[:-1] ^= swap & (lower < 0.0)  # p_i < 0 on a swap: lower[i] and upper[i] = e_i differ in sign
-    negative[1:] ^= swap & (lower > 0.0)  # s_{i+1} < 0
+    negative[:-1] ^= swap_negative  # p_i < 0 on a swap: lower[i] and upper[i] = e_i differ in sign
+    negative[1:] ^= swap ^ swap_negative  # s_{i+1} < 0: a swap whose lower[i] is positive
     return int(np.count_nonzero(negative))
+
+
+def _onto_refined_grid(x: np.ndarray) -> np.ndarray:
+    """x on the N interior nodes of a grid, linearly interpolated onto the 2N of the grid of the same box.
+
+    Node i of N sits at i/(N + 1) of the box, node j of 2N at j/(2N + 1), and u is 0 at
+    both ends. So nodes j = 2i and 2i + 1 both fall between nodes i and i + 1, at the
+    fractions i/(2N + 1) and (i + N + 1)/(2N + 1) of that interval.
+    """
+    n = x.size
+    padded = np.concatenate(([0.0], x, [0.0]))
+    step = np.diff(padded)
+    fraction = np.arange(n + 1) / (2 * n + 1)
+    fine = np.empty(2 * n)
+    fine[1::2] = padded[1:-1] + fraction[1:] * step[1:]
+    fine[0::2] = padded[:-2] + (fraction[:-1] + (n + 1) / (2 * n + 1)) * step[:-1]
+    return fine
 
 
 @functools.cache
@@ -290,7 +341,10 @@ def verify_solution(
     box (suggested_rho_max), and on each grid one oracle call,
     eigenvalues(spec, node_count, near=shift), gives the eigenvalue at index
     node_count to compare with the claimed zeta^2. The shift is the claim on
-    the coarse grid and the coarse value on the refined one. A Rayleigh
+    the coarse grid and the coarse value on the refined one, where inverse
+    iteration starts from the coarse grid's certified iterate, linearly
+    interpolated (_onto_refined_grid), and takes one step instead of two;
+    a coarse value that was bisected leaves no iterate. A Rayleigh
     quotient is used only when eigenvalue counts certify that its window holds
     this index alone, and the index is bisected when it does not, as when a
     perturbed frequency puts the claim far from every eigenvalue; either way
@@ -327,8 +381,10 @@ def verify_solution(
         rho_max=rho_max,
         n_grid=grid_n,
     )
-    zeta_oracle = eigenvalues(coarse_spec, k, near=claim)
-    zeta_oracle_refined = eigenvalues(replace(coarse_spec, n_grid=2 * grid_n), k, near=zeta_oracle)
+    zeta_oracle, x = eigenvalues(coarse_spec, k, near=claim)
+    if x is not None:  # rebound, so that the coarse iterate is freed before the refined grid is built
+        x = _onto_refined_grid(x)
+    zeta_oracle_refined, _ = eigenvalues(replace(coarse_spec, n_grid=2 * grid_n), k, near=zeta_oracle, start=x)
     scale = max(abs(claim), 1e-300)
     deviation = abs(zeta_oracle - claim) / scale
     deviation_refined = abs(zeta_oracle_refined - claim) / scale

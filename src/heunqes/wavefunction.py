@@ -131,23 +131,20 @@ def suggested_rho_max(solution: SpectralSolution) -> float:
     return rho_max
 
 
-def _simpson_norm_sq(solution: SpectralSolution, rho_max: float, intervals: int) -> float:
-    """Composite-Simpson value of the squared norm integral on [0, rho_max].
-
-    Overflow yields a non-finite value, which normalize reports as QuadratureFailure.
-    """
-    rho = np.linspace(0.0, rho_max, intervals + 1)
-    h = rho_max / intervals
+def _density(solution: SpectralSolution, rho: np.ndarray) -> np.ndarray:
+    """The integrand R^2 rho of the squared norm; overflow yields a non-finite value."""
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.asarray(evaluate_R(solution, rho)) ** 2 * rho
-        return float(h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
+        return np.asarray(evaluate_R(solution, rho)) ** 2 * rho
 
 
 def normalize(solution: SpectralSolution) -> RadialWavefunction:
     """Compute the norm constant N by adaptive composite quadrature.
 
     Simpson's rule on [0, rho_max] with the interval count doubled until N
-    moves by less than NORM_RTOL relative between refinements.
+    moves by less than NORM_RTOL relative between refinements. Each doubling
+    evaluates R at the new midpoints only: linspace(0, rho_max, 2M + 1)[::2]
+    is linspace(0, rho_max, M + 1) bit for bit, so the earlier samples are
+    the even ones of the new level.
 
     Raises:
         QuadratureFailure: the integral is non-finite or non-positive, or the
@@ -156,8 +153,10 @@ def normalize(solution: SpectralSolution) -> RadialWavefunction:
     rho_max = suggested_rho_max(solution)
     previous = None
     intervals = _SIMPSON_START
-    while intervals <= _SIMPSON_MAX:
-        integral = _simpson_norm_sq(solution, rho_max, intervals)
+    f = _density(solution, np.linspace(0.0, rho_max, intervals + 1))
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            integral = float(rho_max / intervals / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
         if not math.isfinite(integral) or integral <= 0.0:
             raise QuadratureFailure(
                 f"norm integral evaluated to {integral!r} on [0, {rho_max:.6g}]"
@@ -167,9 +166,14 @@ def normalize(solution: SpectralSolution) -> RadialWavefunction:
             return RadialWavefunction(solution, norm, rho_max)
         previous = norm
         intervals *= 2
-    raise QuadratureFailure(
-        f"norm constant did not stabilize to {NORM_RTOL:g} within {_SIMPSON_MAX} intervals"
-    )
+        if intervals > _SIMPSON_MAX:
+            raise QuadratureFailure(
+                f"norm constant did not stabilize to {NORM_RTOL:g} within {_SIMPSON_MAX} intervals"
+            )
+        refined = np.empty(intervals + 1)
+        refined[::2] = f
+        refined[1::2] = _density(solution, np.linspace(0.0, rho_max, intervals + 1)[1::2])
+        f = refined
 
 
 def count_positive_roots(coeffs) -> int:

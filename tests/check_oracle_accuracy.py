@@ -8,8 +8,10 @@ all, against a long-double Sturm multisection of the same channel
 (oracles.eps_norm). A certified value, a Rayleigh quotient, must lie within
 oracles.CERTIFIED_TOL of eigenvalue k; a value of the index-bisection
 fallback within 1. Prints the largest error of each kind and exits 1 when
-one is exceeded. Where long double is no wider than double (eps >= 1e-18)
-there is no reference, and it exits 0 saying so.
+one is exceeded. Also prints how many windows the shift's own count closed
+and how many refined windows started from the coarse grid's iterate. Where
+long double is no wider than double (eps >= 1e-18) there is no reference,
+and it exits 0 saying so.
 
 From the repository root:
 
@@ -36,16 +38,31 @@ def checked_states():
     return [(state, 1.0) for state in states] + [(state, 1.05) for state in states if state.n <= 8]
 
 
+def closed_by_shift(k, window):
+    """Whether the shift's own count closes an end of the window, so one new count is made."""
+    lo, hi = window.theta - window.w, window.theta + window.w
+    return (window.shift <= lo and window.below == k) or (window.shift >= hi and window.below == k + 1)
+
+
 def recorded_values():
-    """(spec, k, value, certified, control) for both oracle values of every checked state."""
-    certify, certified = oracle._certified_window, {}
+    """(spec, k, value, certified, control) for both oracle values of every checked state.
 
-    def spy(d, e, k, theta, w):
-        value = certify(d, e, k, theta, w)
-        certified[d.size] = value is not None
-        return value
+    Also counts the windows whose shift's own count closed an end, and the
+    refined windows that started from the coarse grid's iterate.
+    """
+    certify, rayleigh, certified = oracle._certified_window, oracle._rayleigh_window, {}
+    tally = {"closed": 0, "started": 0}
 
-    oracle._certified_window = spy
+    def spy(d, e, k, window):
+        certified[d.size] = certify(d, e, k, window)
+        tally["closed"] += closed_by_shift(k, window)
+        return certified[d.size]
+
+    def started(d, e, shift, start=None):
+        tally["started"] += start is not None
+        return rayleigh(d, e, shift, start)
+
+    oracle._certified_window, oracle._rayleigh_window = spy, started
     rows = []
     try:
         for state, perturb in checked_states():
@@ -67,15 +84,15 @@ def recorded_values():
                 )
                 rows.append((spec, state.node_count, value, certified.get(grid, False), perturb != 1.0))
     finally:
-        oracle._certified_window = certify
-    return rows
+        oracle._certified_window, oracle._rayleigh_window = certify, rayleigh
+    return rows, tally
 
 
 def main() -> int:
     if np.finfo(np.longdouble).eps >= 1e-18:
         print(f"skipped: long double has eps {np.finfo(np.longdouble).eps:.3g}, no reference")
         return 0
-    rows = recorded_values()
+    rows, tally = recorded_values()
     errors = np.empty(len(rows))
     for grid in sorted({spec.n_grid for spec, *_ in rows}):
         picked = [i for i, (spec, *_) in enumerate(rows) if spec.n_grid == grid]
@@ -89,6 +106,8 @@ def main() -> int:
     certified = np.array([row[3] for row in rows])
     control = np.array([row[4] for row in rows])
     print(f"{len(rows)} oracle values, {certified.sum()} certified; error in eps ||T||_inf:")
+    print(f"  {tally['closed']} windows closed by the shift's own count,"
+          f" {tally['started']} refined windows started from the coarse iterate")
     kinds = (("certified", certified, oracles.CERTIFIED_TOL), ("bisected", ~certified, 1.0))
     for name, share in (("states", ~control), ("controls", control)):
         for kind, mask, bound in kinds:

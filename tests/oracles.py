@@ -7,7 +7,9 @@ oracle's spectrum, a long-double Sturm multisection of the oracle's
 matrices) so the tests never compare the package
 against itself. The straightforward forms of the solver's array glue (dense
 companion, list recurrence, per-probe alpha_delta) are the reference its
-optimized forms must match bit for bit. synthetic_solution hand-assembles a
+optimized forms must match bit for bit, as must normalize's Simpson
+quadrature, which reuses each level's samples, against its
+level-by-level form (straightforward_norm). synthetic_solution hand-assembles a
 state record without quantize, for the profile formulas. The FROZEN_* constants were produced by
 these same routines in a standalone session before the package was written
 and are pinned verbatim as regression anchors; DISPLAY_* values are the
@@ -22,7 +24,7 @@ from heunqes.errors import OverflowGuard
 from heunqes.model import PhysicalParams
 from heunqes.oracle import build_operator
 from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL, ReducedProblem, SpectralSolution
-from heunqes.wavefunction import count_positive_roots
+from heunqes.wavefunction import _SIMPSON_MAX, _SIMPSON_START, NORM_RTOL, count_positive_roots, evaluate_R
 
 # Reference system m = M = lambda = l = eta = 1, k = 0, n = 1.
 FROZEN_OMEGA = 1.747847765739618
@@ -382,3 +384,22 @@ def packed_cell_rows(problem, omegas):
     alpha, delta = np.array([alpha_delta(problem, w) for w in probes.tolist()]).reshape(-1, 2).T
     raw = list_recurrence(alpha, delta, problem.theta, 2.0 * problem.n, problem.n + 2)
     return raw.reshape(3, len(omegas), problem.n + 3), alpha.reshape(3, -1)[2], delta.reshape(3, -1)[2]
+
+
+def straightforward_norm(solution, rho_max):
+    """wavefunction.normalize's norm constant with each Simpson level sampled afresh.
+
+    Returns (N, intervals), the level at which N settled, or None where the
+    refinement cap is passed first.
+    """
+    previous, intervals = None, _SIMPSON_START
+    while intervals <= _SIMPSON_MAX:
+        rho = np.linspace(0.0, rho_max, intervals + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.asarray(evaluate_R(solution, rho)) ** 2 * rho
+            integral = float(rho_max / intervals / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
+        norm = 1.0 / math.sqrt(integral)
+        if previous is not None and abs(norm - previous) <= NORM_RTOL * abs(norm):
+            return norm, intervals
+        previous, intervals = norm, 2 * intervals
+    return None

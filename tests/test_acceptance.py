@@ -187,7 +187,7 @@ def test_criterion_5_oscillator_regression():
         m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
     )
     for k, expected in enumerate((4.0, 8.0, 12.0)):
-        got = eigenvalues(channel, k)
+        got, _ = eigenvalues(channel, k)
         if _rel(got, expected) > 1e-3:
             failures.append(f"oscillator zeta^2[{k}] = {got:.6f}, want {expected}")
     coeffs = _raw_coefficients(0.0, 0.0, 3, 4.0, 4)  # alpha = delta = 0, theta = 3, g = 2n = 4

@@ -448,18 +448,19 @@ class TestWavefunction:
         assert len(samples) == 2 * 512 and all(math.isfinite(v) for v in samples)
 
     def test_samples_are_written_as_they_are_rendered(self, tmp_path):
-        # rendering every line before the first write took 62 MB here
+        # written as rendered this peaks at 1.5 MB; rendering every line and joining the text
+        # before the first write took 7.4 MB, and joining the lines alone 2.9 MB
         target = tmp_path / "profile.csv"
         tracemalloc.start()
         try:
-            code = main(["wavefunction", "--samples", "200000", "--output", str(target)])
+            code = main(["wavefunction", "--samples", "20000", "--output", str(target)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak < 25e6
+        assert code == 0 and peak < 2.5e6
         data = split_output(target.read_text())[1]
         rhos = [float(line.split(",")[0]) for line in data[1:]]
-        assert data[0] == "rho,R" and len(rhos) == 200000
+        assert data[0] == "rho,R" and len(rhos) == 20000
         assert all(a < b for a, b in zip(rhos, rhos[1:]))  # no line lost or repeated between writes
 
     def test_non_finite_sample_is_one_error_line(self, capsys, monkeypatch):

@@ -148,10 +148,10 @@ class TestEigenvalues:
     def test_window_matches_lowest_eigenvalues(self):
         spec = reference_channel()
         full = oracles.lowest_eigenvalues(spec, 6)
-        assert [eigenvalues(spec, k) for k in (3, 4, 5)] == pytest.approx(full[3:], rel=1e-14)
+        assert [eigenvalues(spec, k)[0] for k in (3, 4, 5)] == pytest.approx(full[3:], rel=1e-14)
 
     def test_strictly_ascending(self):
-        values = [eigenvalues(reference_channel(), k) for k in range(6)]
+        values = [eigenvalues(reference_channel(), k)[0] for k in range(6)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_oscillator_ladder(self):
@@ -162,7 +162,7 @@ class TestEigenvalues:
             m=1.0, omega=1.0, eta=0.0, coulomb_strength=0.0, abs_l=1, rho_max=rho_max, n_grid=4000
         )
         for k in range(3):
-            assert eigenvalues(spec, k) == pytest.approx(oracles.oscillator_level(1.0, 1.0, 1, k), rel=1e-3)
+            assert eigenvalues(spec, k)[0] == pytest.approx(oracles.oscillator_level(1.0, 1.0, 1, k), rel=1e-3)
 
     def test_oscillator_ladder_scaled(self):
         m, omega, abs_l = 0.5, 3.0, 2
@@ -173,13 +173,13 @@ class TestEigenvalues:
             m=m, omega=omega, eta=0.0, coulomb_strength=0.0, abs_l=abs_l, rho_max=rho_max, n_grid=4000
         )
         for k in range(3):
-            assert eigenvalues(spec, k) == pytest.approx(oracles.oscillator_level(m, omega, abs_l, k), rel=1e-3)
+            assert eigenvalues(spec, k)[0] == pytest.approx(oracles.oscillator_level(m, omega, abs_l, k), rel=1e-3)
 
     def test_reference_state_sits_at_ground_index(self):
         sol = reference_solution()
         rho_max = oracles.turning_point_box(1.0, sol.omega, 1.0, sol.zeta_sq + 10.0 * sol.omega)
         spec = reference_channel(omega=sol.omega, rho_max=rho_max, n_grid=4000)
-        lowest = eigenvalues(spec, 0)
+        lowest, _ = eigenvalues(spec, 0)
         assert lowest == pytest.approx(oracles.FROZEN_ZETA_SQ, rel=1e-3)
         assert lowest == pytest.approx(oracles.DISPLAY_ZETA_SQ, rel=oracles.DISPLAY_TOL)
 
@@ -253,7 +253,7 @@ class TestGridConvergence:
         devs = []
         for n_grid in (2000, 4000, 8000):
             spec = reference_channel(omega=sol.omega, rho_max=rho_max, n_grid=n_grid)
-            lowest = eigenvalues(spec, 0)
+            lowest, _ = eigenvalues(spec, 0)
             devs.append(abs(lowest - sol.zeta_sq) / sol.zeta_sq)
         assert 3.0 < devs[0] / devs[1] < 5.0
         assert 3.0 < devs[1] / devs[2] < 5.0
@@ -358,13 +358,32 @@ def spy_certified_window(monkeypatch):
     calls = []
     certify = oracle._certified_window
 
-    def spy(d, e, k, theta, w):
-        value = certify(d, e, k, theta, w)
-        calls.append((d.size, theta, w, value is not None))
-        return value
+    def spy(d, e, k, window):
+        certified = certify(d, e, k, window)
+        calls.append((d.size, window.theta, window.w, certified))
+        return certified
 
     monkeypatch.setattr(oracle, "_certified_window", spy)
     return calls
+
+
+def shifted_window(d, e, theta, w, shift):
+    """A window theta -/+ w left by inverse iteration at shift, with the count below shift."""
+    *factors, info = oracle._flapack().dgttrf(e, d - shift, e)
+    assert info == 0
+    return oracle._Window(theta, w, shift, oracle._negative_pivots(*factors), None)
+
+
+def two_counts(d, e, k, window):
+    """The check without the shift's count: k eigenvalues below theta - w, k + 1 below theta + w."""
+    lo, hi = window.theta - window.w, window.theta + window.w
+    return oracle._count_below(d, e, lo) == k and oracle._count_below(d, e, hi) == k + 1
+
+
+def closed_by_shift(k, window):
+    """Whether the shift lies at least w past theta, with the count that closes that end."""
+    lo, hi = window.theta - window.w, window.theta + window.w
+    return (window.shift <= lo and window.below == k) or (window.shift >= hi and window.below == k + 1)
 
 
 class TestWindow:
@@ -390,17 +409,35 @@ class TestWindow:
         ids=["next-index", "two-indices", "empty", "degenerate", "reversed", "unbounded", "nan"],
     )
     def test_window_without_index_k_falls_back(self, full, window):
+        # the shift at theta, inside the window, so both of its ends are counted
         d, e = build_operator(reference_channel())
         lo, hi = window(full, self.K)
-        assert oracle._certified_window(d, e, self.K, (lo + hi) / 2, (hi - lo) / 2) is None
+        theta = (lo + hi) / 2
+        shift = theta if math.isfinite(theta) else full[self.K]
+        assert not oracle._certified_window(d, e, self.K, shifted_window(d, e, theta, (hi - lo) / 2, shift))
 
     def test_window_holding_the_indices_is_used(self, full):
         # the Rayleigh window of a shift at eigenvalue k holds it alone, and its theta is the value
         k = self.K
         d, e = build_operator(reference_channel())
-        theta, w = oracle._rayleigh_window(d, e, full[k])
-        assert oracle._certified_window(d, e, k, theta, w) == theta
-        assert_within_certified_tol([((d, e), k, theta)], 1, np.random.default_rng(k))
+        window = oracle._rayleigh_window(d, e, full[k])
+        assert oracle._certified_window(d, e, k, window)
+        assert_within_certified_tol([((d, e), k, window.theta)], 1, np.random.default_rng(k))
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_shift_past_an_end_closes_it(self, full, side, monkeypatch):
+        # a shift w or more below theta that counts k, or above it that counts k + 1, replaces
+        # the count at that end; the other end is still counted, and a wrong count there fails
+        k = self.K
+        d, e = build_operator(reference_channel())
+        theta, w = full[k], 0.25 * min(full[k] - full[k - 1], full[k + 1] - full[k])
+        window = shifted_window(d, e, theta, w, theta + 2.0 * side * w)
+        assert closed_by_shift(k, window)
+        count, ends = oracle._count_below, []
+        monkeypatch.setattr(oracle, "_count_below", lambda d, e, x: ends.append(x) or count(d, e, x))
+        assert oracle._certified_window(d, e, k, window)
+        assert ends == [theta - side * w]
+        assert not oracle._certified_window(d, e, k + side, window)
 
     def test_negative_control_reports_index_k(self):
         # at 1.05 omega no eigenvalue lies within PASS_TOL of the claim
@@ -424,12 +461,21 @@ class TestWindow:
             calls.append(("index",))
             return real.dstebz(*args)
 
-        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=real.dgttrs)
+        def dgttrs(*args, **kwargs):
+            calls.append(("solve", args[5].size))
+            return real.dgttrs(*args, **kwargs)
+
+        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=dgttrs)
         monkeypatch.setattr(oracle, "_count_below", spy)
         monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
         verify_solution(state, perturb_omega=1.05)
-        # coarse: one count, then the index route; refined: both counts certify the window
-        assert calls == [("count", 0), ("index",), ("count", 3), ("count", 4)]
+        # coarse: two solves, one count, then the index route, which leaves no iterate; refined:
+        # two solves from all ones, and the shift, within w of theta, closes no end, so both
+        # counts certify the window
+        assert calls == [
+            ("solve", 4000), ("solve", 4000), ("count", 0), ("index",),
+            ("solve", 8000), ("solve", 8000), ("count", 3), ("count", 4),
+        ]
 
     def test_seeded_parity_sweep(self):
         """Random cells: both oracle values are index k, also for zeta^2 < 0 and alpha < 0.
@@ -515,17 +561,17 @@ class TestRayleighWindow:
     def test_shift_at_next_index_falls_back(self, full, monkeypatch):
         # inverse iteration finds eigenvalue k + 1; the count below the window rejects it
         calls = spy_certified_window(monkeypatch)
-        value = eigenvalues(reference_channel(), self.K, near=full[self.K + 1])
+        value, x = eigenvalues(reference_channel(), self.K, near=full[self.K + 1])
         assert [certified for *_, certified in calls] == [False]
-        assert value == pytest.approx(full[self.K], rel=1e-14)
+        assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
 
     def test_shift_between_indices_falls_back(self, full, monkeypatch):
         # midway between eigenvalues k and k + 1 inverse iteration mixes both, and the
         # residual's window holds more than index k
         calls = spy_certified_window(monkeypatch)
-        value = eigenvalues(reference_channel(), self.K, near=(full[self.K] + full[self.K + 1]) / 2)
+        value, x = eigenvalues(reference_channel(), self.K, near=(full[self.K] + full[self.K + 1]) / 2)
         assert [certified for *_, certified in calls] == [False]
-        assert value == pytest.approx(full[self.K], rel=1e-14)
+        assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
 
     def test_singular_factorization_falls_back(self, full, monkeypatch):
         lapack = oracle._flapack()
@@ -534,23 +580,23 @@ class TestRayleighWindow:
         )
         monkeypatch.setattr(oracle, "_flapack", lambda: singular)
         calls = spy_certified_window(monkeypatch)
-        value = eigenvalues(reference_channel(), self.K, near=full[self.K])
+        value, x = eigenvalues(reference_channel(), self.K, near=full[self.K])
         assert calls == []
-        assert value == pytest.approx(full[self.K], rel=1e-14)
+        assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
 
 
 @pytest.fixture(scope="module")
 def workload_windows(cells):
-    """{grid points: [(d, e, k, theta, w)]} of every window verify_solution tries.
+    """{grid points: [(d, e, k, window)]} of every window verify_solution tries.
 
     The windows are those of the 132 states, then those of the 64 of n <= 8 at
     1.05 omega, the verify workload's negative controls.
     """
     windows, certify = {}, oracle._certified_window
 
-    def spy(d, e, k, theta, w):
-        windows.setdefault(d.size, []).append((d, e, k, theta, w))
-        return certify(d, e, k, theta, w)
+    def spy(d, e, k, window):
+        windows.setdefault(d.size, []).append((d, e, k, window))
+        return certify(d, e, k, window)
 
     states = [state for cell in cells for state in cell]
     with pytest.MonkeyPatch.context() as patch:
@@ -572,7 +618,7 @@ class TestCountBelow:
         for grid, rows in workload_windows.items():
             assert len(rows) == 132 + 64
             channels = [(d, e) for d, e, *_ in rows]
-            ends = np.array([[theta - w, theta + w] for *_, theta, w in rows])
+            ends = np.array([[window.theta - window.w, window.theta + window.w] for *_, window in rows])
             counts = [[oracle._count_below(d, e, x) for x in pair] for (d, e), pair in zip(channels, ends)]
             assert counts == oracles.sturm_counts(channels, ends).tolist(), grid
             for (d, e), pair in zip(channels, ends):
@@ -623,14 +669,104 @@ class TestCountBelow:
         spec = reference_channel()
         d, e = build_operator(spec)
         assert oracle._count_below(d, e, d[0]) is None
-        k = int(oracles.sturm_counts([(d, e)], [[d[0]]])[0, 0])
+        # eigenvalue k is the first above d[0]
+        k = int(oracles.sturm_counts([(d, e)], [[np.nextafter(d[0], math.inf)]])[0, 0])
         (theta,) = oracles.lowest_eigenvalues(spec, k + 1, k)
-        w = theta - d[0]  # exact: theta < 2 d[0]
-        assert theta - w == d[0]
-        monkeypatch.setattr(oracle, "_rayleigh_window", lambda d, e, shift: (theta, w))
+        w = theta - d[0]  # exact: d[0] < theta < 2 d[0]
+        assert w > 0.0 and theta - w == d[0]
+        # the shift at theta, inside the window, so theta - w is counted
+        window = shifted_window(d, e, theta, w, theta)
+        monkeypatch.setattr(oracle, "_rayleigh_window", lambda d, e, shift, start=None: window)
         calls = spy_certified_window(monkeypatch)
-        assert eigenvalues(spec, k, near=theta) == theta
+        assert eigenvalues(spec, k, near=theta) == (theta, None)
         assert calls == [(spec.n_grid, theta, w, False)]
+
+
+class TestShiftCount:
+    """The count below the shift, read from the window's own factorization, closes one end."""
+
+    def test_shift_count_is_the_sturm_count(self, workload_windows):
+        # at the shift of every window of the states and controls, on both grids
+        for grid, rows in workload_windows.items():
+            channels = [(d, e) for d, e, *_ in rows]
+            shifts = np.array([[window.shift] for *_, window in rows])
+            counts = [[window.below] for *_, window in rows]
+            assert counts == oracles.sturm_counts(channels, shifts).tolist(), grid
+
+    def test_closed_windows_certify_as_both_counts_do(self, workload_windows):
+        # every window, the 264 of the 132 states and the 128 of the controls, gives theta
+        # exactly when the two counts at theta -/+ w do; the shift closes an end of most state
+        # windows, and each of those certifies
+        for grid, rows in workload_windows.items():
+            closed = 0
+            for i, (d, e, k, window) in enumerate(rows):
+                certified = oracle._certified_window(d, e, k, window)
+                assert certified == two_counts(d, e, k, window), (grid, i)
+                if i < 132 and closed_by_shift(k, window):
+                    closed += 1
+                    assert certified, (grid, i)
+            assert closed > 0, grid
+
+    def test_zero_pivot_at_the_shift_counts_both_ends(self, monkeypatch):
+        # T - d[0] has a zero first pivot: the shift gives no count, so both ends are counted
+        spec = reference_channel()
+        d, e = build_operator(spec)
+        k = int(oracles.sturm_counts([(d, e)], [[np.nextafter(d[0], math.inf)]])[0, 0])
+        theta, following = oracles.lowest_eigenvalues(spec, k + 2, k)
+        w = min(theta - d[0], following - theta) / 2
+        window = shifted_window(d, e, theta, w, d[0])
+        assert window.below is None
+        count, ends = oracle._count_below, []
+        monkeypatch.setattr(oracle, "_count_below", lambda d, e, x: ends.append(x) or count(d, e, x))
+        assert oracle._certified_window(d, e, k, window)
+        assert ends == [theta - w, theta + w]
+
+
+def record_solves(monkeypatch):
+    """Log a copy of the right-hand side of every dgttrs call."""
+    real, solves = oracle._flapack(), []
+
+    def dgttrs(*args, **kwargs):
+        solves.append(args[5].copy())
+        return real.dgttrs(*args, **kwargs)
+
+    lapack = types.SimpleNamespace(dstebz=real.dstebz, dgttrf=real.dgttrf, dgttrs=dgttrs)
+    monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
+    return solves
+
+
+class TestRefinedStart:
+    """The refined grid starts inverse iteration from the coarse grid's certified iterate."""
+
+    def test_iterate_takes_one_solve(self, cells, monkeypatch):
+        # two solves from all ones on the coarse grid, one from the interpolated iterate on the
+        # refined grid, for each of the 132 states
+        states = [state for cell in cells for state in cell]
+        solves = record_solves(monkeypatch)
+        for state in states:
+            solves.clear()
+            verify_solution(state)
+            assert [b.size for b in solves] == [4000, 4000, 8000], (state.n, state.l, state.omega)
+            assert np.array_equal(solves[0], np.ones(4000))
+        # the last state's refined start is its coarse iterate, linear between the coarse nodes
+        monkeypatch.undo()
+        report = verify_solution(state)
+        _, x = eigenvalues(report_channel(state, report, 4000), state.node_count, near=state.zeta_sq)
+        rho = np.linspace(0.0, report.rho_max, 4002)
+        rho_refined = np.linspace(0.0, report.rho_max, 8002)[1:-1]
+        expected = np.interp(rho_refined, rho, np.concatenate(([0.0], x, [0.0])))
+        assert np.allclose(solves[2], expected, rtol=0.0, atol=1e-12 * abs(x).max())
+
+    def test_no_iterate_takes_two_solves_from_ones(self, cells, monkeypatch):
+        # the coarse windows of the 64 controls at 1.05 omega fall back and give no iterate
+        controls = [state for cell in cells for state in cell if state.n <= 8]
+        assert len(controls) == 64
+        solves = record_solves(monkeypatch)
+        for state in controls:
+            solves.clear()
+            verify_solution(state, perturb_omega=1.05)
+            assert [b.size for b in solves] == [4000, 4000, 8000, 8000], (state.n, state.l, state.omega)
+            assert np.array_equal(solves[0], np.ones(4000)) and np.array_equal(solves[2], np.ones(8000))
 
 
 class TestOverflow:
@@ -708,7 +844,7 @@ class TestDstebz:
             (expected,) = eigh_tridiagonal(
                 *build_operator(spec), eigvals_only=True, select="i", select_range=(k, k), tol=1e-14
             )
-            assert eigenvalues(spec, k) == expected
+            assert eigenvalues(spec, k) == (expected, None)
 
     def test_missing_extension_names_the_directory(self, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)

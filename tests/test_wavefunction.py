@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import oracles
+from heunqes import wavefunction
 from heunqes.errors import OverflowGuard, QuadratureFailure
 from heunqes.model import PhysicalParams
 from heunqes.quantize import ReducedProblem, solve, solve_cubic, solve_frequency
@@ -212,6 +213,37 @@ class TestSuggestedRhoMax:
         rho = np.linspace(0.0, suggested_rho_max(sol), 2000)[1:]
         values = np.abs(evaluate_R(sol, rho))
         assert 0.0 < values.max() and values[-1] < 1e-12 * values.max()
+
+
+class TestSimpsonSamples:
+    """normalize evaluates each Simpson sample once and keeps the level-by-level N bit for bit."""
+
+    @staticmethod
+    def high_node_states():
+        # nodes 16..22 of the n = 26 cell below, which normalize after up to 2^17 intervals
+        params = PhysicalParams(mass=0.535365, quad=42.8981, lam=1.0, eta=0.285521, kz=0.0, l=-5)
+        states = [s for s in solve_frequency(ReducedProblem.from_params(params, 26)) if s.alpha > 1.0]
+        return states[16:23]
+
+    def test_norm_is_the_straightforward_one(self):
+        states = self.high_node_states()
+        for n in range(1, 13):
+            for l in (1, -1, 2):
+                states += solve(ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, l), n))
+        assert len(states) == 7 + 132
+        for sol in states:
+            norm, _ = oracles.straightforward_norm(sol, suggested_rho_max(sol))
+            assert normalize(sol).norm_constant == norm, (sol.n, sol.l, sol.omega)
+
+    def test_each_sample_is_evaluated_once(self, monkeypatch):
+        sol = self.high_node_states()[-1]
+        rho_max = suggested_rho_max(sol)
+        _, intervals = oracles.straightforward_norm(sol, rho_max)
+        assert intervals >= 2**14
+        evaluate, seen = wavefunction.evaluate_R, []
+        monkeypatch.setattr(wavefunction, "evaluate_R", lambda s, rho: seen.append(np.array(rho)) or evaluate(s, rho))
+        normalize(sol)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.linspace(0.0, rho_max, intervals + 1))
 
 
 class TestHighNodeCell:
