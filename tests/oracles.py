@@ -10,20 +10,27 @@ companion, list recurrence, per-probe alpha_delta) are the reference its
 optimized forms must match bit for bit, as must normalize's Simpson
 quadrature, which reuses each level's samples, against its
 level-by-level form (straightforward_norm). synthetic_solution hand-assembles a
-state record without quantize, for the profile formulas. The FROZEN_* constants were produced by
+state record without quantize, for the profile formulas. record_verify
+records what one verify_solution run passes through the oracle's two
+boundaries, oracle.eigenvalues and the LAPACK namespace oracle._flapack(), so
+the oracle's tests check those calls' contract and cost, not its private
+functions. The FROZEN_* constants were produced by
 these same routines in a standalone session before the package was written
 and are pinned verbatim as regression anchors; DISPLAY_* values are the
 coarser hand-rounded figures quoted in documentation.
 """
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
+from heunqes import oracle
 from heunqes.errors import OverflowGuard
 from heunqes.model import PhysicalParams
-from heunqes.oracle import build_operator
-from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL, ReducedProblem, SpectralSolution
+from heunqes.oracle import RadialOperatorSpec, VerificationReport, build_operator
+from heunqes.quantize import EIG_IMAG_RTOL, EIG_ZERO_RTOL, ROOT_RTOL, ReducedProblem, SpectralSolution, solve
 from heunqes.wavefunction import _SIMPSON_MAX, _SIMPSON_START, NORM_RTOL, count_positive_roots, evaluate_R
 
 # Reference system m = M = lambda = l = eta = 1, k = 0, n = 1.
@@ -403,3 +410,76 @@ def straightforward_norm(solution, rho_max):
             return norm, intervals
         previous, intervals = norm, 2 * intervals
     return None
+
+
+def benchmark_states():
+    """The 132 states of n <= 12, l in {1, -1, 2} at m = M = lambda = eta = 1, the verify workload's."""
+    states = []
+    for n in range(1, 13):
+        for l in (1, -1, 2):
+            states += solve(ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, l), n))
+    return states
+
+
+@dataclass(frozen=True)
+class OracleCall:
+    """One oracle.eigenvalues(spec, k, near=near, start=start) call: what it returned and what LAPACK it ran.
+
+    start is a copy of the start iterate as given, which the call overwrites.
+    lapack names the routines of oracle._flapack() it ran, in order. factored
+    holds, for each dgttrf call, which factors T - x, the first entry d[0] - x
+    of the diagonal it was given: d[0] - factored is x, up to a rounding of
+    d[0], about eps ||T||_inf.
+    """
+
+    spec: RadialOperatorSpec
+    k: int
+    near: float | None
+    start: np.ndarray | None
+    value: float
+    x: np.ndarray | None
+    lapack: tuple[str, ...]
+    factored: tuple[float, ...]
+
+
+class _LoggedLapack:
+    """The routines of a LAPACK namespace, each logging its name (and dgttrf its first diagonal entry) when run."""
+
+    def __init__(self, lapack):
+        self._lapack, self.names, self.factored = lapack, [], []
+
+    def __getattr__(self, name):
+        routine = getattr(self._lapack, name)
+
+        def logged(*args, **kwargs):
+            self.names.append(name)
+            if name == "dgttrf":
+                self.factored.append(float(args[1][0]))  # before dgttrf overwrites it
+            return routine(*args, **kwargs)
+
+        return logged
+
+
+def record_verify(state, perturb_omega=1.0) -> tuple[VerificationReport, list[OracleCall]]:
+    """verify_solution(state, perturb_omega=...) and the oracle calls it made, in order."""
+    eigenvalues, flapack = oracle.eigenvalues, oracle._flapack
+    lapack, calls = _LoggedLapack(flapack()), []
+
+    def recorded(spec, k, *, near=None, start=None):
+        lapack.names, lapack.factored = [], []
+        given = None if start is None else start.copy()
+        value, x = eigenvalues(spec, k, near=near, start=start)
+        calls.append(OracleCall(spec, k, near, given, value, x, tuple(lapack.names), tuple(lapack.factored)))
+        return value, x
+
+    oracle.eigenvalues, oracle._flapack = recorded, lambda: lapack
+    try:
+        report = oracle.verify_solution(state, perturb_omega=perturb_omega)
+    finally:
+        oracle.eigenvalues, oracle._flapack = eigenvalues, flapack
+    return report, calls
+
+
+def lapack_totals(calls):
+    """{(grid points, routine): number of runs} over a sequence of OracleCall."""
+    return Counter((call.spec.n_grid, name) for call in calls for name in call.lapack)

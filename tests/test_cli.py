@@ -175,7 +175,6 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith("error: frequency companion overflows") and err.count("\n") == 1
 
-
     @pytest.mark.parametrize(
         "args,message",
         [
@@ -447,17 +446,26 @@ class TestWavefunction:
         samples = [float(value) for line in data[1:] for value in line.split(",")]
         assert len(samples) == 2 * 512 and all(math.isfinite(v) for v in samples)
 
-    def test_samples_are_written_as_they_are_rendered(self, tmp_path):
-        # written as rendered this peaks at 1.5 MB; rendering every line and joining the text
-        # before the first write took 7.4 MB, and joining the lines alone 2.9 MB
-        target = tmp_path / "profile.csv"
+    def test_samples_are_written_as_they_are_rendered(self, tmp_path, monkeypatch):
+        # traced memory grows 0.72 MB past what it holds once the sample arrays are made when they
+        # are written as rendered, and 1.75 MB when _render lists every line before the first write
+        target, grown = tmp_path / "profile.csv", []
+        sample = heunqes.wavefunction.RadialWavefunction.sample
+
+        def sampled(self, *args):
+            arrays = sample(self, *args)
+            grown.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return arrays
+
+        monkeypatch.setattr(heunqes.wavefunction.RadialWavefunction, "sample", sampled)
         tracemalloc.start()
         try:
             code = main(["wavefunction", "--samples", "20000", "--output", str(target)])
-            peak = tracemalloc.get_traced_memory()[1]
+            growth = tracemalloc.get_traced_memory()[1] - grown[0]
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak < 2.5e6
+        assert code == 0 and growth < 1.2e6
         data = split_output(target.read_text())[1]
         rhos = [float(line.split(",")[0]) for line in data[1:]]
         assert data[0] == "rho,R" and len(rhos) == 20000

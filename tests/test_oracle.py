@@ -12,13 +12,7 @@ import oracles
 from heunqes import oracle
 from heunqes.errors import ConvergenceFailure, OverflowGuard
 from heunqes.model import DEFAULT_GRID_N, PhysicalParams
-from heunqes.oracle import (
-    PASS_TOL,
-    RadialOperatorSpec,
-    build_operator,
-    eigenvalues,
-    verify_solution,
-)
+from heunqes.oracle import RadialOperatorSpec, build_operator, eigenvalues, verify_solution
 from heunqes.quantize import ReducedProblem, SpectralSolution, solve, solve_cubic, solve_frequency
 from heunqes.wavefunction import suggested_rho_max
 
@@ -269,244 +263,262 @@ def states_to_degree_twelve():
     return states
 
 
+def seeded_sweep():
+    """(state, perturb_omega) over 30 random cells: each state, and the cell's lowest root at 1.05 omega."""
+    rng = np.random.default_rng(2606)
+    checks = []
+    for _ in range(30):
+        m, quad, abs_eta = 10.0 ** rng.uniform(-1, 1, size=3)
+        eta = float(rng.choice([-1.0, 1.0])) * abs_eta
+        l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        n = int(rng.integers(1, 13))
+        states = solve(ReducedProblem.from_params(PhysicalParams(m, quad, 1.0, eta, 0.0, l), n))
+        checks += [(state, 1.0) for state in states] + [(states[0], 1.05)]
+    return checks
+
+
 @pytest.fixture(scope="module")
-def high_index_reports():
-    return [verify_recording(state) for state in states_to_degree_twelve()]
+def recording():
+    """{pass: [(state, perturb_omega, report, oracle calls)]}: one oracles.record_verify per check of each pass."""
+    states = oracles.benchmark_states()
+    checks = {
+        "states": [(s, 1.0) for s in states],
+        "controls": [(s, 1.05) for s in states if s.n <= 8],
+        "high-index": [(s, 1.0) for s in states_to_degree_twelve()],
+        "sweep": seeded_sweep(),
+    }
+    return {name: [(s, p, *oracles.record_verify(s, p)) for s, p in rows] for name, rows in checks.items()}
+
+
+PASSES = ["states", "controls", "high-index", "sweep"]
+GRIDS = [DEFAULT_GRID_N, 2 * DEFAULT_GRID_N]
+
+
+def recorded_calls(recording, name, grid=None):
+    """The oracle calls of one pass, those on a grid of that many points only if grid is given."""
+    calls = [call for *_, calls in recording[name] for call in calls]
+    return [call for call in calls if grid in (None, call.spec.n_grid)]
+
+
+@pytest.fixture(scope="module")
+def factored(recording):
+    """[(call, (d, e), points, counts)] of the 132 states and their controls on both grids.
+
+    points are where the call factored T - x, the shift first, then the
+    window ends it counted at; counts their long-double Sturm counts
+    (oracles.sturm_counts), one call per pass and grid.
+    """
+    rows = []
+    for name in ("states", "controls"):
+        for grid in GRIDS:
+            calls = recorded_calls(recording, name, grid)
+            channels = [build_operator(call.spec) for call in calls]
+            width = max(len(call.factored) for call in calls)
+            # the rows of points are padded with their first
+            points = np.array([
+                [d[0] - head for head in (call.factored * width)[:width]] for call, (d, _) in zip(calls, channels)
+            ])
+            counts = oracles.sturm_counts(channels, points).tolist()
+            for call, channel, row, count in zip(calls, channels, points, counts):
+                size = len(call.factored)
+                rows.append((call, channel, row[:size].tolist(), count[:size]))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def measured(recording):
+    """{(pass, grid): errors in eps ||T||_inf of a seeded 4 of the pass's certified values}.
+
+    The long-double multisection (oracles.long_double_eigenvalues), started
+    from value -/+ eps_norm, measures them, in one run per grid.
+    """
+    errors = {}
+    for grid in GRIDS:
+        rng, sample = np.random.default_rng(grid), []
+        for name in PASSES:
+            calls = [call for call in recorded_calls(recording, name, grid) if call.x is not None]
+            if calls:
+                picked = rng.choice(len(calls), size=min(4, len(calls)), replace=False)
+                sample += [(name, calls[i]) for i in picked]
+        channels = [build_operator(call.spec) for _, call in sample]
+        values = np.array([call.value for _, call in sample], dtype=np.longdouble)
+        scale = np.array([oracles.eps_norm(*channel) for channel in channels], dtype=np.longdouble)
+        ks = [call.k for _, call in sample]
+        reference = oracles.long_double_eigenvalues(channels, ks, values - scale, values + scale)
+        for (name, _), error in zip(sample, abs(values - reference) / scale):
+            errors.setdefault((name, grid), []).append(error)
+    return errors
+
+
+def assert_values_are_index_k(recording, measured, name):
+    """Each oracle value of a pass is eigenvalue k of its channel.
+
+    A value without an iterate comes from the index fallback and must equal
+    index k bisected with no window (oracles.lowest_eigenvalues) to rel
+    1e-14. A certified one must put long-double Sturm counts (oracles.sturm_counts)
+    of k and k + 1 at value -/+ oracles.CERTIFIED_TOL eps_norm, so eigenvalue
+    k lies that close, as the measured sample must too.
+    """
+    for grid in GRIDS:
+        calls = recorded_calls(recording, name, grid)
+        for call in calls:
+            if call.x is None:
+                reference = oracles.lowest_eigenvalues(call.spec, call.k + 1, call.k)[0]
+                assert call.value == pytest.approx(reference, rel=1e-14), call.spec
+        certified = [call for call in calls if call.x is not None]
+        if certified:
+            channels = [build_operator(call.spec) for call in certified]
+            ks = np.array([call.k for call in certified])
+            values = np.array([call.value for call in certified], dtype=np.longdouble)
+            tol = oracles.CERTIFIED_TOL * np.array([oracles.eps_norm(*c) for c in channels], dtype=np.longdouble)
+            counts = oracles.sturm_counts(channels, np.stack([values - tol, values + tol], axis=1))
+            assert np.flatnonzero((counts != np.stack([ks, ks + 1], axis=1)).any(axis=1)).tolist() == [], grid
+            assert max(measured[name, grid]) <= oracles.CERTIFIED_TOL, grid
+
+
+def assert_verdicts(recording, name, size):
+    """The pass holds size checks, and each passes exactly when it is not at 1.05 omega."""
+    assert len(recording[name]) == size
+    wrong = [(s.n, s.l, s.omega, p) for s, p, report, _ in recording[name] if report.passed != (p == 1.0)]
+    assert wrong == []
+
+
+# LAPACK runs per recorded pass, (grid points, routine) -> runs: what the oracle's speed rests on.
+# The 132 states: each window factors T - shift once; the shift's own count closes one end of 90
+# coarse and 84 refined windows, so those count once and the others twice; the coarse grid takes
+# two solves from all ones, the refined grid one from the interpolated coarse iterate. The 64
+# controls: no coarse window certifies (the first count fails and ends the check in 40), so each is
+# bisected and leaves no iterate; the refined grid takes two solves from all ones, and the shift
+# closes 38 of its windows.
+LAPACK_TOTALS = {
+    "states": {(4000, "dgttrf"): 306, (4000, "dgttrs"): 264, (8000, "dgttrf"): 312, (8000, "dgttrs"): 132},
+    "controls": {(4000, "dgttrf"): 152, (4000, "dgttrs"): 128, (4000, "dstebz"): 64,
+                 (8000, "dgttrf"): 154, (8000, "dgttrs"): 128},
+}
+
+
+class TestRecordedVerify:
+    """verify_solution's oracle calls over the recorded passes keep eigenvalues' contract and cost."""
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_verify_asks_for_index_k_on_both_grids(self, recording, name):
+        # coarse: the claim is the shift; refined: the coarse value is, started from an iterate
+        # exactly when the coarse call left one
+        for state, _, report, (coarse, refined) in recording[name]:
+            where, problem = (state.n, state.l, state.omega), state.problem
+            physics = (problem.mass, report.omega, problem.eta, problem.coupling, problem.abs_l, report.rho_max)
+            assert coarse.spec == RadialOperatorSpec(*physics, report.grid_n), where
+            assert refined.spec == RadialOperatorSpec(*physics, report.grid_n_refined), where
+            assert coarse.k == refined.k == report.node_index == state.node_count, where
+            assert (coarse.near, coarse.value) == (report.zeta_claim, report.zeta_oracle) and coarse.start is None
+            assert (refined.near, refined.value) == (report.zeta_oracle, report.zeta_oracle_refined), where
+            assert (refined.start is None) == (coarse.x is None), where
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_iterate_is_none_exactly_when_bisected(self, recording, name):
+        # otherwise it is a unit vector whose Rayleigh quotient is the value
+        for call in recorded_calls(recording, name):
+            assert (call.x is None) == ("dstebz" in call.lapack), call.spec
+            if call.x is not None:
+                d, e = build_operator(call.spec)
+                tx = d * call.x + np.append(e * call.x[1:], 0.0) + np.insert(e * call.x[:-1], 0, 0.0)
+                assert abs(call.x @ call.x - 1.0) <= 1e-14
+                assert abs(call.x @ tx - call.value) <= 1e-3 * oracles.eps_norm(d, e), call.spec
+
+    @pytest.mark.parametrize("name", sorted(LAPACK_TOTALS))
+    def test_lapack_totals(self, recording, name):
+        assert oracles.lapack_totals(recorded_calls(recording, name)) == LAPACK_TOTALS[name]
 
 
 class TestHighIndexStates:
-    def test_every_state_passes(self, high_index_reports):
-        assert len(high_index_reports) == 183
-        failed = [(s.n, s.l, s.node_count) for s, report, _ in high_index_reports if not report.passed]
-        assert failed == []
+    def test_every_state_passes(self, recording):
+        assert_verdicts(recording, "high-index", 183)
 
-    def test_window_matches_full_request(self, high_index_reports):
-        assert_oracle_values_are_index_k(high_index_reports, sample=4, seed=183)
+    def test_window_matches_full_request(self, recording, measured):
+        assert_values_are_index_k(recording, measured, "high-index")
 
 
-def report_channel(state, report, n_grid):
-    """The channel verify_solution diagonalized for state on an n_grid-point grid."""
-    return RadialOperatorSpec(
-        m=state.problem.mass,
-        omega=report.omega,
-        eta=state.problem.eta,
-        coulomb_strength=state.problem.coupling,
-        abs_l=state.problem.abs_l,
-        rho_max=report.rho_max,
-        n_grid=n_grid,
-    )
+def guard_window(case):
+    """(d, e, k, window) of a _certified_window guard case on the reference channel.
 
-
-def verify_recording(state, **kwargs):
-    """(state, verify_solution(state, **kwargs), {grid points: whether its window was certified})."""
-    with pytest.MonkeyPatch.context() as patch:
-        calls = spy_certified_window(patch)
-        report = verify_solution(state, **kwargs)
-    return state, report, {grid: certified for grid, _, _, certified in calls}
-
-
-def assert_oracle_values_are_index_k(recorded, sample=0, seed=0):
-    """Both oracle values of each verify_recording triple are eigenvalue k = node_count.
-
-    A value from the index fallback must equal index k bisected with no window
-    (oracles.lowest_eigenvalues) to rel 1e-14. A certified value must put
-    long-double Sturm counts of k and k + 1 at value -/+ CERTIFIED_TOL
-    eps ||T||_inf, so eigenvalue k lies that close (assert_within_certified_tol,
-    which also measures a seeded sample of `sample` values per grid).
+    Inverse iteration leaves a window centred on a finite Rayleigh quotient
+    and at least its residual norm wide, so it holds an eigenvalue; these
+    windows are built by hand. A window end or shift on a zero pivot is
+    chance: T - d[0] has a zero first pivot.
     """
-    certified = {}
-    for state, report, windows in recorded:
-        k = state.node_count
-        pairs = ((report.grid_n, report.zeta_oracle), (report.grid_n_refined, report.zeta_oracle_refined))
-        for grid, value in pairs:
-            spec = report_channel(state, report, grid)
-            if windows.get(grid, False):
-                certified.setdefault(grid, []).append((build_operator(spec), k, value))
-            else:
-                reference = oracles.lowest_eigenvalues(spec, k + 1, k)[0]
-                assert value == pytest.approx(reference, rel=1e-14), (state.n, state.l, state.omega, grid)
-    rng = np.random.default_rng(seed)
-    for rows in certified.values():
-        assert_within_certified_tol(rows, sample, rng)
-
-
-def assert_within_certified_tol(rows, sample, rng):
-    """Eigenvalue k of each (channel, k, value) row lies within oracles.CERTIFIED_TOL eps_norm of value.
-
-    The rows share one grid size. Long-double Sturm counts (oracles.sturm_counts)
-    at value -/+ that distance must read k and k + 1; a sample of rows drawn
-    by rng is also measured against the long-double multisection, started
-    from value -/+ eps_norm.
-    """
-    channels = [channel for channel, _, _ in rows]
-    ks = np.array([k for _, k, _ in rows])
-    values = np.array([value for *_, value in rows], dtype=np.longdouble)
-    scale = np.array([oracles.eps_norm(*channel) for channel in channels], dtype=np.longdouble)
-    tol = oracles.CERTIFIED_TOL * scale
-    counts = oracles.sturm_counts(channels, np.stack([values - tol, values + tol], axis=1))
-    assert np.flatnonzero((counts != np.stack([ks, ks + 1], axis=1)).any(axis=1)).tolist() == []
-    picked = rng.choice(len(rows), size=min(sample, len(rows)), replace=False)
-    if picked.size:
-        values, scale, tol = values[picked], scale[picked], tol[picked]
-        channels = [channels[i] for i in picked]
-        reference = oracles.long_double_eigenvalues(channels, ks[picked], values - scale, values + scale)
-        assert np.all(abs(values - reference) <= tol)
-
-
-def spy_certified_window(monkeypatch):
-    """Record (grid points, theta, w, certified) for every window eigenvalues tries."""
-    calls = []
-    certify = oracle._certified_window
-
-    def spy(d, e, k, window):
-        certified = certify(d, e, k, window)
-        calls.append((d.size, window.theta, window.w, certified))
-        return certified
-
-    monkeypatch.setattr(oracle, "_certified_window", spy)
-    return calls
-
-
-def shifted_window(d, e, theta, w, shift):
-    """A window theta -/+ w left by inverse iteration at shift, with the count below shift."""
-    *factors, info = oracle._flapack().dgttrf(e, d - shift, e)
-    assert info == 0
-    return oracle._Window(theta, w, shift, oracle._negative_pivots(*factors), None)
-
-
-def two_counts(d, e, k, window):
-    """The check without the shift's count: k eigenvalues below theta - w, k + 1 below theta + w."""
-    lo, hi = window.theta - window.w, window.theta + window.w
-    return oracle._count_below(d, e, lo) == k and oracle._count_below(d, e, hi) == k + 1
-
-
-def closed_by_shift(k, window):
-    """Whether the shift lies at least w past theta, with the count that closes that end."""
-    lo, hi = window.theta - window.w, window.theta + window.w
-    return (window.shift <= lo and window.below == k) or (window.shift >= hi and window.below == k + 1)
+    spec = reference_channel()
+    d, e = build_operator(spec)
+    z = oracles.lowest_eigenvalues(spec, 5)
+    gap = z[4] - z[3]
+    # eigenvalue j is the first above d[0]
+    j = int(oracles.sturm_counts([(d, e)], [[np.nextafter(d[0], math.inf)]])[0, 0])
+    above, following = oracles.lowest_eigenvalues(spec, j + 2, j)
+    k, theta, w, shift = {
+        "next-index": (3, z[4], gap / 4, z[4]),
+        "two-indices": (3, (z[3] + z[4]) / 2, 0.75 * gap, (z[3] + z[4]) / 2),
+        "empty": (3, z[3] + gap / 2, gap / 4, z[3] + gap / 2),
+        "degenerate": (3, z[3], 0.0, z[3]),
+        "reversed": (3, z[3], -gap, z[3]),
+        "unbounded": (3, z[3], math.inf, z[3]),
+        "nan": (3, math.nan, gap, z[3]),
+        "zero-pivot-end": (j, above, above - d[0], above),
+        "zero-pivot-shift": (j, above, min(above - d[0], following - above) / 2, d[0]),
+    }[case]
+    assert case != "zero-pivot-end" or theta - w == d[0]
+    return d, e, k, oracle._Window(theta, w, shift, oracle._count_below(d, e, shift), None)
 
 
 class TestWindow:
-    """_certified_window accepts a window only when it holds index k alone."""
-
-    K = 3
-
-    @pytest.fixture(scope="class")
-    def full(self):
-        return oracles.lowest_eigenvalues(reference_channel(), self.K + 4)
+    """A window certifies index k only where Sturm counts show it holds index k alone."""
 
     @pytest.mark.parametrize(
-        "window",
-        [
-            lambda z, k: (z[k + 1] * (1 - PASS_TOL), z[k + 1] * (1 + PASS_TOL)),  # holds k + 1 only
-            lambda z, k: ((z[k - 1] + z[k]) / 2, (z[k + 1] + z[k + 2]) / 2),  # holds k and k + 1
-            lambda z, k: (z[k] + 0.25 * (z[k + 1] - z[k]), z[k] + 0.75 * (z[k + 1] - z[k])),  # empty
-            lambda z, k: (z[k], z[k]),  # degenerate
-            lambda z, k: (z[k + 1], z[k - 1]),  # reversed
-            lambda z, k: (-math.inf, z[k]),  # holds 0..k
-            lambda z, k: (math.nan, z[k]),
-        ],
-        ids=["next-index", "two-indices", "empty", "degenerate", "reversed", "unbounded", "nan"],
+        "case",
+        ["next-index", "two-indices", "empty", "degenerate", "reversed", "unbounded", "nan", "zero-pivot-end"],
     )
-    def test_window_without_index_k_falls_back(self, full, window):
-        # the shift at theta, inside the window, so both of its ends are counted
-        d, e = build_operator(reference_channel())
-        lo, hi = window(full, self.K)
-        theta = (lo + hi) / 2
-        shift = theta if math.isfinite(theta) else full[self.K]
-        assert not oracle._certified_window(d, e, self.K, shifted_window(d, e, theta, (hi - lo) / 2, shift))
+    def test_window_without_index_k_falls_back(self, case):
+        # the shift inside the window, so both ends are counted; a window end on a zero pivot
+        # has no count
+        assert not oracle._certified_window(*guard_window(case))
 
-    def test_window_holding_the_indices_is_used(self, full):
-        # the Rayleigh window of a shift at eigenvalue k holds it alone, and its theta is the value
-        k = self.K
-        d, e = build_operator(reference_channel())
-        window = oracle._rayleigh_window(d, e, full[k])
-        assert oracle._certified_window(d, e, k, window)
-        assert_within_certified_tol([((d, e), k, window.theta)], 1, np.random.default_rng(k))
+    def test_window_holding_the_indices_is_used(self, recording, measured):
+        assert_values_are_index_k(recording, measured, "states")
 
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
-    def test_shift_past_an_end_closes_it(self, full, side, monkeypatch):
-        # a shift w or more below theta that counts k, or above it that counts k + 1, replaces
-        # the count at that end; the other end is still counted, and a wrong count there fails
-        k = self.K
-        d, e = build_operator(reference_channel())
-        theta, w = full[k], 0.25 * min(full[k] - full[k - 1], full[k + 1] - full[k])
-        window = shifted_window(d, e, theta, w, theta + 2.0 * side * w)
-        assert closed_by_shift(k, window)
-        count, ends = oracle._count_below, []
-        monkeypatch.setattr(oracle, "_count_below", lambda d, e, x: ends.append(x) or count(d, e, x))
-        assert oracle._certified_window(d, e, k, window)
-        assert ends == [theta - side * w]
-        assert not oracle._certified_window(d, e, k + side, window)
-
-    def test_negative_control_reports_index_k(self):
-        # at 1.05 omega no eigenvalue lies within PASS_TOL of the claim
-        params = PhysicalParams(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=1)
-        state = [s for s in solve_frequency(ReducedProblem.from_params(params, 8)) if s.node_count == 3][0]
-        recorded = verify_recording(state, perturb_omega=1.05)
-        assert not recorded[1].passed
-        assert_oracle_values_are_index_k([recorded], sample=1, seed=8)
-
-    def test_failed_first_count_is_the_only_count(self, monkeypatch):
-        # the coarse window of this 1.05 omega control has 0 eigenvalues below it, not 3
-        params = PhysicalParams(mass=1.0, quad=1.0, lam=1.0, eta=1.0, kz=0.0, l=1)
-        state = [s for s in solve_frequency(ReducedProblem.from_params(params, 8)) if s.node_count == 3][0]
-        count, real, calls = oracle._count_below, oracle._flapack(), []
-
-        def spy(d, e, x):
-            calls.append(("count", count(d, e, x)))
-            return calls[-1][1]
-
-        def dstebz(*args):
-            calls.append(("index",))
-            return real.dstebz(*args)
-
-        def dgttrs(*args, **kwargs):
-            calls.append(("solve", args[5].size))
-            return real.dgttrs(*args, **kwargs)
-
-        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=real.dgttrf, dgttrs=dgttrs)
-        monkeypatch.setattr(oracle, "_count_below", spy)
-        monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
-        verify_solution(state, perturb_omega=1.05)
-        # coarse: two solves, one count, then the index route, which leaves no iterate; refined:
-        # two solves from all ones, and the shift, within w of theta, closes no end, so both
-        # counts certify the window
-        assert calls == [
-            ("solve", 4000), ("solve", 4000), ("count", 0), ("index",),
-            ("solve", 8000), ("solve", 8000), ("count", 3), ("count", 4),
+    def test_shift_past_an_end_closes_it(self, factored, side):
+        # a certified call that counted one window end has its shift past the other end, below
+        # the value with count k or above it with count k + 1; of the states and controls, 84
+        # refined and 38 control refined windows are closed below, 90 coarse windows above
+        closed = [
+            (call, points, counts) for call, _, points, counts in factored
+            if call.x is not None and len(points) == 2 and np.sign(points[0] - call.value) == side
         ]
+        assert len(closed) == {-1: 84 + 38, 1: 90}[side]
+        for call, points, counts in closed:
+            assert counts[0] == (call.k if side < 0 else call.k + 1), call.spec
+            assert np.sign(points[1] - call.value) == -side, call.spec
 
-    def test_seeded_parity_sweep(self):
+    def test_negative_control_reports_index_k(self, recording, measured):
+        # at 1.05 omega no eigenvalue lies within PASS_TOL of the claim
+        assert_verdicts(recording, "controls", 64)
+        assert_values_are_index_k(recording, measured, "controls")
+
+    def test_failed_first_count_is_the_only_count(self, factored):
+        # a bisected call counts until a count fails: where it counted both ends, the lower one
+        # read k; the 40 coarse controls that count once fail at their first count
+        bisected = [(call, counts) for call, _, _, counts in factored if call.x is None]
+        assert len(bisected) == 64 and all(call.lapack[-1] == "dstebz" for call, _ in bisected)
+        twice = [(call.k, counts[1]) for call, counts in bisected if len(counts) == 3]
+        assert len(twice) == 64 - 40 and all(k == count for k, count in twice)
+
+    def test_seeded_parity_sweep(self, recording, measured):
         """Random cells: both oracle values are index k, also for zeta^2 < 0 and alpha < 0.
 
         The lowest root of each cell is also checked as a 1.05 omega negative control.
         """
-        rng = np.random.default_rng(2606)
-        reports = []
-        for _ in range(30):
-            m, quad, abs_eta = 10.0 ** rng.uniform(-1, 1, size=3)
-            eta = float(rng.choice([-1.0, 1.0])) * abs_eta
-            l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-            n = int(rng.integers(1, 13))
-            problem = ReducedProblem.from_params(PhysicalParams(m, quad, 1.0, eta, 0.0, l), n)
-            states = solve(problem)
-            reports += [verify_recording(state) for state in states]
-            reports.append(verify_recording(states[0], perturb_omega=1.05))
-        assert any(s.zeta_sq < 0.0 for s, _, _ in reports)
-        assert any(s.alpha < 0.0 for s, _, _ in reports)
-        assert_oracle_values_are_index_k(reports, sample=4, seed=2606)
-
-
-@pytest.fixture(scope="module")
-def cells():
-    """The 36 cells of n <= 12, l in {1, -1, 2} at m = M = lambda = eta = 1: 132 states."""
-    cells = []
-    for n in range(1, 13):
-        for l in (1, -1, 2):
-            problem = ReducedProblem.from_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 0.0, l), n)
-            cells.append(solve(problem))
-    return cells
+        assert_verdicts(recording, "sweep", 145)
+        sweep = [s for s, *_ in recording["sweep"]]
+        assert any(s.zeta_sq < 0.0 for s in sweep) and any(s.alpha < 0.0 for s in sweep)
+        assert_values_are_index_k(recording, measured, "sweep")
 
 
 class TestRayleighWindow:
@@ -518,59 +530,38 @@ class TestRayleighWindow:
     def full(self):
         return oracles.lowest_eigenvalues(reference_channel(), self.K + 2)
 
-    def test_every_window_is_certified(self, cells, monkeypatch):
-        # one certified window per grid, whose theta is the reported value; the half-width
-        # r^2/_EIG_ABS_TOL runs from 7e-8 to 1.2 on these states, at most 1.8 times the
-        # width 2 PASS_TOL |zeta^2| of the values that pass
-        calls = spy_certified_window(monkeypatch)
-        states = [state for cell in cells for state in cell]
-        assert len(states) == 132
-        for state in states:
-            calls.clear()
-            report = verify_solution(state)
-            assert report.passed
-            pass_width = 2.0 * PASS_TOL * abs(state.zeta_sq)
-            assert [(grid, theta, certified) for grid, theta, _, certified in calls] == [
-                (report.grid_n, report.zeta_oracle, True),
-                (report.grid_n_refined, report.zeta_oracle_refined, True),
-            ], (state.n, state.l, state.omega)
-            assert all(oracle._RESIDUAL_FLOOR <= w < 3.0 * pass_width for _, _, w, _ in calls)
+    def test_every_window_is_certified(self, recording):
+        # both oracle calls of each of the 132 states leave an iterate, so no index bisection ran
+        assert_verdicts(recording, "states", 132)
+        assert all(call.x is not None for call in recorded_calls(recording, "states"))
 
-    def test_negative_control_windows_certify_index_k(self, cells):
+    def test_negative_control_windows_certify_index_k(self, recording):
         # at 1.05 omega two inverse-iteration steps at the claim leave a residual whose window
         # spans several eigenvalues, so the coarse value is the index bisection; the refined
         # grid is shifted to that value, and its window holds index k alone
-        recorded = [verify_recording(cell[0], perturb_omega=1.05) for cell in cells]
-        for state, report, windows in recorded:
-            assert not report.passed
-            assert windows == {report.grid_n: False, report.grid_n_refined: True}, (state.n, state.l)
-        assert_oracle_values_are_index_k(recorded, sample=4, seed=105)
+        calls = [(coarse.x is None, refined.x is None) for *_, (coarse, refined) in recording["controls"]]
+        assert calls == [(True, False)] * 64
 
-    def test_index_bisection_misses_the_certified_tol(self, cells):
+    def test_index_bisection_misses_the_certified_tol(self, recording):
         # CERTIFIED_TOL is finer than the fallback's rounding: the index bisection of the
         # coarse channels of the first 8 states strays past it
-        states = [state for cell in cells for state in cell][:8]
-        specs = [report_channel(s, verify_solution(s), DEFAULT_GRID_N) for s in states]
-        channels = [build_operator(spec) for spec in specs]
-        ks = [s.node_count for s in states]
-        bisected = np.array([oracles.lowest_eigenvalues(spec, k + 1, k)[0] for spec, k in zip(specs, ks)])
+        calls = recorded_calls(recording, "states", DEFAULT_GRID_N)[:8]
+        channels = [build_operator(call.spec) for call in calls]
+        ks = [call.k for call in calls]
+        bisected = np.array([oracles.lowest_eigenvalues(call.spec, call.k + 1, call.k)[0] for call in calls])
         scale = np.array([oracles.eps_norm(*channel) for channel in channels])
         reference = oracles.long_double_eigenvalues(channels, ks, bisected - scale, bisected + scale)
         assert max(abs(bisected - reference) / scale) > oracles.CERTIFIED_TOL
 
-    def test_shift_at_next_index_falls_back(self, full, monkeypatch):
-        # inverse iteration finds eigenvalue k + 1; the count below the window rejects it
-        calls = spy_certified_window(monkeypatch)
+    def test_shift_at_next_index_falls_back(self, full):
+        # inverse iteration finds eigenvalue k + 1, which the window's counts refuse
         value, x = eigenvalues(reference_channel(), self.K, near=full[self.K + 1])
-        assert [certified for *_, certified in calls] == [False]
         assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
 
-    def test_shift_between_indices_falls_back(self, full, monkeypatch):
+    def test_shift_between_indices_falls_back(self, full):
         # midway between eigenvalues k and k + 1 inverse iteration mixes both, and the
         # residual's window holds more than index k
-        calls = spy_certified_window(monkeypatch)
         value, x = eigenvalues(reference_channel(), self.K, near=(full[self.K] + full[self.K + 1]) / 2)
-        assert [certified for *_, certified in calls] == [False]
         assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
 
     def test_singular_factorization_falls_back(self, full, monkeypatch):
@@ -579,65 +570,89 @@ class TestRayleighWindow:
             dstebz=lapack.dstebz, dgttrs=lapack.dgttrs, dgttrf=lambda dl, d, du, **_: (dl, d, du, du, None, 1)
         )
         monkeypatch.setattr(oracle, "_flapack", lambda: singular)
-        calls = spy_certified_window(monkeypatch)
         value, x = eigenvalues(reference_channel(), self.K, near=full[self.K])
-        assert calls == []
         assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
 
 
-@pytest.fixture(scope="module")
-def workload_windows(cells):
-    """{grid points: [(d, e, k, window)]} of every window verify_solution tries.
+class TestShiftCount:
+    """The count below the shift, read from the window's own factorization, closes one end."""
 
-    The windows are those of the 132 states, then those of the 64 of n <= 8 at
-    1.05 omega, the verify workload's negative controls.
-    """
-    windows, certify = {}, oracle._certified_window
+    def test_shift_count_is_the_sturm_count(self, factored):
+        # _count_below at the shift of every call of the states and controls, on both grids
+        shifts = [oracle._count_below(d, e, points[0]) for _, (d, e), points, _ in factored]
+        assert shifts == [counts[0] for *_, counts in factored]
 
-    def spy(d, e, k, window):
-        windows.setdefault(d.size, []).append((d, e, k, window))
-        return certify(d, e, k, window)
+    def test_closed_windows_certify_as_both_counts_do(self, factored):
+        # a certified call that counted both window ends read k at the lower, first, and k + 1 at
+        # the upper; the shift closed one end of the other 212 (test_shift_past_an_end_closes_it)
+        both = [
+            (call, points, counts) for call, _, points, counts in factored if call.x is not None and len(points) == 3
+        ]
+        assert len(both) == 264 + 64 - 212
+        for call, points, counts in both:
+            assert counts[1:] == [call.k, call.k + 1] and points[1] < call.value < points[2], call.spec
 
-    states = [state for cell in cells for state in cell]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_certified_window", spy)
-        for state in states:
-            verify_solution(state)
-        for state in states:
-            if state.n <= 8:
-                verify_solution(state, perturb_omega=1.05)
-    return windows
+    def test_zero_pivot_at_the_shift_counts_both_ends(self):
+        # T - d[0] has a zero first pivot: the shift gives no count, so both ends are counted
+        d, e, k, window = guard_window("zero-pivot-shift")
+        assert window.below is None and oracle._certified_window(d, e, k, window)
+
+
+class TestRefinedStart:
+    """The refined grid starts inverse iteration from the coarse grid's certified iterate."""
+
+    def test_iterate_takes_one_solve(self, recording):
+        # two solves on the coarse grid, one on the refined grid from the coarse iterate, linear
+        # between the coarse nodes, for each check that left one
+        started = 0
+        for name in PASSES:
+            for state, _, report, (coarse, refined) in recording[name]:
+                assert coarse.lapack.count("dgttrs") == 2, (state.n, state.l, state.omega)
+                if coarse.x is None:
+                    continue
+                started += 1
+                assert refined.lapack.count("dgttrs") == 1, (state.n, state.l, state.omega)
+                rho = np.linspace(0.0, report.rho_max, report.grid_n + 2)
+                rho_refined = np.linspace(0.0, report.rho_max, report.grid_n_refined + 2)[1:-1]
+                expected = np.interp(rho_refined, rho, np.concatenate(([0.0], coarse.x, [0.0])))
+                atol = 1e-12 * abs(coarse.x).max()
+                assert np.allclose(refined.start, expected, rtol=0.0, atol=atol), (state.n, state.l, state.omega)
+        # every check but the 1.05 omega controls: the 132 states, 183 high-index, 115 of the sweep
+        assert started == 132 + 183 + 115
+
+    def test_no_iterate_takes_two_solves_from_ones(self, recording):
+        # the coarse values of the 64 controls at 1.05 omega are bisected and leave no iterate
+        solves = [refined.lapack.count("dgttrs") for *_, (_, refined) in recording["controls"]]
+        assert solves == [2] * 64
 
 
 class TestCountBelow:
     """_count_below reads the long-double Sturm count (oracles.sturm_counts) from dgttrf's factors."""
 
-    def test_every_window_end(self, workload_windows):
-        # both ends of the 196 windows of each grid, also those a failed first count never reaches
-        kept = swapped = 0
-        for grid, rows in workload_windows.items():
-            assert len(rows) == 132 + 64
-            channels = [(d, e) for d, e, *_ in rows]
-            ends = np.array([[window.theta - window.w, window.theta + window.w] for *_, window in rows])
-            counts = [[oracle._count_below(d, e, x) for x in pair] for (d, e), pair in zip(channels, ends)]
-            assert counts == oracles.sturm_counts(channels, ends).tolist(), grid
-            for (d, e), pair in zip(channels, ends):
-                for x in pair:
-                    ipiv = oracle._flapack().dgttrf(e, d - x, e)[4]
-                    swaps = np.count_nonzero(ipiv[:-1] != np.arange(1, grid))
-                    kept, swapped = kept + grid - 1 - swaps, swapped + swaps
-        # both kinds of pivot step, keep and swap, feed the counts
-        assert kept > 0 and swapped > 0
+    def test_every_window_end(self, factored):
+        # every window end at which a call of the 132 states and 64 controls counted
+        ends = [
+            (oracle._count_below(d, e, x), count)
+            for _, (d, e), points, counts in factored for x, count in zip(points[1:], counts[1:])
+        ]
+        assert [mine for mine, _ in ends] == [reference for _, reference in ends]
+        for grid in GRIDS:
+            rows = [(d, e, points) for call, (d, e), points, _ in factored if call.spec.n_grid == grid][:20]
+            swaps = [np.count_nonzero(oracle._flapack().dgttrf(e, d - x, e)[4][:-1] != np.arange(1, grid))
+                     for d, e, points in rows for x in points]
+            # both kinds of pivot step, keep and swap, feed the counts
+            assert 0 < sum(swaps) < len(swaps) * (grid - 1), grid
 
-    def test_seeded_shifts(self, workload_windows):
+    def test_seeded_shifts(self, recording):
         # on every channel of the 132 states, a seeded shift inside the Gershgorin bounds, one
         # below them (count 0) and one above (count N); on a seeded 20 of each grid, the midpoint
         # of eigenvalues j and j + 1 (count j + 1) for a seeded j <= k + 2
         from scipy.linalg import eigh_tridiagonal
 
         rng = np.random.default_rng(33)
-        for grid, rows in workload_windows.items():
-            channels = [(d, e) for d, e, *_ in rows[:132]]
+        for grid in (DEFAULT_GRID_N, 2 * DEFAULT_GRID_N):
+            calls = recorded_calls(recording, "states", grid)
+            channels = [build_operator(call.spec) for call in calls]
             bounds = [(d.min() - 2.0 * abs(e).max(), d.max() + 2.0 * abs(e).max()) for d, e in channels]
             shifts = np.array([[rng.uniform(low, high), low - 1.0, high + 1.0] for low, high in bounds])
             counts = [[oracle._count_below(d, e, x) for x in row] for (d, e), row in zip(channels, shifts)]
@@ -646,7 +661,7 @@ class TestCountBelow:
             assert set(reference[:, 1]) == {0} and set(reference[:, 2]) == {grid}
             sample = rng.choice(len(channels), size=20, replace=False)
             picked = [channels[i] for i in sample]
-            js = [int(rng.integers(0, rows[i][2] + 3)) for i in sample]
+            js = [int(rng.integers(0, calls[i].k + 3)) for i in sample]
             midpoints = np.array([
                 [eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(j, j + 1), tol=1e-14).mean()]
                 for (d, e), j in zip(picked, js)
@@ -663,110 +678,12 @@ class TestCountBelow:
         for signs in (1.0, -1.0, rng.choice([-1.0, 1.0], e.size)):
             assert [oracle._count_below(d, signs * e, x) for x in shifts[0]] == reference
 
-    def test_zero_pivot_is_no_count(self, monkeypatch):
-        # at x = d[0] the first pivot is 0: no count, so a window that ends there is not
-        # certified, and the index bisection still gives eigenvalue k
-        spec = reference_channel()
-        d, e = build_operator(spec)
+    def test_zero_pivot_is_no_count(self):
+        # at x = d[0] the first pivot of T - x is 0: dgttrf swaps the first two rows and leaves a
+        # zero multiplier, or, where e[0] = 0 too, reports the singular factor (info = 1)
+        d, e = build_operator(reference_channel())
         assert oracle._count_below(d, e, d[0]) is None
-        # eigenvalue k is the first above d[0]
-        k = int(oracles.sturm_counts([(d, e)], [[np.nextafter(d[0], math.inf)]])[0, 0])
-        (theta,) = oracles.lowest_eigenvalues(spec, k + 1, k)
-        w = theta - d[0]  # exact: d[0] < theta < 2 d[0]
-        assert w > 0.0 and theta - w == d[0]
-        # the shift at theta, inside the window, so theta - w is counted
-        window = shifted_window(d, e, theta, w, theta)
-        monkeypatch.setattr(oracle, "_rayleigh_window", lambda d, e, shift, start=None: window)
-        calls = spy_certified_window(monkeypatch)
-        assert eigenvalues(spec, k, near=theta) == (theta, None)
-        assert calls == [(spec.n_grid, theta, w, False)]
-
-
-class TestShiftCount:
-    """The count below the shift, read from the window's own factorization, closes one end."""
-
-    def test_shift_count_is_the_sturm_count(self, workload_windows):
-        # at the shift of every window of the states and controls, on both grids
-        for grid, rows in workload_windows.items():
-            channels = [(d, e) for d, e, *_ in rows]
-            shifts = np.array([[window.shift] for *_, window in rows])
-            counts = [[window.below] for *_, window in rows]
-            assert counts == oracles.sturm_counts(channels, shifts).tolist(), grid
-
-    def test_closed_windows_certify_as_both_counts_do(self, workload_windows):
-        # every window, the 264 of the 132 states and the 128 of the controls, gives theta
-        # exactly when the two counts at theta -/+ w do; the shift closes an end of most state
-        # windows, and each of those certifies
-        for grid, rows in workload_windows.items():
-            closed = 0
-            for i, (d, e, k, window) in enumerate(rows):
-                certified = oracle._certified_window(d, e, k, window)
-                assert certified == two_counts(d, e, k, window), (grid, i)
-                if i < 132 and closed_by_shift(k, window):
-                    closed += 1
-                    assert certified, (grid, i)
-            assert closed > 0, grid
-
-    def test_zero_pivot_at_the_shift_counts_both_ends(self, monkeypatch):
-        # T - d[0] has a zero first pivot: the shift gives no count, so both ends are counted
-        spec = reference_channel()
-        d, e = build_operator(spec)
-        k = int(oracles.sturm_counts([(d, e)], [[np.nextafter(d[0], math.inf)]])[0, 0])
-        theta, following = oracles.lowest_eigenvalues(spec, k + 2, k)
-        w = min(theta - d[0], following - theta) / 2
-        window = shifted_window(d, e, theta, w, d[0])
-        assert window.below is None
-        count, ends = oracle._count_below, []
-        monkeypatch.setattr(oracle, "_count_below", lambda d, e, x: ends.append(x) or count(d, e, x))
-        assert oracle._certified_window(d, e, k, window)
-        assert ends == [theta - w, theta + w]
-
-
-def record_solves(monkeypatch):
-    """Log a copy of the right-hand side of every dgttrs call."""
-    real, solves = oracle._flapack(), []
-
-    def dgttrs(*args, **kwargs):
-        solves.append(args[5].copy())
-        return real.dgttrs(*args, **kwargs)
-
-    lapack = types.SimpleNamespace(dstebz=real.dstebz, dgttrf=real.dgttrf, dgttrs=dgttrs)
-    monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
-    return solves
-
-
-class TestRefinedStart:
-    """The refined grid starts inverse iteration from the coarse grid's certified iterate."""
-
-    def test_iterate_takes_one_solve(self, cells, monkeypatch):
-        # two solves from all ones on the coarse grid, one from the interpolated iterate on the
-        # refined grid, for each of the 132 states
-        states = [state for cell in cells for state in cell]
-        solves = record_solves(monkeypatch)
-        for state in states:
-            solves.clear()
-            verify_solution(state)
-            assert [b.size for b in solves] == [4000, 4000, 8000], (state.n, state.l, state.omega)
-            assert np.array_equal(solves[0], np.ones(4000))
-        # the last state's refined start is its coarse iterate, linear between the coarse nodes
-        monkeypatch.undo()
-        report = verify_solution(state)
-        _, x = eigenvalues(report_channel(state, report, 4000), state.node_count, near=state.zeta_sq)
-        rho = np.linspace(0.0, report.rho_max, 4002)
-        rho_refined = np.linspace(0.0, report.rho_max, 8002)[1:-1]
-        expected = np.interp(rho_refined, rho, np.concatenate(([0.0], x, [0.0])))
-        assert np.allclose(solves[2], expected, rtol=0.0, atol=1e-12 * abs(x).max())
-
-    def test_no_iterate_takes_two_solves_from_ones(self, cells, monkeypatch):
-        # the coarse windows of the 64 controls at 1.05 omega fall back and give no iterate
-        controls = [state for cell in cells for state in cell if state.n <= 8]
-        assert len(controls) == 64
-        solves = record_solves(monkeypatch)
-        for state in controls:
-            solves.clear()
-            verify_solution(state, perturb_omega=1.05)
-            assert [b.size for b in solves] == [4000, 4000, 8000, 8000], (state.n, state.l, state.omega)
-            assert np.array_equal(solves[0], np.ones(4000)) and np.array_equal(solves[2], np.ones(8000))
+        assert oracle._count_below(d, np.concatenate(([0.0], e[1:])), d[0]) is None
 
 
 class TestOverflow:
