@@ -23,10 +23,11 @@ of one real companion matrix in u = 1/(m*omega) of size (n+1) + floor((n+1)/2)
 (solve_frequency), filled along its diagonals straight from the scaled
 off-diagonal of K0 (_candidate_frequencies). Both only propose candidates and
 quantize decides: it takes one array recurrence at every candidate and just
-below and above it (_cell_rows): c_{n+1} below and above tests the root, the
-sign changes of c_0..c_{n+1} there are Sturm counts that give the node count
-(_node_counts), and the row at it gives the coefficients. solve is the one
-place that picks a cell's route: the cubic at n = 1, the companion otherwise.
+below and above it (_cell_rows). The sign changes of c_0..c_{n+1} below and
+above are Sturm counts; one step between them is the root test and the smaller
+is the node count (_node_counts). The row at the candidate gives the
+coefficients. solve is the one place that picks a cell's route: the cubic at
+n = 1, the companion otherwise.
 
 Energies follow as
 
@@ -50,14 +51,14 @@ from .model import PhysicalParams
 EIG_IMAG_RTOL = 2e-6
 EIG_ZERO_RTOL = 1e-16
 
-# A root is kept only if c_{n+1} changes sign across omega * (1 -/+ ROOT_RTOL). The
-# eigenvalues are close already: against their polished roots the relative error was
-# 1.2e-15 at the median and 6.5e-14 at most over 1332 candidates (the 98 n >= 2 cells of
-# the perfbench spectrum workload, seed 11), so most pass that test as they stand. That
-# figure holds on the spectrum range only: secant steps, each until a step is below
-# STEP_RTOL, are the fallback for a candidate that fails, and over a sweep of 1500 random
-# cells (21,742 states, m 1e-3..1e3, |M lambda| 1e-2..1e2) 41 candidates in 27 cells
-# needed them, all with small m and large M lambda.
+# A root is kept only if its Sturm count steps by one, so c_{n+1} changes sign, across
+# omega * (1 -/+ ROOT_RTOL). The eigenvalues are close already: against their polished
+# roots the relative error was 1.2e-15 at the median and 6.5e-14 at most over 1332
+# candidates (the 98 n >= 2 cells of the perfbench spectrum workload, seed 11), so most
+# pass that test as they stand. That figure holds on the spectrum range only: secant
+# steps, each until a step is below STEP_RTOL, are the fallback for a candidate that
+# fails, and over a sweep of 1500 random cells (21,742 states, m 1e-3..1e3, |M lambda|
+# 1e-2..1e2) 41 candidates in 27 cells needed them, all with small m and large M lambda.
 SECANT_START_RTOL = 1e-7
 SECANT_STEPS = 8
 STEP_RTOL = 1e-13
@@ -291,21 +292,6 @@ def _cell_rows(problem: ReducedProblem, omegas) -> tuple[np.ndarray, np.ndarray,
     return raw.reshape(3, len(omegas), problem.n + 3), alpha.reshape(3, -1)[2], delta.reshape(3, -1)[2]
 
 
-def _brackets_root(problem: ReducedProblem, rows: np.ndarray) -> np.ndarray:
-    """Whether c_{n+1} changes sign across each omega * (1 -/+ ROOT_RTOL), from its _cell_rows.
-
-    Signs, not values, are multiplied: a product of two values near OVERFLOW_LIMIT
-    overflows, and one of two tiny values underflows to a false zero.
-    """
-    return np.sign(rows[0, :, problem.n + 1]) * np.sign(rows[1, :, problem.n + 1]) <= 0.0
-
-
-def _jacobi_offdiagonal(n: int, theta: int) -> np.ndarray:
-    """Off-diagonal of K0, symmetrized (see solve_frequency), without its minus sign."""
-    i = np.arange(1, n + 1, dtype=float)
-    return np.sqrt(8.0 * (n - i + 1) * i * (i - 1 + theta))
-
-
 def _fill_diagonal(matrix: np.ndarray, row: int, col: int, values: np.ndarray) -> None:
     """Write values along the diagonal of a C-contiguous matrix that starts at (row, col)."""
     step = matrix.shape[1] + 1
@@ -321,7 +307,8 @@ def _candidate_frequencies(problem: ReducedProblem) -> np.ndarray:
     just below it. The companion's only other entries are diagonals too.
     """
     n, theta = problem.n, problem.theta
-    off = _jacobi_offdiagonal(n, theta)
+    i = np.arange(1, n + 1, dtype=float)
+    off = np.sqrt(8.0 * (n - i + 1) * i * (i - 1 + theta))  # K0's off-diagonal, symmetrized, without its sign
     a3, a1 = 2.0 * problem.mass * problem.eta, 2.0 * problem.coupling
     if a3 == 0.0:
         k0 = -np.diag(off, 1)
@@ -412,23 +399,24 @@ def solve(problem: ReducedProblem) -> list["SpectralSolution"]:
 def quantize(problem: ReducedProblem, candidates: np.ndarray) -> list["SpectralSolution"]:
     """The cell's states, ascending, from its ascending candidate frequencies; both routes end here.
 
-    A root is a positive candidate across which c_{n+1} changes sign at omega * (1 -/+ ROOT_RTOL).
-    One _cell_rows recurrence tests them all; a candidate that passes is a root as it stands, its
-    state read off the same rows. One that fails is polished by secant steps capped at half the gap
-    to its neighbours and kept only if it passes then; such a cell's roots take _cell_rows again.
-    Raises NoRootInRange if no candidate passes.
+    A root is a positive candidate whose Sturm count steps by one across omega * (1 -/+ ROOT_RTOL)
+    (_node_counts), so c_{n+1} changes sign there. One _cell_rows recurrence tests them all; a
+    candidate that passes is a root as it stands, its state and node count read off the same rows.
+    One that fails is polished by secant steps capped at half the gap to its neighbours and kept
+    only if it passes then; such a cell's roots take _cell_rows again. Raises NoRootInRange if no
+    candidate passes.
     """
     candidates = candidates[candidates > 0.0]
     rows, alpha, delta = _cell_rows(problem, candidates)
-    passed = _brackets_root(problem, rows)
+    nodes = _node_counts(problem, rows)
     ws, kept = candidates.tolist(), []
-    for k, (w, brackets) in enumerate(zip(ws, passed.tolist())):
-        if not brackets:
+    for k, (w, count) in enumerate(zip(ws, nodes)):
+        if count < 0:
             below = w - ws[k - 1] if k else w
             above = ws[k + 1] - w if k + 1 < len(ws) else math.inf
             w = _polish(problem, w, 0.5 * min(below, above))
-            brackets = _brackets_root(problem, _cell_rows(problem, [w])[0]).item()
-        if brackets:
+            (count,) = _node_counts(problem, _cell_rows(problem, [w])[0])
+        if count >= 0:
             kept.append(w)
     roots = _merge_close(kept)
     if not roots:
@@ -436,51 +424,38 @@ def quantize(problem: ReducedProblem, candidates: np.ndarray) -> list["SpectralS
             f"no sign change of c_{problem.n + 1}(omega) at any of the {len(candidates)} "
             "positive candidate frequencies: the cell has no quantized frequency"
         )
-    if roots != candidates[passed].tolist():  # a root was polished or merged
-        return _make_solutions(problem, roots, _cell_rows(problem, roots))
-    return _make_solutions(problem, roots, (rows[:, passed], alpha[passed], delta[passed]))
+    passed = [k for k, count in enumerate(nodes) if count >= 0]
+    if roots != [ws[k] for k in passed]:  # a root was polished or merged
+        cell = _cell_rows(problem, roots)
+        return _make_solutions(problem, roots, cell, _node_counts(problem, cell[0]))
+    cell = rows[:, passed], alpha[passed], delta[passed]
+    return _make_solutions(problem, roots, cell, [nodes[k] for k in passed])
 
 
-def _node_count(problem: ReducedProblem, alpha: float, delta: float) -> int:
-    """Radial node count of a state from the Jacobi matrix of its recurrence.
+def _node_counts(problem: ReducedProblem, rows: np.ndarray) -> list[int]:
+    """Node count of each candidate from the Sturm counts in its _cell_rows, or -1 where it is no root.
 
-    At the state's alpha, delta is an eigenvalue of the symmetric tridiagonal
-    J = -(K0 + alpha*D)/2 (see solve_frequency). By oscillation theory the
-    node count is the number of eigenvalues of J above the one delta matches.
-    This dense count is the fallback of _node_counts for uncertified states.
+    At g = 2n, c_j is a positive multiple of the j-th leading principal minor of delta - J,
+    with J = -(K0 + alpha*D)/2 the symmetric Jacobi matrix (see solve_frequency), so the sign
+    changes of c_0..c_{n+1} count the eigenvalues of J above delta. A candidate is a root when
+    those of the rows at omega * (1 -/+ ROOT_RTOL) differ by exactly one and no c_j there is
+    zero: as c_0 = 1, c_{n+1} changes sign, and by oscillation theory the smaller count, the
+    number of eigenvalues above the one delta matches, is the node count.
     """
-    off = 0.5 * _jacobi_offdiagonal(problem.n, problem.theta)
-    diagonal = -0.5 * alpha * (2.0 * np.arange(problem.n + 1) + problem.theta)
-    mu = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    return int(problem.n - np.argmin(np.abs(mu - delta)))
-
-
-def _node_counts(problem: ReducedProblem, cell: tuple) -> list[int]:
-    """Node counts of the states of one cell, from Sturm counts in their _cell_rows (cell).
-
-    At g = 2n, c_j is a positive multiple of the j-th leading principal minor of
-    delta - J (J as in _node_count), so the sign changes of c_0..c_{n+1} count the
-    eigenvalues of J above delta. When those of the rows at omega * (1 -/+ ROOT_RTOL)
-    differ by exactly one and no c_j is zero, the smaller is the number above the
-    eigenvalue delta matches. Any other state takes the dense _node_count.
-    """
-    rows, alpha, delta = cell
     signs = np.sign(rows[:2, :, : problem.n + 2])
     below, above = (signs[..., 1:] != signs[..., :-1]).sum(axis=-1)
-    certified = (np.abs(below - above) == 1) & (signs != 0).all(axis=(0, 2))
-    nodes = np.minimum(below, above).tolist()
-    for k in np.flatnonzero(~certified).tolist():
-        nodes[k] = _node_count(problem, alpha[k], delta[k])
-    return nodes
+    root = (np.abs(below - above) == 1) & (signs != 0).all(axis=(0, 2))
+    return np.where(root, np.minimum(below, above), -1).tolist()
 
 
-def _make_solutions(problem: ReducedProblem, roots: list[float], cell: tuple) -> list[SpectralSolution]:
-    """Assemble the solution records of a cell's frequency roots, ascending, from their _cell_rows."""
+def _make_solutions(
+    problem: ReducedProblem, roots: list[float], cell: tuple, nodes: list[int]
+) -> list[SpectralSolution]:
+    """Assemble the solution records of a cell's frequency roots, ascending, from their _cell_rows and counts."""
     rows, alpha, delta = cell
     n, raw = problem.n, rows[2]
     scale = np.abs(raw[:, : n + 1]).max(axis=1, keepdims=True)
     tails = (np.abs(raw[:, n + 1 :]) / scale).tolist()
-    nodes = _node_counts(problem, cell)
     coefficients = raw[:, : n + 1].tolist()
     try:
         energies, zetas = _energies(problem, roots), _zeta_squares(problem, roots)

@@ -5,9 +5,10 @@ suggested_rho_max gives the box where its density has died, normalize sets its
 norm over that box against the two-dimensional radial measure rho d(rho) (the
 z plane wave is delta-normalized and excluded), and RadialWavefunction carries
 that box and samples the profile. The solver takes each state's node count
-from Sturm counts on its recurrence (quantize._node_counts); count_positive_roots,
-the positive real roots of H, is the independent count the tests check it
-against, and the node-count layer the benchmark traces by name.
+from Sturm counts on its recurrence (quantize._node_counts). The tests check it
+against two independent counts: the dense Jacobi eigenvalues
+(oracles.dense_node_count) and count_positive_roots, the positive real roots
+of H, which is also the node-count layer the benchmark traces by name.
 """
 
 from __future__ import annotations

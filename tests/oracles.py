@@ -10,7 +10,9 @@ companion, list recurrence, per-probe alpha_delta) are the reference its
 optimized forms must match bit for bit, as must normalize's Simpson
 quadrature, which reuses each level's samples, against its
 level-by-level form (straightforward_norm). synthetic_solution hand-assembles a
-state record without quantize, for the profile formulas. record_verify
+state record without quantize, for the profile formulas. dense_node_count
+counts a state's nodes from the eigenvalues of its dense Jacobi matrix,
+apart from quantize's Sturm counts. record_verify
 records what one verify_solution run passes through the oracle's two
 boundaries, oracle.eigenvalues and the LAPACK namespace oracle._flapack(), so
 the oracle's tests check those calls' contract and cost, not its private
@@ -338,6 +340,21 @@ def reference_spectrum(m, coupling, eta, n, theta):
         mu = np.sort(np.linalg.eigvals(-(k0 + alpha * np.diag(d)) / 2.0).real)[::-1]
         states.append((root, int(np.argmin(np.abs(mu - delta)))))
     return states
+
+
+def dense_node_count(problem, alpha, delta):
+    """Node count of a state from the dense Jacobi matrix of its recurrence, by oscillation theory.
+
+    At the state's alpha, delta is an eigenvalue of the symmetric tridiagonal
+    J = -(K0 + alpha D)/2 (see quantize.solve_frequency); the node count is the
+    number of eigenvalues of J above the one delta matches.
+    """
+    n, theta = problem.n, problem.theta
+    i = np.arange(1, n + 1, dtype=float)
+    off = np.sqrt(2.0 * (n - i + 1) * i * (i - 1 + theta))
+    diagonal = -0.5 * alpha * (2.0 * np.arange(n + 1) + theta)
+    mu = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return int(n - np.argmin(np.abs(mu - delta)))
 
 
 def dense_companion_candidates(problem):

@@ -19,7 +19,6 @@ from heunqes.quantize import (
     _cell_rows,
     _cubic_real_roots,
     _energies,
-    _node_count,
     _node_counts,
     _polish,
     _polish_newton,
@@ -428,34 +427,41 @@ class TestNodeCount:
                 assert oracles.sign_changes(evaluate_R(sol, rho)) == sol.node_count, (n, sol.omega)
 
     @pytest.mark.parametrize("n,l,alpha", [(6, 1, 0.8), (12, -2, -3.1), (30, 3, 7.5)])
-    def test_uncertified_counts_fall_back_to_dense(self, n, l, alpha, monkeypatch):
+    def test_uncertified_probes_are_not_roots(self, n, l, alpha):
         # probe rows at delta -/+ 1e-8 of a bound on |J|, delta a quarter and three quarters of
-        # the way between neighbouring eigenvalues of J: no eigenvalue lies between the probes,
-        # so their Sturm counts agree and cannot certify the state
+        # the way between neighbouring eigenvalues of J, and from one such quarter point to the
+        # second next: no eigenvalue or two lie between the probes, so their Sturm counts agree
+        # or step by two, c_{n+1} keeps its sign and no root is made
         p = problem(n=n, l=l)
         i = np.arange(1, n + 1)
         off = np.sqrt(2.0 * (n - i + 1) * i * (i - 1 + p.theta))
         diagonal = -0.5 * alpha * (2.0 * np.arange(n + 1) + p.theta)
         mu = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-        delta = np.concatenate([mu[:-1] + 0.25 * np.diff(mu), mu[:-1] + 0.75 * np.diff(mu), mu])
+        quarter, three_quarters = mu[:-1] + 0.25 * np.diff(mu), mu[:-1] + 0.75 * np.diff(mu)
         h = 1e-8 * (np.abs(diagonal).max() + 2.0 * off.max())
-        probes = np.concatenate([delta - h, delta + h])
+        below = np.concatenate([quarter - h, three_quarters - h, quarter[:-2], mu - h])
+        above = np.concatenate([quarter + h, three_quarters + h, quarter[2:], mu + h])
+        probes = np.concatenate([below, above])
         rows = _raw_coefficients(np.full(probes.shape, alpha), probes, p.theta, 2.0 * n, n + 2)
-        dense = []
-        monkeypatch.setattr(
-            "heunqes.quantize._node_count", lambda *args: dense.append(args) or _node_count(*args)
-        )
-        counts = _node_counts(p, (rows.reshape(2, len(delta), -1), np.full(delta.shape, alpha), delta))
-        assert len(dense) == 2 * n
-        assert counts == [_node_count(p, alpha, d) for d in delta.tolist()]
-        assert counts[2 * n :] == list(range(n, -1, -1))
+        rows = rows.reshape(2, len(below), -1)
+        counts, misses = _node_counts(p, rows), 3 * n - 2
+        assert counts[:misses] == [-1] * misses
+        assert (np.sign(rows[0, :misses, n + 1]) == np.sign(rows[1, :misses, n + 1])).all()
+        # the probes that straddle one eigenvalue of J are roots, counted from the top
+        assert counts[misses:] == list(range(n, -1, -1))
+        assert counts[misses:] == [oracles.dense_node_count(p, alpha, d) for d in mu.tolist()]
 
-    def test_probe_counts_match_dense_on_a_seeded_sweep(self, monkeypatch):
-        # every state's count comes from its probe rows: the dense fallback never fires
-        dense = []
-        monkeypatch.setattr(
-            "heunqes.quantize._node_count", lambda *args: dense.append(args) or _node_count(*args)
-        )
+    def test_exact_zero_coefficient_is_not_a_root(self):
+        # at theta = 3, alpha = 1 and delta = -1.5, c_1 = alpha/2 + delta/theta is exactly 0: it adds a
+        # sign change, so the count steps by one towards delta = -1.25 though no eigenvalue of J lies between
+        p = problem(n=6, l=1)
+        rows = _raw_coefficients(np.ones(2), np.array([-1.5, -1.25]), p.theta, 12.0, 8).reshape(2, 1, -1)
+        assert rows[0, 0, 1] == 0.0
+        signs = np.sign(rows[:, 0, :8])
+        assert (signs[:, 1:] != signs[:, :-1]).sum(axis=1).tolist() == [4, 3]
+        assert _node_counts(p, rows) == [-1]
+
+    def test_probe_counts_match_dense_on_a_seeded_sweep(self):
         rng = np.random.default_rng(1603_0309)
         states = []
         for _ in range(200):
@@ -465,10 +471,44 @@ class TestNodeCount:
             l = int(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
             p = problem(n=n, mass=m, quad=coupling, eta=eta, l=l)
             states += solve(p)
-        assert not dense
         assert len(states) > 1000
         for sol in states:
-            assert sol.node_count == _node_count(sol.problem, sol.alpha, sol.delta), sol
+            assert sol.node_count == oracles.dense_node_count(sol.problem, sol.alpha, sol.delta), sol
+
+    def test_root_decision_is_a_sign_change_of_the_truncation(self, monkeypatch):
+        # every decision of the Sturm rule, on first-pass, polished and recomputed candidates, is
+        # whether c_{n+1} changes sign across them in the straightforward rows of the same probes
+        probed, decided, polished = {}, [], []
+
+        def recorded_rows(p, ws):
+            cell = _cell_rows(p, ws)
+            probed[id(cell[0])] = (cell[0], p, ws)
+            return cell
+
+        def recorded_counts(p, rows):
+            decided.append((rows, _node_counts(p, rows)))
+            return decided[-1][1]
+
+        monkeypatch.setattr(quantize, "_cell_rows", recorded_rows)
+        monkeypatch.setattr(quantize, "_node_counts", recorded_counts)
+        monkeypatch.setattr(quantize, "_polish", lambda *args: polished.append(args[1]) or _polish(*args))
+        rng = np.random.default_rng(1603_0310)
+        cells = [problem(n=n, eta=eta) for n, eta in [(10, 5e-13), (34, 5e-15)]]
+        for _ in range(40):
+            n = int(rng.integers(1, 51))
+            m, coupling = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-2, 2)
+            eta = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+            l = int(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+            cells.append(problem(n=n, mass=m, quad=coupling, eta=eta, l=l))
+        for p in cells:
+            solve(p)
+        # the two ladder cells polish 5 and 17 candidates; each cell whose roots moved is counted again
+        assert len(polished) >= 22
+        assert len(decided) > len(cells) + len(polished)
+        for rows, counts in decided:
+            _, p, ws = probed[id(rows)]
+            below, above = oracles.packed_cell_rows(p, ws)[0][:2, :, p.n + 1]
+            assert [count >= 0 for count in counts] == (np.sign(below) * np.sign(above) < 0.0).tolist(), (p, ws)
 
     def test_negative_eta_reverses_order(self):
         # ascending omega is not ascending node count: rank would give [0, 1]
