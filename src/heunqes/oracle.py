@@ -10,12 +10,13 @@ discretized by central second differences on a uniform grid with Dirichlet
 ends at rho = 0 and at the edge of the claimed state's box
 (wavefunction.suggested_rho_max, where its density has died). The oracle
 answers one question, eigenvalue k near a shift (eigenvalues): inverse
-iteration (LAPACK dgttrf, dgttrs) at the shift gives a Rayleigh quotient,
-which is the answer when the eigenvalue counts at both ends of its window
-certify it by the Kato-Temple inequality, each read by Sylvester's law of
-inertia from one dgttrf factorization (the shift's own closes an end it lies
-past), and dstebz bisects index k otherwise; the three routines come from
-scipy's compiled _flapack alone (see _flapack).
+iteration (LAPACK dpttrs on the LDL^T factors of dpttrf) at the shift gives
+a Rayleigh quotient, which is the answer when the eigenvalue counts at both
+ends of its window certify it by the Kato-Temple inequality, each read by
+Sylvester's law of inertia from the signs of one LDL^T factorization's
+pivots (_ldl; the shift's own closes an end it lies past), and dstebz
+bisects index k otherwise; the three routines come from scipy's compiled
+_flapack alone (see _flapack).
 A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
 this spectrum at the index k equal to the state's radial node count (Sturm
 oscillation ordering), with the residual deviation shrinking like h^2 from
@@ -185,23 +186,24 @@ class _Window(NamedTuple):
 def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float, start: np.ndarray | None = None) -> _Window | None:
     """The window of an eigenvalue near shift, None if T - shift is singular.
 
-    dgttrf factors T - shift once, which also gives the count below shift.
-    dgttrs solves in start once, overwriting it, or from the all-ones vector
+    _ldl factors T - shift once, which also gives the count below shift.
+    dpttrs solves in start once, overwriting it, or from the all-ones vector
     twice, for a unit x, its Rayleigh quotient theta = x.T T x and residual
     r = |T x - theta x|, and w = max(r, r^2/_EIG_ABS_TOL, _RESIDUAL_FLOOR).
     A non-finite window is left to _certified_window, which rejects it.
     """
-    lapack = _flapack()
-    # in place where LAPACK allows: each 8000-point vector is 64 kB of peak RSS
-    *factors, info = lapack.dgttrf(e, d - shift, e, overwrite_d=1)
-    if info != 0:
+    factors = _ldl(d, e, shift)
+    if factors is None:
         return None
+    pivots, multipliers, below = factors
+    dpttrs = _flapack().dpttrs
     x, steps = (np.ones(d.size), 2) if start is None else (start, 1)
     # numpy's pairwise sums, not BLAS dot: OpenBLAS splits a long dot over its
     # threads, so its rounding would depend on their number
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            x, _ = lapack.dgttrs(*factors, x, overwrite_b=1)
+            # in place where LAPACK allows: each 8000-point vector is 64 kB of peak RSS
+            x, _ = dpttrs(pivots, multipliers, x, overwrite_b=1)
             x /= np.sqrt(np.add.reduce(x * x))
         tx = d * x
         tx[1:] += e * x[:-1]
@@ -210,7 +212,7 @@ def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float, start: np.ndarr
         tx -= theta * x
         r = math.sqrt(np.add.reduce(tx * tx))
     w = max(r, r * r / _EIG_ABS_TOL, _RESIDUAL_FLOOR)
-    return _Window(theta, w, shift, _negative_pivots(*factors), x)
+    return _Window(theta, w, shift, below, x)
 
 
 def _certified_window(d: np.ndarray, e: np.ndarray, k: int, window: _Window) -> bool:
@@ -222,7 +224,8 @@ def _certified_window(d: np.ndarray, e: np.ndarray, k: int, window: _Window) -> 
     place of the count at theta - w, and one at least w above theta whose
     count is k + 1 the upper end: the interval from the shift to the other end then holds index
     k alone and reaches at least w past theta, so the bound is the same. The
-    first count that fails ends the check.
+    first count that fails ends the check, and a count stops once it passes
+    the one it must read.
     """
     lo, hi = window.theta - window.w, window.theta + window.w
     if not -math.inf < lo < hi < math.inf:
@@ -232,36 +235,54 @@ def _certified_window(d: np.ndarray, e: np.ndarray, k: int, window: _Window) -> 
         ends = ends[1:]
     elif window.shift >= hi and window.below == k + 1:
         ends = ends[:1]
-    return all(_count_below(d, e, x) == count for x, count in ends)
+    return all(_count_below(d, e, x, count) == count for x, count in ends)
 
 
-def _count_below(d: np.ndarray, e: np.ndarray, x: float) -> int | None:
-    """Number of eigenvalues of tridiag(d, e) below x; None if a pivot of T - x is 0."""
-    *factors, info = _flapack().dgttrf(e, d - x, e, overwrite_d=1)
-    return None if info != 0 else _negative_pivots(*factors)
+def _count_below(d: np.ndarray, e: np.ndarray, x: float, most: int | None = None) -> int | None:
+    """Number of eigenvalues of tridiag(d, e) below x, None at a zero pivot; given most, it stops at most + 1."""
+    factors = _ldl(d, e, x, most)
+    return None if factors is None else factors[2]
 
 
-def _negative_pivots(lower, upper, _du, _du2, ipiv) -> int | None:
-    """Number of eigenvalues below x, read from dgttrf's factors of T - x; None if a pivot is 0.
+def _ldl(
+    d: np.ndarray, e: np.ndarray, x: float, most: int | None = None
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Unpivoted LDL^T of tridiag(d, e) - x: (pivots q, multipliers, negative pivots); None if a pivot is 0.
 
-    By Sylvester's law of inertia it is the number of negative pivots q_i of
-    the unpivoted LDL^T of T - x, read here from the LU factorization with
-    partial pivoting (stable on tridiagonals). Step i finds p_i on the
-    diagonal and either keeps row i, leaving upper[i] = p_i, or swaps rows i
-    and i + 1 (ipiv[i] = i + 2, 1-based), leaving upper[i] = e_i and
-    lower[i] = p_i/e_i.
-    Either way p_i = s_i q_i, where s_i is 1 after a keep and
-    -p_{i-1}/e_{i-1} = -lower[i-1] after a swap, so the signs of the factors
-    give the count, whatever the sign of e.
+    By Sylvester's law of inertia the number of negative pivots is the number
+    of eigenvalues below x; this count is backward stable in floating point
+    (Demmel, Dhillon and Ren, ETNA 3, 1995). dpttrf factors in place and stops
+    at the first pivot q_i <= 0, leaving the multipliers before it and e_i
+    untouched. Past a negative q_i this function takes the step itself,
+    l_i = e_i/q_i and q_{i+1} -= l_i e_i, in Python floats, which overflow to
+    inf without a warning, and restarts dpttrf on the tail; a one-row tail,
+    which scipy's wrapper refuses, is its own pivot. So T - x costs one
+    dpttrf call per negative pivot off the last row, plus one. Given most,
+    the factorization stops, unfinished, at negative pivot most + 1. dpttrs
+    solves with the finished factors, whatever the signs of the pivots.
     """
-    swap = ipiv[:-1] != np.arange(1, upper.size, dtype=ipiv.dtype)
-    if (swap & (lower == 0.0)).any():
-        return None
-    swap_negative = swap & (lower < 0.0)
-    negative = upper < 0.0  # p_i < 0 on a keep
-    negative[:-1] ^= swap_negative  # p_i < 0 on a swap: lower[i] and upper[i] = e_i differ in sign
-    negative[1:] ^= swap ^ swap_negative  # s_{i+1} < 0: a swap whose lower[i] is positive
-    return int(np.count_nonzero(negative))
+    pivots, multipliers = d - x, e.copy()
+    dpttrf = _flapack().dpttrf
+    below, row = 0, 0
+    while True:
+        if row < pivots.size - 1:
+            # contiguous views of the two arrays, which dpttrf overwrites in place
+            *_, info = dpttrf(pivots[row:], multipliers[row:], overwrite_d=1, overwrite_e=1)
+        else:
+            info = 0 if pivots[row] > 0.0 else 1
+        if info == 0:
+            return pivots, multipliers, below
+        row += info - 1
+        pivot = float(pivots[row])
+        if pivot == 0.0:
+            return None
+        below += 1
+        if row == pivots.size - 1 or (most is not None and below > most):
+            return pivots, multipliers, below
+        off = float(multipliers[row])
+        multipliers[row] = multiplier = off / pivot
+        pivots[row + 1] = float(pivots[row + 1]) - multiplier * off
+        row += 1
 
 
 def _onto_refined_grid(x: np.ndarray) -> np.ndarray:
@@ -287,9 +308,9 @@ def _flapack():
 
     Importing scipy.linalg takes about 0.3 s (scipy 1.17's array-API shim
     imports numpy.f2py and numpy.testing); the extension file alone, under
-    10 ms. The oracle calls its dgttrf (inverse iteration and eigenvalue
-    counts), dgttrs and dstebz (the index bisection), the routines of
-    scipy.linalg.lapack by those names.
+    10 ms. The oracle calls its dpttrf (the LDL^T factorization of inverse
+    iteration and eigenvalue counts), dpttrs (the solve) and dstebz (the
+    index bisection), the routines of scipy.linalg.lapack by those names.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:  # scipy.linalg is loaded already

@@ -9,8 +9,10 @@ of eps ||T||_inf (oracles.eps_norm). A certified value, one that comes with
 its iterate, must lie within oracles.CERTIFIED_TOL of eigenvalue k; a value
 of the index-bisection fallback within 1. Prints the largest error of each
 kind and exits 1 when one is exceeded. Also prints the LAPACK runs of each
-pass by grid. Where long double is no wider than double (eps >= 1e-18) there
-is no reference, and it exits 0 saying so.
+pass by grid (dpttrf factorizations, their restarts past a negative pivot,
+dpttrs and dstebz), and how many windows of the seeded 30-cell sweep
+(oracles.seeded_sweep) certify. Where long double is no wider than double
+(eps >= 1e-18) there is no reference, and it exits 0 saying so.
 
 From the repository root:
 
@@ -49,8 +51,11 @@ def main() -> int:
     for name, pass_calls in calls.items():
         totals = oracles.lapack_totals(pass_calls)
         for grid in sorted({grid for grid, _ in totals}):
-            runs = ", ".join(f"{routine} {totals[grid, routine]}" for routine in ("dgttrf", "dgttrs", "dstebz"))
+            routines = ("dpttrf", "restart", "dpttrs", "dstebz")
+            runs = ", ".join(f"{routine} {totals[grid, routine]}" for routine in routines)
             print(f"  LAPACK runs, {name} at {grid} points: {runs}")
+    sweep = [c for s, p in oracles.seeded_sweep() for c in oracles.record_verify(s, p)[1]]
+    print(f"  seeded sweep: {sum(c.x is not None for c in sweep)} of {len(sweep)} windows certified")
     kinds = (("certified", certified, oracles.CERTIFIED_TOL), ("bisected", ~certified, 1.0))
     for name, share in (("states", ~control), ("controls", control)):
         for kind, mask, bound in kinds:

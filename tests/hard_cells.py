@@ -144,7 +144,8 @@ CELLS = [
          "CHANGES.md MENDED: quantize._brackets_root multiplies the two probe values", rows=52),
     Cell("wavefunction --rho-max 1e150 --n 3", 0, "CHANGES.md MENDED: series.evaluate_H's Horner sum overflows",
          rows=512),
-    # overflow at the ends of the double range is one error line
+    # overflow at the ends of the double range is one error line; verify's box is the claimed
+    # state's, so the perturbed operator is what overflows
     *(Cell(f"verify --perturb-omega {factor}", 1, "CHANGES.md: The oracle loads LAPACK dstebz alone ...",
            error="finite-difference operator overflows") for factor in ("1e200", "3e153")),
     *(Cell(f"solve {flag}", 1, "CHANGES.md: Rayleigh-quotient oracle window, typed cubic and envelope overflow",

@@ -14,9 +14,10 @@ state record without quantize, for the profile formulas. dense_node_count
 counts a state's nodes from the eigenvalues of its dense Jacobi matrix,
 apart from quantize's Sturm counts. record_verify
 records what one verify_solution run passes through the oracle's two
-boundaries, oracle.eigenvalues and the LAPACK namespace oracle._flapack(), so
-the oracle's tests check those calls' contract and cost, not its private
-functions. The FROZEN_* constants were produced by
+boundaries, oracle.eigenvalues and the LAPACK namespace oracle._flapack()
+(LoggedLapack), so the oracle's tests check those calls' contract and cost,
+not its private functions; seeded_sweep gives the checks of a seeded
+30-cell sweep to record. The FROZEN_* constants were produced by
 these same routines in a standalone session before the package was written
 and are pinned verbatim as regression anchors; DISPLAY_* values are the
 coarser hand-rounded figures quoted in documentation.
@@ -438,15 +439,31 @@ def benchmark_states():
     return states
 
 
+def seeded_sweep():
+    """(state, perturb_omega) over 30 random cells: each state, and the cell's lowest root at 1.05 omega."""
+    rng = np.random.default_rng(2606)
+    checks = []
+    for _ in range(30):
+        m, quad, abs_eta = 10.0 ** rng.uniform(-1, 1, size=3)
+        eta = float(rng.choice([-1.0, 1.0])) * abs_eta
+        l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        n = int(rng.integers(1, 13))
+        states = solve(ReducedProblem.from_params(PhysicalParams(m, quad, 1.0, eta, 0.0, l), n))
+        checks += [(state, 1.0) for state in states] + [(states[0], 1.05)]
+    return checks
+
+
 @dataclass(frozen=True)
 class OracleCall:
     """One oracle.eigenvalues(spec, k, near=near, start=start) call: what it returned and what LAPACK it ran.
 
     start is a copy of the start iterate as given, which the call overwrites.
-    lapack names the routines of oracle._flapack() it ran, in order. factored
-    holds, for each dgttrf call, which factors T - x, the first entry d[0] - x
-    of the diagonal it was given: d[0] - factored is x, up to a rounding of
-    d[0], about eps ||T||_inf.
+    lapack names the routines of oracle._flapack() it ran, in order, as
+    LoggedLapack logs them: "dpttrf" for a factorization of T - x and
+    "restart" for each dpttrf call past one of its negative pivots. factored
+    holds, for each factorization, which factors T - x, the first entry
+    d[0] - x of the diagonal it was given: d[0] - factored is x, up to a
+    rounding of d[0], about eps ||T||_inf.
     """
 
     spec: RadialOperatorSpec
@@ -459,19 +476,29 @@ class OracleCall:
     factored: tuple[float, ...]
 
 
-class _LoggedLapack:
-    """The routines of a LAPACK namespace, each logging its name (and dgttrf its first diagonal entry) when run."""
+class LoggedLapack:
+    """The routines of a LAPACK namespace, each logging its name in names when run.
 
-    def __init__(self, lapack):
-        self._lapack, self.names, self.factored = lapack, [], []
+    A dpttrf call on size rows, all of T - x, is a factorization: it logs
+    "dpttrf" and its first diagonal entry, d[0] - x, in factored. A dpttrf
+    call on fewer rows works on the tail of a factorization past a negative
+    pivot and logs "restart".
+    """
+
+    def __init__(self, lapack, size):
+        self._lapack, self.size, self.names, self.factored = lapack, size, [], []
 
     def __getattr__(self, name):
         routine = getattr(self._lapack, name)
 
         def logged(*args, **kwargs):
-            self.names.append(name)
-            if name == "dgttrf":
-                self.factored.append(float(args[1][0]))  # before dgttrf overwrites it
+            if name != "dpttrf":
+                self.names.append(name)
+            elif args[0].size < self.size:
+                self.names.append("restart")
+            else:
+                self.names.append(name)
+                self.factored.append(float(args[0][0]))  # before dpttrf overwrites it
             return routine(*args, **kwargs)
 
         return logged
@@ -480,10 +507,10 @@ class _LoggedLapack:
 def record_verify(state, perturb_omega=1.0) -> tuple[VerificationReport, list[OracleCall]]:
     """verify_solution(state, perturb_omega=...) and the oracle calls it made, in order."""
     eigenvalues, flapack = oracle.eigenvalues, oracle._flapack
-    lapack, calls = _LoggedLapack(flapack()), []
+    lapack, calls = LoggedLapack(flapack(), 0), []
 
     def recorded(spec, k, *, near=None, start=None):
-        lapack.names, lapack.factored = [], []
+        lapack.size, lapack.names, lapack.factored = spec.n_grid, [], []
         given = None if start is None else start.copy()
         value, x = eigenvalues(spec, k, near=near, start=start)
         calls.append(OracleCall(spec, k, near, given, value, x, tuple(lapack.names), tuple(lapack.factored)))

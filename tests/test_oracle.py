@@ -263,20 +263,6 @@ def states_to_degree_twelve():
     return states
 
 
-def seeded_sweep():
-    """(state, perturb_omega) over 30 random cells: each state, and the cell's lowest root at 1.05 omega."""
-    rng = np.random.default_rng(2606)
-    checks = []
-    for _ in range(30):
-        m, quad, abs_eta = 10.0 ** rng.uniform(-1, 1, size=3)
-        eta = float(rng.choice([-1.0, 1.0])) * abs_eta
-        l = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-        n = int(rng.integers(1, 13))
-        states = solve(ReducedProblem.from_params(PhysicalParams(m, quad, 1.0, eta, 0.0, l), n))
-        checks += [(state, 1.0) for state in states] + [(states[0], 1.05)]
-    return checks
-
-
 @pytest.fixture(scope="module")
 def recording():
     """{pass: [(state, perturb_omega, report, oracle calls)]}: one oracles.record_verify per check of each pass."""
@@ -285,7 +271,7 @@ def recording():
         "states": [(s, 1.0) for s in states],
         "controls": [(s, 1.05) for s in states if s.n <= 8],
         "high-index": [(s, 1.0) for s in states_to_degree_twelve()],
-        "sweep": seeded_sweep(),
+        "sweep": oracles.seeded_sweep(),
     }
     return {name: [(s, p, *oracles.record_verify(s, p)) for s, p in rows] for name, rows in checks.items()}
 
@@ -385,15 +371,17 @@ def assert_verdicts(recording, name, size):
 
 # LAPACK runs per recorded pass, (grid points, routine) -> runs: what the oracle's speed rests on.
 # The 132 states: each window factors T - shift once; the shift's own count closes one end of 90
-# coarse and 84 refined windows, so those count once and the others twice; the coarse grid takes
+# coarse and 93 refined windows, so those count once and the others twice; the coarse grid takes
 # two solves from all ones, the refined grid one from the interpolated coarse iterate. The 64
 # controls: no coarse window certifies (the first count fails and ends the check in 40), so each is
 # bisected and leaves no iterate; the refined grid takes two solves from all ones, and the shift
-# closes 38 of its windows.
+# closes 43 of its windows. A factorization restarts dpttrf past each negative pivot off its last
+# row ("restart"), about once per eigenvalue below the point it factors at.
 LAPACK_TOTALS = {
-    "states": {(4000, "dgttrf"): 306, (4000, "dgttrs"): 264, (8000, "dgttrf"): 312, (8000, "dgttrs"): 132},
-    "controls": {(4000, "dgttrf"): 152, (4000, "dgttrs"): 128, (4000, "dstebz"): 64,
-                 (8000, "dgttrf"): 154, (8000, "dgttrs"): 128},
+    "states": {(4000, "dpttrf"): 306, (4000, "restart"): 789, (4000, "dpttrs"): 264,
+               (8000, "dpttrf"): 303, (8000, "restart"): 700, (8000, "dpttrs"): 132},
+    "controls": {(4000, "dpttrf"): 152, (4000, "restart"): 94, (4000, "dpttrs"): 128, (4000, "dstebz"): 64,
+                 (8000, "dpttrf"): 149, (8000, "restart"): 233, (8000, "dpttrs"): 128},
 }
 
 
@@ -486,13 +474,13 @@ class TestWindow:
     @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
     def test_shift_past_an_end_closes_it(self, factored, side):
         # a certified call that counted one window end has its shift past the other end, below
-        # the value with count k or above it with count k + 1; of the states and controls, 84
-        # refined and 38 control refined windows are closed below, 90 coarse windows above
+        # the value with count k or above it with count k + 1; of the states and controls, 93
+        # refined and 43 control refined windows are closed below, 90 coarse windows above
         closed = [
             (call, points, counts) for call, _, points, counts in factored
             if call.x is not None and len(points) == 2 and np.sign(points[0] - call.value) == side
         ]
-        assert len(closed) == {-1: 84 + 38, 1: 90}[side]
+        assert len(closed) == {-1: 93 + 43, 1: 90}[side]
         for call, points, counts in closed:
             assert counts[0] == (call.k if side < 0 else call.k + 1), call.spec
             assert np.sign(points[1] - call.value) == -side, call.spec
@@ -565,10 +553,13 @@ class TestRayleighWindow:
         assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
 
     def test_singular_factorization_falls_back(self, full, monkeypatch):
+        # dpttrf reports a zero first pivot
+        def singular_dpttrf(d, e, **_):
+            d[0] = 0.0
+            return d, e, 1
+
         lapack = oracle._flapack()
-        singular = types.SimpleNamespace(
-            dstebz=lapack.dstebz, dgttrs=lapack.dgttrs, dgttrf=lambda dl, d, du, **_: (dl, d, du, du, None, 1)
-        )
+        singular = types.SimpleNamespace(dstebz=lapack.dstebz, dpttrs=lapack.dpttrs, dpttrf=singular_dpttrf)
         monkeypatch.setattr(oracle, "_flapack", lambda: singular)
         value, x = eigenvalues(reference_channel(), self.K, near=full[self.K])
         assert value == pytest.approx(full[self.K], rel=1e-14) and x is None
@@ -584,11 +575,11 @@ class TestShiftCount:
 
     def test_closed_windows_certify_as_both_counts_do(self, factored):
         # a certified call that counted both window ends read k at the lower, first, and k + 1 at
-        # the upper; the shift closed one end of the other 212 (test_shift_past_an_end_closes_it)
+        # the upper; the shift closed one end of the other 226 (test_shift_past_an_end_closes_it)
         both = [
             (call, points, counts) for call, _, points, counts in factored if call.x is not None and len(points) == 3
         ]
-        assert len(both) == 264 + 64 - 212
+        assert len(both) == 264 + 64 - 226
         for call, points, counts in both:
             assert counts[1:] == [call.k, call.k + 1] and points[1] < call.value < points[2], call.spec
 
@@ -607,11 +598,11 @@ class TestRefinedStart:
         started = 0
         for name in PASSES:
             for state, _, report, (coarse, refined) in recording[name]:
-                assert coarse.lapack.count("dgttrs") == 2, (state.n, state.l, state.omega)
+                assert coarse.lapack.count("dpttrs") == 2, (state.n, state.l, state.omega)
                 if coarse.x is None:
                     continue
                 started += 1
-                assert refined.lapack.count("dgttrs") == 1, (state.n, state.l, state.omega)
+                assert refined.lapack.count("dpttrs") == 1, (state.n, state.l, state.omega)
                 rho = np.linspace(0.0, report.rho_max, report.grid_n + 2)
                 rho_refined = np.linspace(0.0, report.rho_max, report.grid_n_refined + 2)[1:-1]
                 expected = np.interp(rho_refined, rho, np.concatenate(([0.0], coarse.x, [0.0])))
@@ -622,12 +613,12 @@ class TestRefinedStart:
 
     def test_no_iterate_takes_two_solves_from_ones(self, recording):
         # the coarse values of the 64 controls at 1.05 omega are bisected and leave no iterate
-        solves = [refined.lapack.count("dgttrs") for *_, (_, refined) in recording["controls"]]
+        solves = [refined.lapack.count("dpttrs") for *_, (_, refined) in recording["controls"]]
         assert solves == [2] * 64
 
 
 class TestCountBelow:
-    """_count_below reads the long-double Sturm count (oracles.sturm_counts) from dgttrf's factors."""
+    """_count_below reads the long-double Sturm count (oracles.sturm_counts) from the signs of _ldl's pivots."""
 
     def test_every_window_end(self, factored):
         # every window end at which a call of the 132 states and 64 controls counted
@@ -636,12 +627,11 @@ class TestCountBelow:
             for _, (d, e), points, counts in factored for x, count in zip(points[1:], counts[1:])
         ]
         assert [mine for mine, _ in ends] == [reference for _, reference in ends]
-        for grid in GRIDS:
-            rows = [(d, e, points) for call, (d, e), points, _ in factored if call.spec.n_grid == grid][:20]
-            swaps = [np.count_nonzero(oracle._flapack().dgttrf(e, d - x, e)[4][:-1] != np.arange(1, grid))
-                     for d, e, points in rows for x in points]
-            # both kinds of pivot step, keep and swap, feed the counts
-            assert 0 < sum(swaps) < len(swaps) * (grid - 1), grid
+        # restarts past a negative pivot occur mid-matrix, and on the last row: a negative pivot on
+        # the second-to-last row leaves the last row alone as the tail, and its pivot is negative too
+        pivots = [oracle._ldl(d, e, x)[0] for _, (d, e), points, _ in factored for x in points]
+        assert any((q[:-2] < 0.0).any() for q in pivots)
+        assert any(q[-2] < 0.0 and q[-1] < 0.0 for q in pivots)
 
     def test_seeded_shifts(self, recording):
         # on every channel of the 132 states, a seeded shift inside the Gershgorin bounds, one
@@ -679,11 +669,71 @@ class TestCountBelow:
             assert [oracle._count_below(d, signs * e, x) for x in shifts[0]] == reference
 
     def test_zero_pivot_is_no_count(self):
-        # at x = d[0] the first pivot of T - x is 0: dgttrf swaps the first two rows and leaves a
-        # zero multiplier, or, where e[0] = 0 too, reports the singular factor (info = 1)
+        # at x = d[0] the first pivot of T - x is 0, whatever e[0]
         d, e = build_operator(reference_channel())
         assert oracle._count_below(d, e, d[0]) is None
         assert oracle._count_below(d, np.concatenate(([0.0], e[1:])), d[0]) is None
+
+
+class TestLdl:
+    """_ldl's restarts and stops on hand-made matrices, each count pinned to oracles.sturm_counts."""
+
+    @staticmethod
+    def sturm_count(d, e, x):
+        return int(oracles.sturm_counts([(d, e)], [[x]])[0, 0])
+
+    @pytest.mark.parametrize("last, count", [(5.0, 1), (-5.0, 2)], ids=["positive", "negative"])
+    def test_one_row_tail(self, last, count):
+        # the pivot of row 6 is about -3.27, so the tail past it is the last row alone, which
+        # scipy's dpttrf wrapper refuses (its e would be empty); its pivot is last + 0.31
+        d, e = np.array([4.0] * 6 + [-3.0, last]), np.ones(7)
+        pivots, _, below = oracle._ldl(d, e, 0.0)
+        assert below == count == self.sturm_count(d, e, 0.0)
+        assert pivots[-2] < 0.0 and (pivots[-1] < 0.0) == (last < 0.0)
+
+    @pytest.mark.parametrize(
+        "d, e",
+        [
+            ([1.0, 1.0, 3.0, 3.0, 3.0], [1.0] * 4),  # dpttrf meets it: 1 - (1/1) 1
+            ([-1.0, -1.0, 3.0, 3.0, 3.0], [1.0] * 4),  # a restart meets it: -1 - (1/-1) 1
+            ([3.0, 3.0, 3.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]),  # dpttrf, on the last row
+            ([3.0, 3.0, 3.0, -1.0, -1.0], [1.0, 1.0, 0.0, 1.0]),  # the one-row tail
+        ],
+        ids=["middle", "middle-after-restart", "last-row", "last-row-tail"],
+    )
+    def test_exact_zero_pivot_is_none(self, d, e):
+        # a zero pivot has no sign; just off it the counts are the Sturm counts
+        d, e = np.array(d), np.array(e)
+        assert oracle._ldl(d, e, 0.0) is None
+        for x in (-1e-3, 1e-3):
+            assert oracle._count_below(d, e, x) == self.sturm_count(d, e, x), x
+
+    @pytest.mark.parametrize("tiny", [1e-300, -1e-300, -5e-324])
+    def test_overflowing_successor_counts_exactly(self, tiny):
+        # e_0^2 / q_0 leaves the double range: after a positive q_0 dpttrf makes the next pivot -inf,
+        # after a negative one the restart's Python step makes it +inf; either way the count is
+        # exact and no RuntimeWarning leaks (the suite makes one an error)
+        d, e = np.array([tiny, 2e6, 5e6, 5e6]), np.full(3, -1e6)
+        pivots, _, below = oracle._ldl(d, e, 0.0)
+        assert pivots[1] == (-math.inf if tiny > 0.0 else math.inf)
+        assert below == self.sturm_count(d, e, 0.0) == 1
+
+    @pytest.mark.parametrize("most", [0, 5, None])
+    def test_most_stops_the_count(self, monkeypatch, most):
+        # above the Gershgorin bound every pivot is negative: each dpttrf call stops at its first
+        # row, so the count takes one call per negative pivot until it passes most
+        d, e = build_operator(reference_channel())
+        x = d.max() + 2.0 * abs(e).max() + 1.0
+        assert self.sturm_count(d, e, x) == d.size
+        lapack = oracles.LoggedLapack(oracle._flapack(), d.size)
+        monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
+        if most is None:
+            # the last row is the one-row tail, which takes no call
+            assert oracle._count_below(d, e, x) == d.size
+            assert lapack.names == ["dpttrf"] + ["restart"] * (d.size - 2)
+        else:
+            assert oracle._count_below(d, e, x, most) == most + 1
+            assert lapack.names == ["dpttrf"] + ["restart"] * most
 
 
 class TestOverflow:
@@ -708,11 +758,12 @@ class TestConvergenceFailure:
     K = 3
 
     def stub_dstebz(self, monkeypatch, info, values):
-        """Replace dstebz, the index route, and log its calls and dgttrf's by name.
+        """Replace dstebz, the index route, and log its calls and dpttrf's by name.
 
-        dstebz reports info and values. dgttrf factors as usual for the
-        Rayleigh window, its first call, and reports info on every later
-        call, the window's eigenvalue counts.
+        dstebz reports info and values. dpttrf factors as usual for the
+        Rayleigh window, its first call (no pivot of T - 1.5 is negative), and
+        on every later call, the window's eigenvalue counts, reports a zero
+        first pivot when info is nonzero.
         """
         real, calls = oracle._flapack(), []
 
@@ -720,12 +771,14 @@ class TestConvergenceFailure:
             calls.append("dstebz")
             return len(values), np.array(values + (0.0,) * (d.size - len(values))), None, None, info
 
-        def dgttrf(*args, **kwargs):
-            calls.append("dgttrf")
-            *factors, factored = real.dgttrf(*args, **kwargs)
-            return (*factors, factored if calls.count("dgttrf") == 1 else info)
+        def dpttrf(d, e, **kwargs):
+            calls.append("dpttrf")
+            if calls.count("dpttrf") == 1 or info == 0:
+                return real.dpttrf(d, e, **kwargs)
+            d[0] = 0.0
+            return d, e, 1
 
-        lapack = types.SimpleNamespace(dstebz=dstebz, dgttrf=dgttrf, dgttrs=real.dgttrs)
+        lapack = types.SimpleNamespace(dstebz=dstebz, dpttrf=dpttrf, dpttrs=real.dpttrs)
         monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
         return calls
 
@@ -735,7 +788,7 @@ class TestConvergenceFailure:
             (None, 1, (1.0,), ["dstebz"], "dstebz failed on eigenvalue 3: info = 1"),
             # a count whose factorization fails ends the window, which falls back to the index
             # route, which fails too
-            (1.5, 1, (1.0,), ["dgttrf", "dgttrf", "dstebz"], "dstebz failed on eigenvalue 3: info = 1"),
+            (1.5, 1, (1.0,), ["dpttrf", "dpttrf", "dstebz"], "dstebz failed on eigenvalue 3: info = 1"),
         ],
         ids=["index-info", "window-info"],
     )
