@@ -17,6 +17,9 @@ Sylvester's law of inertia from the signs of one LDL^T factorization's
 pivots (_ldl; the shift's own closes an end it lies past), and dstebz
 bisects index k otherwise; the three routines come from scipy's compiled
 _flapack alone (see _flapack).
+Each thread works in one set of vectors per grid size, kept for the two
+sizes it used last (_grid), so a certified call allocates no vector of the
+grid's length but the iterate it returns.
 A quantized frequency is genuine exactly when the analytic zeta^2 shows up in
 this spectrum at the index k equal to the state's radial node count (Sturm
 oscillation ordering), with the residual deviation shrinking like h^2 from
@@ -36,6 +39,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -101,32 +105,81 @@ def build_operator(spec: RadialOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Returns:
         (d, e) with d[i] = 2/h^2 + V_eff(rho_i) at the n_grid interior nodes
-        and e[i] = -1/h^2 on both off-diagonals (length n_grid - 1).
+        and e[i] = -1/h^2 on both off-diagonals (length n_grid - 1), arrays
+        the caller owns (copies of _operator's).
 
     Raises:
         OverflowGuard: a diagonal entry is not finite, from a large m*omega
             or a box too large or too small for the double range.
     """
+    grid = _operator(spec)
+    return grid.d.copy(), grid.e.copy()
+
+
+def _operator(spec: RadialOperatorSpec) -> _Grid:
+    """This thread's buffers of the spec's grid (_grid), with build_operator's d and e written in place."""
     h = spec.step
-    rho = h * np.arange(1, spec.n_grid + 1)
+    grid = _grid(spec.n_grid)
+    d, rho, rho2, term = grid.d, grid.s, grid.t, grid.pivots
     # numpy's ** is the same libm pow as Python's, but overflows to inf
     # rather than raising OverflowError, and 1/0 is inf, not ZeroDivisionError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h2 = np.float64(h) ** 2
-        v_eff = (
-            (spec.abs_l**2 - 0.25) / rho**2
-            + spec.coulomb_strength / rho
-            + np.float64(spec.m * spec.omega) ** 2 * rho**2
-            + 2.0 * spec.m * spec.eta * rho
-        )
-        d = 2.0 / h2 + v_eff
-        e = np.full(spec.n_grid - 1, -1.0 / h2)
-    if not np.isfinite(d).all():
+        np.multiply(grid.nodes, h, out=rho)
+        np.multiply(rho, rho, out=rho2)  # the multiply of numpy's rho**2
+        # V_eff = (l^2 - 1/4)/rho^2 + M lambda l/rho + (m omega)^2 rho^2 + 2 m eta rho, summed left to right
+        np.divide(spec.abs_l**2 - 0.25, rho2, out=d)
+        d += np.divide(spec.coulomb_strength, rho, out=term)
+        d += np.multiply(np.float64(spec.m * spec.omega) ** 2, rho2, out=rho2)
+        d += np.multiply(2.0 * spec.m * spec.eta, rho, out=rho)
+        d += 2.0 / h2
+        grid.e.fill(-1.0 / h2)
+    # min and max are nan if any entry is, and reduce without a bool temporary
+    if not (math.isfinite(d.min()) and math.isfinite(d.max())):
         raise OverflowGuard(
             f"finite-difference operator overflows (m*omega = {spec.m * spec.omega:.3e}, "
             f"rho_max = {spec.rho_max:.6g})"
         )
-    return d, e
+    return grid
+
+
+class _Grid:
+    """The oracle's buffers for a grid of n interior nodes, reused by every call on that grid in one thread.
+
+    nodes holds 1..n; d and e the operator (_operator); pivots and
+    multipliers the LDL^T factors of T - x (_ldl); s and t are scratch
+    vectors of the operator and the Rayleigh quotient, and so is pivots
+    while no factors are live in it. All are views of one block: at the
+    default grids glibc maps it apart from its heap, and verify's peak RSS
+    grew about half as much as with separate arrays. fractions are the
+    interpolation weights of _onto_refined_grid from this grid, once it has
+    asked for them.
+    """
+
+    def __init__(self, n: int) -> None:
+        block = np.empty(7 * n - 2)
+        self.nodes, self.d, self.pivots, self.s, self.t = block[: 5 * n].reshape(5, n)
+        self.nodes[:] = np.arange(1.0, n + 1.0)
+        self.e, self.multipliers = block[5 * n :].reshape(2, n - 1)
+        self.fractions: tuple[np.ndarray, np.ndarray] | None = None
+
+
+_local = threading.local()
+
+
+def _grid(n: int) -> _Grid:
+    """This thread's buffers for a grid of n interior nodes.
+
+    A thread keeps those of the two sizes it used last, the coarse and the
+    refined grid of a verify_solution call, so a sweep over grids does not
+    grow its memory. Allocating every vector afresh for each call made the
+    oracle's speed hang on glibc trimming the heap and faulting it in again.
+    """
+    grids = vars(_local).setdefault("grids", {})
+    grids[n] = grid = grids.pop(n, None) or _Grid(n)  # the most recent last
+    if len(grids) > 2:
+        del grids[next(iter(grids))]
+    return grid
 
 
 def eigenvalues(
@@ -149,7 +202,8 @@ def eigenvalues(
 
     Returns:
         (value, x): x is the unit iterate whose Rayleigh quotient is the
-        certified value, None when the value was bisected.
+        certified value, an array the caller owns (start itself, when
+        given), None when the value was bisected.
 
     The name is plural for the benchmark tracer, which binds
     oracle.eigenvalues and reads spec.n_grid from the first argument.
@@ -159,7 +213,8 @@ def eigenvalues(
         ConvergenceFailure: the bisection fallback failed, or the value is
             not finite.
     """
-    d, e = build_operator(spec)
+    grid = _operator(spec)
+    d, e = grid.d, grid.e
     window = None if near is None else _rayleigh_window(d, e, near, start)
     if window is not None and _certified_window(d, e, k, window):
         return window.theta, window.x
@@ -191,26 +246,29 @@ def _rayleigh_window(d: np.ndarray, e: np.ndarray, shift: float, start: np.ndarr
     twice, for a unit x, its Rayleigh quotient theta = x.T T x and residual
     r = |T x - theta x|, and w = max(r, r^2/_EIG_ABS_TOL, _RESIDUAL_FLOOR).
     A non-finite window is left to _certified_window, which rejects it.
+    The products go into the scratch vectors of the grid's buffers (_grid).
     """
-    factors = _ldl(d, e, shift)
+    grid = _grid(d.size)
+    factors = _ldl(d, e, shift, out=grid)
     if factors is None:
         return None
     pivots, multipliers, below = factors
     dpttrs = _flapack().dpttrs
+    square, tx = grid.s, grid.t
     x, steps = (np.ones(d.size), 2) if start is None else (start, 1)
     # numpy's pairwise sums, not BLAS dot: OpenBLAS splits a long dot over its
     # threads, so its rounding would depend on their number
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            # in place where LAPACK allows: each 8000-point vector is 64 kB of peak RSS
             x, _ = dpttrs(pivots, multipliers, x, overwrite_b=1)
-            x /= np.sqrt(np.add.reduce(x * x))
-        tx = d * x
-        tx[1:] += e * x[:-1]
-        tx[:-1] += e * x[1:]
-        theta = float(np.add.reduce(x * tx))
-        tx -= theta * x
-        r = math.sqrt(np.add.reduce(tx * tx))
+            x /= np.sqrt(np.add.reduce(np.multiply(x, x, out=square)))
+        term = pivots  # the factors are spent
+        np.multiply(d, x, out=tx)
+        tx[1:] += np.multiply(e, x[:-1], out=term[1:])
+        tx[:-1] += np.multiply(e, x[1:], out=term[1:])
+        theta = float(np.add.reduce(np.multiply(x, tx, out=square)))
+        tx -= np.multiply(theta, x, out=term)
+        r = math.sqrt(np.add.reduce(np.multiply(tx, tx, out=square)))
     w = max(r, r * r / _EIG_ABS_TOL, _RESIDUAL_FLOOR)
     return _Window(theta, w, shift, below, x)
 
@@ -240,12 +298,12 @@ def _certified_window(d: np.ndarray, e: np.ndarray, k: int, window: _Window) -> 
 
 def _count_below(d: np.ndarray, e: np.ndarray, x: float, most: int | None = None) -> int | None:
     """Number of eigenvalues of tridiag(d, e) below x, None at a zero pivot; given most, it stops at most + 1."""
-    factors = _ldl(d, e, x, most)
+    factors = _ldl(d, e, x, most, out=_grid(d.size))
     return None if factors is None else factors[2]
 
 
 def _ldl(
-    d: np.ndarray, e: np.ndarray, x: float, most: int | None = None
+    d: np.ndarray, e: np.ndarray, x: float, most: int | None = None, out: _Grid | None = None
 ) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Unpivoted LDL^T of tridiag(d, e) - x: (pivots q, multipliers, negative pivots); None if a pivot is 0.
 
@@ -255,17 +313,25 @@ def _ldl(
     at the first pivot q_i <= 0, leaving the multipliers before it and e_i
     untouched. Past a negative q_i this function takes the step itself,
     l_i = e_i/q_i and q_{i+1} -= l_i e_i, in Python floats, which overflow to
-    inf without a warning, and restarts dpttrf on the tail; a one-row tail,
-    which scipy's wrapper refuses, is its own pivot. So T - x costs one
-    dpttrf call per negative pivot off the last row, plus one. Given most,
-    the factorization stops, unfinished, at negative pivot most + 1. dpttrs
-    solves with the finished factors, whatever the signs of the pivots.
+    inf without a warning, and goes on stepping while the next pivot is
+    negative too; after a positive one it restarts dpttrf on the tail, and
+    a one-row tail, which scipy's wrapper refuses, is its own pivot. So T - x
+    costs one dpttrf call, plus one per run of negative pivots that a
+    positive one ends off the last row. Given most, the factorization stops,
+    unfinished, at negative pivot most + 1. dpttrs solves with the finished
+    factors, whatever the signs of the pivots. The factors go into out's
+    pivots and multipliers, or into new arrays the caller owns.
     """
-    pivots, multipliers = d - x, e.copy()
+    if out is None:
+        pivots, multipliers = d - x, e.copy()
+    else:
+        pivots, multipliers = np.subtract(d, x, out=out.pivots), out.multipliers
+        multipliers[:] = e
     dpttrf = _flapack().dpttrf
+    last = pivots.size - 1
     below, row = 0, 0
     while True:
-        if row < pivots.size - 1:
+        if row < last:
             # contiguous views of the two arrays, which dpttrf overwrites in place
             *_, info = dpttrf(pivots[row:], multipliers[row:], overwrite_d=1, overwrite_e=1)
         else:
@@ -274,15 +340,18 @@ def _ldl(
             return pivots, multipliers, below
         row += info - 1
         pivot = float(pivots[row])
-        if pivot == 0.0:
-            return None
-        below += 1
-        if row == pivots.size - 1 or (most is not None and below > most):
-            return pivots, multipliers, below
-        off = float(multipliers[row])
-        multipliers[row] = multiplier = off / pivot
-        pivots[row + 1] = float(pivots[row + 1]) - multiplier * off
-        row += 1
+        while True:
+            if pivot == 0.0:
+                return None
+            below += 1
+            if row == last or (most is not None and below > most):
+                return pivots, multipliers, below
+            off = float(multipliers[row])
+            multipliers[row] = multiplier = off / pivot
+            row += 1
+            pivots[row] = pivot = float(pivots[row]) - multiplier * off
+            if not pivot <= 0.0:  # dpttrf's own test, so a nan pivot goes to it
+                break
 
 
 def _onto_refined_grid(x: np.ndarray) -> np.ndarray:
@@ -290,15 +359,26 @@ def _onto_refined_grid(x: np.ndarray) -> np.ndarray:
 
     Node i of N sits at i/(N + 1) of the box, node j of 2N at j/(2N + 1), and u is 0 at
     both ends. So nodes j = 2i and 2i + 1 both fall between nodes i and i + 1, at the
-    fractions i/(2N + 1) and (i + N + 1)/(2N + 1) of that interval.
+    fractions i/(2N + 1) and (i + N + 1)/(2N + 1) of that interval. The two fraction
+    arrays are kept in the coarse grid's buffers (_grid).
     """
     n = x.size
-    padded = np.concatenate(([0.0], x, [0.0]))
-    step = np.diff(padded)
-    fraction = np.arange(n + 1) / (2 * n + 1)
+    grid = _grid(n)
+    if grid.fractions is None:
+        fraction = np.arange(n + 1) / (2 * n + 1)
+        grid.fractions = fraction[1:], fraction[:-1] + (n + 1) / (2 * n + 1)
+    odd_fraction, even_fraction = grid.fractions
     fine = np.empty(2 * n)
-    fine[1::2] = padded[1:-1] + fraction[1:] * step[1:]
-    fine[0::2] = padded[:-2] + (fraction[:-1] + (n + 1) / (2 * n + 1)) * step[:-1]
+    odd, even = fine[1::2], fine[0::2]
+    # the steps x_{i+1} - x_i into odd and x_i - x_{i-1} into even, with x_{-1} = x_N = 0
+    np.subtract(x[1:], x[:-1], out=odd[:-1])
+    even[1:] = odd[:-1]
+    odd[-1] = 0.0 - x[-1]
+    odd *= odd_fraction
+    odd += x
+    even[1:] *= even_fraction[1:]
+    even[1:] += x[:-1]
+    even[0] = 0.0 + even_fraction[0] * x[0]
     return fine
 
 

@@ -142,10 +142,11 @@ def normalize(solution: SpectralSolution) -> RadialWavefunction:
     """Compute the norm constant N by adaptive composite quadrature.
 
     Simpson's rule on [0, rho_max] with the interval count doubled until N
-    moves by less than NORM_RTOL relative between refinements. Each doubling
-    evaluates R at the new midpoints only: linspace(0, rho_max, 2M + 1)[::2]
-    is linspace(0, rho_max, M + 1) bit for bit, so the earlier samples are
-    the even ones of the new level.
+    moves by less than NORM_RTOL relative between refinements. The first two
+    levels come from one evaluation of R, and each later doubling evaluates
+    it at the new midpoints only: linspace(0, rho_max, 2M + 1)[::2] is
+    linspace(0, rho_max, M + 1) bit for bit, so the earlier samples are the
+    even ones of the new level.
 
     Raises:
         QuadratureFailure: the integral is non-finite or non-positive, or the
@@ -154,7 +155,8 @@ def normalize(solution: SpectralSolution) -> RadialWavefunction:
     rho_max = suggested_rho_max(solution)
     previous = None
     intervals = _SIMPSON_START
-    f = _density(solution, np.linspace(0.0, rho_max, intervals + 1))
+    ahead = _density(solution, np.linspace(0.0, rho_max, 2 * intervals + 1))
+    f = ahead[::2]
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             integral = float(rho_max / intervals / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
@@ -171,10 +173,11 @@ def normalize(solution: SpectralSolution) -> RadialWavefunction:
             raise QuadratureFailure(
                 f"norm constant did not stabilize to {NORM_RTOL:g} within {_SIMPSON_MAX} intervals"
             )
-        refined = np.empty(intervals + 1)
-        refined[::2] = f
-        refined[1::2] = _density(solution, np.linspace(0.0, rho_max, intervals + 1)[1::2])
-        f = refined
+        if ahead is None:
+            ahead = np.empty(intervals + 1)
+            ahead[::2] = f
+            ahead[1::2] = _density(solution, np.linspace(0.0, rho_max, intervals + 1)[1::2])
+        f, ahead = ahead, None
 
 
 def count_positive_roots(coeffs) -> int:

@@ -10,8 +10,11 @@ its iterate, must lie within oracles.CERTIFIED_TOL of eigenvalue k; a value
 of the index-bisection fallback within 1. Prints the largest error of each
 kind and exits 1 when one is exceeded. Also prints the LAPACK runs of each
 pass by grid (dpttrf factorizations, their restarts past a negative pivot,
-dpttrs and dstebz), and how many windows of the seeded 30-cell sweep
-(oracles.seeded_sweep) certify. Where long double is no wider than double
+dpttrs and dstebz), how many windows of the seeded 30-cell sweep
+(oracles.seeded_sweep) certify, and what the oracle allocates once its
+per-thread buffers exist: the tracemalloc peak of one verify_solution at the
+default grids and the minor page faults of a pass over the 132 states,
+measured only, not bounded. Where long double is no wider than double
 (eps >= 1e-18) there is no reference, and it exits 0 saying so.
 
 From the repository root:
@@ -19,12 +22,32 @@ From the repository root:
     PYTHONPATH=src:tests python tests/check_oracle_accuracy.py
 """
 
+import resource
 import sys
+import tracemalloc
 
 import numpy as np
 
 import oracles
-from heunqes.oracle import build_operator
+from heunqes.oracle import build_operator, verify_solution
+
+
+def allocation(states) -> tuple[float, int]:
+    """(tracemalloc peak in kB of verify_solution on the first state, minor page faults of a pass over all).
+
+    A pass over the states runs first, so the oracle's buffers of both grids
+    exist and the heap has grown to what a pass needs.
+    """
+    for state in states:
+        verify_solution(state)
+    tracemalloc.start()
+    verify_solution(states[0])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for state in states:
+        verify_solution(state)
+    return peak / 1e3, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 def main() -> int:
@@ -54,6 +77,9 @@ def main() -> int:
             routines = ("dpttrf", "restart", "dpttrs", "dstebz")
             runs = ", ".join(f"{routine} {totals[grid, routine]}" for routine in routines)
             print(f"  LAPACK runs, {name} at {grid} points: {runs}")
+    peak, faults = allocation(states)
+    print(f"  allocation: verify_solution peaks at {peak:.1f} kB traced; a warm pass of {len(states)} states, "
+          f"{faults} minor page faults")
     sweep = [c for s, p in oracles.seeded_sweep() for c in oracles.record_verify(s, p)[1]]
     print(f"  seeded sweep: {sum(c.x is not None for c in sweep)} of {len(sweep)} windows certified")
     kinds = (("certified", certified, oracles.CERTIFIED_TOL), ("bisected", ~certified, 1.0))

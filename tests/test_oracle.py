@@ -3,6 +3,7 @@
 import importlib.machinery
 import math
 import sys
+import threading
 import types
 
 import numpy as np
@@ -375,12 +376,13 @@ def assert_verdicts(recording, name, size):
 # two solves from all ones, the refined grid one from the interpolated coarse iterate. The 64
 # controls: no coarse window certifies (the first count fails and ends the check in 40), so each is
 # bisected and leaves no iterate; the refined grid takes two solves from all ones, and the shift
-# closes 43 of its windows. A factorization restarts dpttrf past each negative pivot off its last
-# row ("restart"), about once per eigenvalue below the point it factors at.
+# closes 43 of its windows. A factorization restarts dpttrf past each run of negative pivots that
+# a positive one ends off its last row ("restart"), about once per eigenvalue below the point it
+# factors at, where the negative pivots lie apart; the coarse controls' wide windows meet runs.
 LAPACK_TOTALS = {
     "states": {(4000, "dpttrf"): 306, (4000, "restart"): 789, (4000, "dpttrs"): 264,
                (8000, "dpttrf"): 303, (8000, "restart"): 700, (8000, "dpttrs"): 132},
-    "controls": {(4000, "dpttrf"): 152, (4000, "restart"): 94, (4000, "dpttrs"): 128, (4000, "dstebz"): 64,
+    "controls": {(4000, "dpttrf"): 152, (4000, "restart"): 70, (4000, "dpttrs"): 128, (4000, "dstebz"): 64,
                  (8000, "dpttrf"): 149, (8000, "restart"): 233, (8000, "dpttrs"): 128},
 }
 
@@ -627,8 +629,8 @@ class TestCountBelow:
             for _, (d, e), points, counts in factored for x, count in zip(points[1:], counts[1:])
         ]
         assert [mine for mine, _ in ends] == [reference for _, reference in ends]
-        # restarts past a negative pivot occur mid-matrix, and on the last row: a negative pivot on
-        # the second-to-last row leaves the last row alone as the tail, and its pivot is negative too
+        # negative pivots occur mid-matrix, and on the last two rows: the Python step past the
+        # second-to-last row reaches the last row, and its pivot is negative too
         pivots = [oracle._ldl(d, e, x)[0] for _, (d, e), points, _ in factored for x in points]
         assert any((q[:-2] < 0.0).any() for q in pivots)
         assert any(q[-2] < 0.0 and q[-1] < 0.0 for q in pivots)
@@ -684,8 +686,9 @@ class TestLdl:
 
     @pytest.mark.parametrize("last, count", [(5.0, 1), (-5.0, 2)], ids=["positive", "negative"])
     def test_one_row_tail(self, last, count):
-        # the pivot of row 6 is about -3.27, so the tail past it is the last row alone, which
-        # scipy's dpttrf wrapper refuses (its e would be empty); its pivot is last + 0.31
+        # the pivot of row 6 is about -3.27, and the Python step past it gives the last row the pivot
+        # last + 0.31: a positive one is the one-row tail, which scipy's dpttrf wrapper refuses (its e
+        # would be empty), and a negative one the last step of the run
         d, e = np.array([4.0] * 6 + [-3.0, last]), np.ones(7)
         pivots, _, below = oracle._ldl(d, e, 0.0)
         assert below == count == self.sturm_count(d, e, 0.0)
@@ -695,11 +698,12 @@ class TestLdl:
         "d, e",
         [
             ([1.0, 1.0, 3.0, 3.0, 3.0], [1.0] * 4),  # dpttrf meets it: 1 - (1/1) 1
-            ([-1.0, -1.0, 3.0, 3.0, 3.0], [1.0] * 4),  # a restart meets it: -1 - (1/-1) 1
+            ([-1.0, -1.0, 3.0, 3.0, 3.0], [1.0] * 4),  # a Python step meets it: -1 - (1/-1) 1
+            ([-1.0, 0.0, 1.0, 3.0, 3.0], [1.0] * 4),  # a restart meets it: 0 - (1/-1) 1, then 1 - (1/1) 1
             ([3.0, 3.0, 3.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0]),  # dpttrf, on the last row
-            ([3.0, 3.0, 3.0, -1.0, -1.0], [1.0, 1.0, 0.0, 1.0]),  # the one-row tail
+            ([3.0, 3.0, 3.0, -1.0, -1.0], [1.0, 1.0, 0.0, 1.0]),  # a Python step, on the last row
         ],
-        ids=["middle", "middle-after-restart", "last-row", "last-row-tail"],
+        ids=["middle", "middle-after-step", "middle-after-restart", "last-row", "last-row-tail"],
     )
     def test_exact_zero_pivot_is_none(self, d, e):
         # a zero pivot has no sign; just off it the counts are the Sturm counts
@@ -711,7 +715,7 @@ class TestLdl:
     @pytest.mark.parametrize("tiny", [1e-300, -1e-300, -5e-324])
     def test_overflowing_successor_counts_exactly(self, tiny):
         # e_0^2 / q_0 leaves the double range: after a positive q_0 dpttrf makes the next pivot -inf,
-        # after a negative one the restart's Python step makes it +inf; either way the count is
+        # after a negative one the Python step makes it +inf; either way the count is
         # exact and no RuntimeWarning leaks (the suite makes one an error)
         d, e = np.array([tiny, 2e6, 5e6, 5e6]), np.full(3, -1e6)
         pivots, _, below = oracle._ldl(d, e, 0.0)
@@ -720,20 +724,16 @@ class TestLdl:
 
     @pytest.mark.parametrize("most", [0, 5, None])
     def test_most_stops_the_count(self, monkeypatch, most):
-        # above the Gershgorin bound every pivot is negative: each dpttrf call stops at its first
-        # row, so the count takes one call per negative pivot until it passes most
+        # above the Gershgorin bound every pivot is negative: the first dpttrf call stops at its
+        # first row, and the Python steps take the rest of the run, no restart, until the count
+        # passes most or reaches the last row
         d, e = build_operator(reference_channel())
         x = d.max() + 2.0 * abs(e).max() + 1.0
         assert self.sturm_count(d, e, x) == d.size
         lapack = oracles.LoggedLapack(oracle._flapack(), d.size)
         monkeypatch.setattr(oracle, "_flapack", lambda: lapack)
-        if most is None:
-            # the last row is the one-row tail, which takes no call
-            assert oracle._count_below(d, e, x) == d.size
-            assert lapack.names == ["dpttrf"] + ["restart"] * (d.size - 2)
-        else:
-            assert oracle._count_below(d, e, x, most) == most + 1
-            assert lapack.names == ["dpttrf"] + ["restart"] * most
+        assert oracle._count_below(d, e, x, most) == (d.size if most is None else most + 1)
+        assert lapack.names == ["dpttrf"]
 
 
 class TestOverflow:
@@ -867,3 +867,51 @@ class TestVerifySolution:
         assert report.grid_n_refined == 2000
         assert report.rho_max == 9.0
         assert report.passed
+
+
+class TestWorkspace:
+    """The oracle works in per-thread buffers of the two grid sizes it used last, and hands out none of them."""
+
+    def test_threads_give_the_serial_reports(self, recording):
+        # three threads, more than the cores of a 2-core host, each verify a seeded 12 of the 132
+        # states, rotated so they run different states at once; the recording is the serial pass
+        checks = recording["states"]
+        picked = np.random.default_rng(39).choice(len(checks), size=12, replace=False).tolist()
+        reports = {}
+
+        def run(offset):
+            order = picked[offset:] + picked[:offset]
+            reports[offset] = {i: verify_solution(checks[i][0]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(offset,)) for offset in (0, 4, 8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        serial = {i: checks[i][2] for i in picked}
+        assert reports == {offset: serial for offset in (0, 4, 8)}
+
+    def test_returned_arrays_are_the_callers(self):
+        # a later call on the same grid leaves what an earlier one returned as it was
+        spec, other = reference_channel(), reference_channel(omega=2.0, rho_max=5.0)
+        full = oracles.lowest_eigenvalues(spec, 1)
+        d, e = build_operator(spec)
+        _, x = eigenvalues(spec, 0, near=full[0])
+        pivots, multipliers, _ = oracle._ldl(d, e, full[0])
+        returned = [d, e, x, pivots, multipliers]
+        kept = [array.copy() for array in returned]
+        build_operator(other)
+        eigenvalues(other, 0, near=oracles.lowest_eigenvalues(other, 1)[0])
+        oracle._ldl(*build_operator(other), 1.0)
+        assert all(np.array_equal(now, then) for now, then in zip(returned, kept))
+
+    def test_thread_keeps_the_last_two_grid_sizes(self):
+        for grid_n in (100, 200, 300):
+            verify_solution(reference_solution(), grid_n=grid_n)
+        assert sorted(oracle._local.grids) == [300, 600]
